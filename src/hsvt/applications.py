@@ -15,7 +15,7 @@ k literally carries sqrt(I - Ad A) A^k psi and the last block A^n psi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,21 +52,28 @@ def amplification_rounds(p: float) -> int:
     return int(math.ceil(math.pi / (4.0 * math.sqrt(p))))
 
 
+def _degree_budget(f: TargetFunction, eps: float) -> int:
+    """Largest degree an adaptive compile of f to accuracy eps may reach.
+
+    Three times the truncation-law estimate: the synthesized rate runs below
+    the truncation rate by roughly a factor two.
+    """
+    return max(3 * targets.degree_for_accuracy(f.x_gap(), eps).k, 16)
+
+
 def compiled_schedule(f: TargetFunction, eps: float,
                       opts: SolverOptions | None = None) -> PhaseSchedule:
     """Compile (and memoize) a schedule for f to accuracy eps.
 
-    Degree grows adaptively up to three times the truncation-law estimate
-    (the synthesized rate runs below the truncation rate by roughly a factor
-    two); non-convergence within that budget raises.
+    Degree grows adaptively up to _degree_budget; non-convergence within
+    that budget raises.  The memo is keyed on all solver options.
     """
     opts = opts or SolverOptions(target_eps=eps, variable_t=True)
-    key = (f, float(eps), opts.variable_t, opts.seed, opts.t_min)
+    key = (f, float(eps), replace(opts, target_eps=eps))
     hit = _schedule_cache.get(key)
     if hit is not None:
         return hit
-    estimate = targets.degree_for_accuracy(f.x_gap(), eps)
-    k_max = max(3 * estimate.k, 16)
+    k_max = _degree_budget(f, eps)
     schedule, report = compiler.synthesize_to_accuracy(f, eps, k_max, opts=opts)
     if not report.converged:
         raise ConvergenceError(

@@ -109,9 +109,8 @@ def cmd_synthesize(cfg: dict) -> int:
         schedule, rep = compiler.synthesize_schedule(
             f, k, grid_size=int(grid_size) if grid_size else None, opts=opts)
     else:
-        estimate = targets.degree_for_accuracy(f.x_gap(), eps)
         schedule, rep = compiler.synthesize_to_accuracy(
-            f, eps, k_max=max(2 * estimate.k, 16), opts=opts)
+            f, eps, k_max=applications._degree_budget(f, eps), opts=opts)
     report = _base_report(cfg, t0)
     report["synthesis"] = rep.to_dict()
     report["k"] = schedule.degree
@@ -296,7 +295,9 @@ def _add_common(sp):
 
 
 def _add_target_flags(sp):
-    sp.add_argument("--kind", choices=list(targets.KINDS))
+    # sampled targets need data that no flag or config key carries
+    sp.add_argument("--kind",
+                    choices=[k for k in targets.KINDS if k != "custom-samples"])
     sp.add_argument("--sigma-lo", dest="sigma_lo", type=float)
     sp.add_argument("--sigma-hi", dest="sigma_hi", type=float)
     sp.add_argument("--cap", type=float)

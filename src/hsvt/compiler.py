@@ -20,7 +20,7 @@ k+2 exactly, by inserting the canceling pair (phi, phi + pi)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -29,7 +29,6 @@ from .errors import CapError, InvalidInputError, ParseError
 from .targets import TargetFunction
 
 CONVENTION = "lower-left-e-minus-i-phi"
-PQ_IDENTITY_TOL = 1e-10
 T_MIN = 1e-9
 T_MAX = 8.0
 
@@ -86,6 +85,11 @@ class PhaseSchedule:
         )
         if "k" not in fields:
             raise ParseError("header lacks k=<degree>", path=path, line=1, field="k")
+        try:
+            k = int(fields["k"])
+        except ValueError as exc:
+            raise ParseError(f"bad degree: {exc}", path=path, line=1,
+                             field="k") from exc
         convention = fields.get("convention", CONVENTION)
         steps = []
         for i, line in enumerate(lines[1:], start=2):
@@ -99,10 +103,12 @@ class PhaseSchedule:
                 phi, t = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ParseError(f"bad number: {exc}", path=path, line=i) from exc
+            if not (math.isfinite(phi) and math.isfinite(t)):
+                raise ParseError("phase and time must be finite", path=path, line=i)
             if not (t > 0.0):
                 raise ParseError("step time must be positive", path=path, line=i, field="t")
             steps.append(PhaseStep(phi=phi, t=t))
-        if len(steps) != int(fields["k"]):
+        if len(steps) != k:
             raise ParseError(
                 f"header says k={fields['k']} but found {len(steps)} steps",
                 path=path, field="k",
@@ -295,18 +301,40 @@ def _node_residuals(u, target, metric):
     return np.linalg.norm(u - target, 2, axis=(1, 2))
 
 
-class _CachedObjective:
-    """Memoizes the shared residual/Jacobian computation per parameter vector."""
+def _target_on(f: TargetFunction, nodes) -> np.ndarray:
+    return reduced_target(np.asarray(f(nodes), dtype=float))
 
-    def __init__(self, sigmas, target, variable_t, metric):
+
+def _to_schedule(x, variable_t) -> PhaseSchedule:
+    """Full parameter vector (phases, then times if variable-t) -> schedule."""
+    if variable_t:
+        return schedule_from_arrays(*np.split(x, 2))
+    return schedule_from_arrays(x)
+
+
+class _CachedObjective:
+    """Memoizes the shared residual/Jacobian computation per parameter vector.
+
+    With a fold S (see _sym_fold) the parameters are half-space vectors y:
+    residual and unitaries are those at S @ y, and the Jacobian is J S.
+    """
+
+    def __init__(self, sigmas, target, variable_t, metric, fold=None):
         self.args = (sigmas, target, variable_t, metric)
+        self.fold = fold
         self._key = None
         self._value = None
 
     def _eval(self, params):
         key = params.tobytes()
         if key != self._key:
-            self._value = _residual_jacobian(params, *self.args)
+            if self.fold is None:
+                self._value = _residual_jacobian(params, *self.args)
+            else:
+                res, jac, u = _residual_jacobian(self.fold @ params, *self.args)
+                # J S, kept Fortran-ordered like J: the memory order of the
+                # Jacobian changes the solver's round-off, hence its steps
+                self._value = res, (self.fold.T @ jac.T).T, u
             self._key = key
         return self._value
 
@@ -320,31 +348,41 @@ class _CachedObjective:
         return self._eval(params)[2]
 
 
-def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev):
-    """Best local minimum over the given initial points."""
-    if opts.variable_t:
-        lb = np.concatenate([np.full(k, -2 * np.pi), np.full(k, opts.t_min)])
-        ub = np.concatenate([np.full(k, 2 * np.pi), np.full(k, T_MAX)])
-        method = "trf"
-        bounds = (lb, ub)
+def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
+                        fold=None):
+    """Best local minimum over the given initial points.
+
+    Without a fold this searches the full space.  With fold = _sym_fold(k, ...)
+    it searches the symmetric half space: inits and the returned vector are
+    half-space vectors y, with full parameters S @ y.
+    """
+    # Both paths pass x_scale explicitly, so that scipy's default (which
+    # changed for lm in scipy 1.16) cannot move the schedules they reproduce.
+    # The polish uses today's default: 1.0 under trf, 'jac' under lm.  The
+    # half-space stages were tuned the other way round: Jacobian scaling for
+    # the bounded variable-t (trf) solves, unit scaling under lm.
+    if fold is None:
+        n_phi, tol = k, 3e-16
+        x_scale = 1.0 if opts.variable_t else "jac"
     else:
-        method = "lm"
-        bounds = (-np.inf, np.inf)
-    obj = _CachedObjective(sigmas, target, opts.variable_t, opts.metric)
+        n_phi, tol = k // 2, 1e-15
+        x_scale = "jac" if opts.variable_t else 1.0
+    if opts.variable_t:
+        n_t = len(inits[0]) - n_phi
+        lb = np.concatenate([np.full(n_phi, -2 * np.pi), np.full(n_t, opts.t_min)])
+        ub = np.concatenate([np.full(n_phi, 2 * np.pi), np.full(n_t, T_MAX)])
+        method, bounds = "trf", (lb, ub)
+    else:
+        method, bounds = "lm", (-np.inf, np.inf)
+    obj = _CachedObjective(sigmas, target, opts.variable_t, opts.metric, fold)
     best = None
     nfev_total = 0
     for x0 in inits:
         if opts.variable_t:
             x0 = np.clip(x0, bounds[0] + 1e-12, bounds[1] - 1e-12)
-        sol = least_squares(
-            obj.residual,
-            x0,
-            jac=obj.jacobian,
-            method=method,
-            bounds=bounds,
-            xtol=3e-16, ftol=3e-16, gtol=3e-16,
-            max_nfev=max_nfev,
-        )
+        sol = least_squares(obj.residual, x0, jac=obj.jacobian, method=method,
+                            bounds=bounds, xtol=tol, ftol=tol, gtol=tol,
+                            x_scale=x_scale, max_nfev=max_nfev)
         nfev_total += sol.nfev
         u = obj.unitaries(sol.x)
         mx = float(np.max(_node_residuals(u, target, opts.metric)))
@@ -364,93 +402,31 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev)
 # better conditioned; the result then seeds an unrestricted final polish.
 # ---------------------------------------------------------------------------
 
-T_SOLVE_MIN = 1e-3
-
 
 def _sym_sizes(k):
     return k // 2, (k % 2 == 1)
 
 
-def _sym_expand(y, k, variable_t):
-    """Half-space vector -> full (phis, times) arrays of length k."""
+def _sym_fold(k, variable_t):
+    """Constant +-1 matrix S taking a half-space vector y to full parameters S @ y.
+
+    y holds the first k // 2 phases, then (variable-t) the first k // 2 times
+    and, for odd k, the middle time.  S mirrors the phases negated around a
+    zero middle phase and the times unchanged.
+    """
     m, mid = _sym_sizes(k)
-    h = y[:m]
-    phis = np.concatenate([h, [0.0] if mid else [], -h[::-1]])
-    if variable_t:
-        tau = y[m:2 * m]
-        t_mid = y[2 * m:] if mid else np.empty(0)
-        times = np.concatenate([tau, t_mid, tau[::-1]])
+    j = np.arange(m)
+    if not variable_t:
+        s = np.zeros((k, m))
     else:
-        times = np.ones(k)
-    return phis, times
-
-
-def _sym_residual_jacobian(y, k, sigmas, target, variable_t, metric):
-    phis, times = _sym_expand(y, k, variable_t)
-    params = np.concatenate([phis, times]) if variable_t else phis
-    res, jac, u = _residual_jacobian(params, sigmas, target, variable_t, metric)
-    m, mid = _sym_sizes(k)
-    j_phi = jac[:, :k]
-    cols = [j_phi[:, :m] - j_phi[:, k - m:][:, ::-1]]
-    if variable_t:
-        j_t = jac[:, k:]
-        cols.append(j_t[:, :m] + j_t[:, k - m:][:, ::-1])
+        s = np.zeros((2 * k, 2 * m + mid))
+        s[k + j, m + j] = 1.0
+        s[2 * k - 1 - j, m + j] = 1.0
         if mid:
-            cols.append(j_t[:, m:m + 1])
-    return res, np.hstack(cols), u
-
-
-class _CachedSymObjective:
-    def __init__(self, k, sigmas, target, variable_t, metric):
-        self.args = (k, sigmas, target, variable_t, metric)
-        self._key = None
-        self._value = None
-
-    def _eval(self, y):
-        key = y.tobytes()
-        if key != self._key:
-            self._value = _sym_residual_jacobian(y, *self.args)
-            self._key = key
-        return self._value
-
-    def residual(self, y):
-        return self._eval(y)[0]
-
-    def jacobian(self, y):
-        return self._eval(y)[1]
-
-    def unitaries(self, y):
-        return self._eval(y)[2]
-
-
-def _solve_symmetric(k, sigmas, target, opts: SolverOptions, inits, max_nfev):
-    m, mid = _sym_sizes(k)
-    n_par = m + (m + (1 if mid else 0) if opts.variable_t else 0)
-    if opts.variable_t:
-        lb = np.concatenate([np.full(m, -2 * np.pi), np.full(n_par - m, opts.t_min)])
-        ub = np.concatenate([np.full(m, 2 * np.pi), np.full(n_par - m, T_MAX)])
-        method, bounds = "trf", (lb, ub)
-    else:
-        method, bounds = "lm", (-np.inf, np.inf)
-    obj = _CachedSymObjective(k, sigmas, target, opts.variable_t, opts.metric)
-    best = None
-    nfev_total = 0
-    for y0 in inits:
-        if opts.variable_t:
-            y0 = np.clip(y0, bounds[0] + 1e-12, bounds[1] - 1e-12)
-        sol = least_squares(
-            obj.residual, y0, jac=obj.jacobian, method=method, bounds=bounds,
-            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev,
-            x_scale="jac" if opts.variable_t else 1.0,
-        )
-        nfev_total += sol.nfev
-        u = obj.unitaries(sol.x)
-        mx = float(np.max(_node_residuals(u, target, opts.metric)))
-        if best is None or mx < best[0]:
-            best = (mx, sol.x)
-        if best[0] <= 0.5 * opts.target_eps:
-            break
-    return best[0], best[1], nfev_total
+            s[k + m, 2 * m] = 1.0
+    s[j, j] = 1.0
+    s[k - 1 - j, j] = -1.0
+    return s
 
 
 def _sym_grow(y, k, grow_by, variable_t):
@@ -482,16 +458,14 @@ def _sym_grow(y, k, grow_by, variable_t):
     return np.asarray(ph), k + 2 * (grow_by - grow_by % 2)
 
 
-def _stage_solve(k, f, target_of, opts, inits, max_nfev):
+def _stage_solve(k, f, opts, inits, max_nfev):
     """Solve one continuation stage on its own (coarser) Chebyshev grid."""
-    n = max(2 * k, 16)
-    sigmas = chebyshev_grid(f.sigma_lo, f.sigma_hi, n)
-    target = target_of(sigmas)
-    mx, y, nf = _solve_symmetric(k, sigmas, target, opts, inits, max_nfev)
-    return mx, y, nf
+    sigmas = chebyshev_grid(f.sigma_lo, f.sigma_hi, max(2 * k, 16))
+    return _solve_fixed_degree(k, sigmas, _target_on(f, sigmas), opts, inits,
+                               max_nfev, fold=_sym_fold(k, opts.variable_t))
 
 
-def _sym_continuation(f, k, target_of, opts, rng, eps_stop=None):
+def _sym_continuation(f, k, opts, rng, eps_stop=None):
     """Grow a symmetric solution from low degree up to k.
 
     Returns (residual, half_vector, degree_reached, nfev).  If eps_stop is
@@ -505,32 +479,44 @@ def _sym_continuation(f, k, target_of, opts, rng, eps_stop=None):
         # low-degree cold starts find the right basin; pair growth needs
         # the starting half-size to match the parity of the final one
         m0 = min(m, 2 + (m % 2))
-    k0 = 2 * m0 + (1 if mid else 0)
-    y = np.zeros(m0) if not variable_t else np.concatenate(
-        [np.zeros(m0), np.ones(m0 + (1 if mid else 0))])
-    inits = [y, ]
-    if variable_t:
-        inits += [np.concatenate([rng.uniform(-np.pi, np.pi, m0),
-                                  rng.uniform(0.5, 2.5, m0 + (1 if mid else 0))])
-                  for _ in range(2)]
-    else:
-        inits += [rng.uniform(-np.pi, np.pi, m0) for _ in range(2)]
+    k0 = 2 * m0 + mid
+    n_t = m0 + mid if variable_t else 0
+    inits = [np.concatenate([np.zeros(m0), np.ones(n_t)])]
+    inits += [np.concatenate([rng.uniform(-np.pi, np.pi, m0),
+                              rng.uniform(0.5, 2.5, n_t)]) for _ in range(2)]
     stage_nfev = min(opts.max_nfev, 400)
     kc = k0
-    mx, y, nfev = _stage_solve(kc, f, target_of, opts, inits, stage_nfev)
+    mx, y, nfev = _stage_solve(kc, f, opts, inits, stage_nfev)
     while kc < k:
         if eps_stop is not None and mx <= eps_stop:
             break
         mc = _sym_sizes(kc)[0]
-        grow = min(2 if variable_t else 2, m - mc)
+        grow = min(2, m - mc)
         if not variable_t and grow % 2 == 1:
             grow += 1 if m - mc > grow else -1
         if grow <= 0:
             break
         y, kc = _sym_grow(y, kc, grow, variable_t)
-        mx, y, nf = _stage_solve(kc, f, target_of, opts, [y], stage_nfev)
+        mx, y, nf = _stage_solve(kc, f, opts, [y], stage_nfev)
         nfev += nf
     return mx, y, kc, nfev
+
+
+def _report(x, sigmas, target, opts: SolverOptions, nfev):
+    """(schedule, report) for a full parameter vector on the given grid."""
+    schedule = _to_schedule(x, opts.variable_t)
+    residuals = _node_residuals(reduced_product(schedule, sigmas), target, opts.metric)
+    max_residual = float(np.max(residuals))
+    report = SynthesisReport(
+        grid=sigmas,
+        residual_per_node=residuals,
+        max_residual=max_residual,
+        target_eps=opts.target_eps,
+        iterations=nfev,
+        converged=max_residual <= opts.target_eps,
+        metric=opts.metric,
+    )
+    return schedule, report
 
 
 def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
@@ -551,61 +537,35 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
     fvals = np.asarray(f(sigmas), dtype=float)
     if np.any(np.abs(fvals) > f.cap + 1e-12):
         raise CapError("target exceeds its cap on the synthesis grid")
-
-    def target_of(nodes):
-        return reduced_target(np.asarray(f(nodes), dtype=float))
-
     target = reduced_target(fvals)
     rng = np.random.default_rng(opts.seed)
     nfev_total = 0
 
     warm = None
     if opts.continuation and k >= 6:
-        _, y, kc, nf = _sym_continuation(f, k, target_of, opts, rng)
+        _, y, kc, nf = _sym_continuation(f, k, opts, rng)
         nfev_total += nf
         if kc < k:           # pad with exactly-canceling growth
-            need = (k - kc) // 2
-            y, kc = _sym_grow(y, kc, need, opts.variable_t)
+            y, kc = _sym_grow(y, kc, (k - kc) // 2, opts.variable_t)
         if kc == k:
-            phis, times = _sym_expand(y, k, opts.variable_t)
-            warm = np.concatenate([phis, times]) if opts.variable_t else phis
+            warm = _sym_fold(k, opts.variable_t) @ y
 
-    inits = [warm] if warm is not None else []
-    mx, x, nf = np.inf, None, 0
-    if inits:
-        mx, x, nf = _solve_fixed_degree(k, sigmas, target, opts, inits, opts.max_nfev)
+    mx, x = np.inf, None
+    if warm is not None:
+        mx, x, nf = _solve_fixed_degree(k, sigmas, target, opts, [warm], opts.max_nfev)
         nfev_total += nf
     if mx > opts.target_eps:
-        fallback = [np.zeros(k) if not opts.variable_t
-                    else np.concatenate([np.zeros(k), np.ones(k)])]
-        for _ in range(opts.restarts):
-            p0 = rng.uniform(-np.pi, np.pi, k)
-            if opts.variable_t:
-                fallback.append(np.concatenate([p0, rng.uniform(0.3, 2.0, k)]))
-            else:
-                fallback.append(p0)
+        n_t = k if opts.variable_t else 0
+        fallback = [np.concatenate([np.zeros(k), np.ones(n_t)])]
+        fallback += [np.concatenate([rng.uniform(-np.pi, np.pi, k),
+                                     rng.uniform(0.3, 2.0, n_t)])
+                     for _ in range(opts.restarts)]
         mx2, x2, nf = _solve_fixed_degree(k, sigmas, target, opts, fallback,
                                           opts.max_nfev)
         nfev_total += nf
         if x is None or mx2 < mx:
             mx, x = mx2, x2
-
-    if opts.variable_t:
-        schedule = schedule_from_arrays(x[:k], x[k:])
-    else:
-        schedule = schedule_from_arrays(x)
-    u = reduced_product(schedule, sigmas)
-    residuals = _node_residuals(u, target, opts.metric)
-    report = SynthesisReport(
-        grid=sigmas,
-        residual_per_node=residuals,
-        max_residual=float(np.max(residuals)),
-        target_eps=opts.target_eps,
-        iterations=nfev_total,
-        converged=bool(np.max(residuals) <= opts.target_eps),
-        metric=opts.metric,
-    )
-    return schedule, report
+    return _report(x, sigmas, target, opts, nfev_total)
 
 
 def synthesize_to_accuracy(f: TargetFunction, eps: float, k_max: int,
@@ -617,39 +577,16 @@ def synthesize_to_accuracy(f: TargetFunction, eps: float, k_max: int,
     the stage grid meets eps; the report is evaluated on a fresh 4k grid.
     Falls back to synthesize_schedule at k_max for very low k_max.
     """
-    opts = opts or SolverOptions(target_eps=eps)
-    opts = replace(opts, target_eps=eps)
+    opts = replace(opts or SolverOptions(), target_eps=eps)
     if k_max < 6:
         return synthesize_schedule(f, k_max, opts=opts)
-
-    def target_of(nodes):
-        return reduced_target(np.asarray(f(nodes), dtype=float))
-
     rng = np.random.default_rng(opts.seed)
-    mx, y, kc, nfev = _sym_continuation(f, k_max, target_of, opts, rng,
-                                        eps_stop=0.8 * eps)
-    phis, times = _sym_expand(y, kc, opts.variable_t)
+    _, y, kc, nfev = _sym_continuation(f, k_max, opts, rng, eps_stop=0.8 * eps)
     grid = chebyshev_grid(f.sigma_lo, f.sigma_hi, 4 * kc)
-    target = target_of(grid)
-    x = np.concatenate([phis, times]) if opts.variable_t else phis
-    mx, x, nf = _solve_fixed_degree(kc, grid, target, opts, [x], opts.max_nfev)
-    nfev += nf
-    if opts.variable_t:
-        schedule = schedule_from_arrays(x[:kc], x[kc:])
-    else:
-        schedule = schedule_from_arrays(x)
-    u = reduced_product(schedule, grid)
-    residuals = _node_residuals(u, target, opts.metric)
-    report = SynthesisReport(
-        grid=grid,
-        residual_per_node=residuals,
-        max_residual=float(np.max(residuals)),
-        target_eps=eps,
-        iterations=nfev,
-        converged=bool(np.max(residuals) <= eps),
-        metric=opts.metric,
-    )
-    return schedule, report
+    target = _target_on(f, grid)
+    warm = _sym_fold(kc, opts.variable_t) @ y
+    _, x, nf = _solve_fixed_degree(kc, grid, target, opts, [warm], opts.max_nfev)
+    return _report(x, grid, target, opts, nfev + nf)
 
 
 def degree_sweep(f: TargetFunction, ks, grid_size: int | None = None,
@@ -670,12 +607,9 @@ def degree_sweep(f: TargetFunction, ks, grid_size: int | None = None,
     if grid_size is None:
         grid_size = max(2 * max(ks), 64)
     sigmas = chebyshev_grid(f.sigma_lo, f.sigma_hi, grid_size)
-    target = reduced_target(np.asarray(f(sigmas), dtype=float))
+    target = _target_on(f, sigmas)
     eval_grid = chebyshev_grid(f.sigma_lo, f.sigma_hi, eval_grid_size)
-    eval_target = reduced_target(np.asarray(f(eval_grid), dtype=float))
-
-    def target_of(nodes):
-        return reduced_target(np.asarray(f(nodes), dtype=float))
+    eval_target = _target_on(f, eval_grid)
 
     def eval_res(x):
         u = reduced_product(schedule_from_arrays(x), eval_grid)
@@ -693,11 +627,10 @@ def degree_sweep(f: TargetFunction, ks, grid_size: int | None = None,
                 anchor = pad[-1]
                 pad.extend([anchor, anchor + np.pi])
             inits.append(np.asarray(pad))
-        _, y, kc, _ = _sym_continuation(f, k, target_of, opts,
+        _, y, kc, _ = _sym_continuation(f, k, opts,
                                         np.random.default_rng(opts.seed + 1))
         if kc == k:
-            phis, _ = _sym_expand(y, k, False)
-            inits.append(phis)
+            inits.append(_sym_fold(k, False) @ y)
         if not inits:
             inits.append(np.zeros(k))
         _, x, _ = _solve_fixed_degree(k, sigmas, target, opts, inits,
@@ -722,9 +655,8 @@ def validate_residual(schedule: PhaseSchedule, f: TargetFunction,
                       grid_size: int, metric: str = "full") -> float:
     """Max residual on an independent Chebyshev grid of the given size."""
     sigmas = chebyshev_grid(f.sigma_lo, f.sigma_hi, grid_size)
-    target = reduced_target(np.asarray(f(sigmas), dtype=float))
     u = reduced_product(schedule, sigmas)
-    return float(np.max(_node_residuals(u, target, metric)))
+    return float(np.max(_node_residuals(u, _target_on(f, sigmas), metric)))
 
 
 def verify_pq_constraint(schedule: PhaseSchedule, grid) -> float:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hsvt import applications, linalg
+from hsvt import applications, linalg, targets
+from hsvt.compiler import SolverOptions
 from hsvt.errors import (GeneratorError, InvalidInputError, PreconditionError,
                          SingularInversionError, ZeroProbabilitySignal)
 
@@ -207,3 +208,15 @@ def test_inverse_block_encode_rejects_out_of_domain():
                                           domain=(0.4, 0.8))
     with pytest.raises(PreconditionError):
         applications.inverse_block_encode(np.zeros((2, 2)), 1e-2)
+
+
+# -- compiled_schedule -------------------------------------------------------
+
+def test_compiled_schedule_memo_keys_on_all_options():
+    f = targets.identity(0.4, 0.8)
+    default = applications.compiled_schedule(f, 0.05)
+    other = SolverOptions(variable_t=True, metric="corner", max_nfev=10,
+                          restarts=0, continuation=False)
+    assert applications.compiled_schedule(f, 0.05, other) is not default
+    same = SolverOptions(target_eps=0.05, variable_t=True)
+    assert applications.compiled_schedule(f, 0.05, same) is default

@@ -33,6 +33,19 @@ def test_bad_matrix_file_exits_3(tmp_path):
     assert run(["simulate", "--matrix", str(bad), "--schedule", str(sch)]) == 3
 
 
+def test_malformed_schedule_file_exits_3(tmp_path):
+    m = tmp_path / "m.json"
+    io.write_matrix(m, np.diag([0.5, 0.6]))
+    sch = tmp_path / "s.txt"
+    sch.write_text("# hsvt-schedule v1 k=abc\n0.1,1\n")
+    assert run(["simulate", "--matrix", str(m), "--schedule", str(sch)]) == 3
+
+
+def test_kind_flag_offers_only_buildable_kinds(capsys):
+    assert run(["synthesize", "--kind", "custom-samples"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_history_unit_sigma_exits_4(tmp_path):
     m = tmp_path / "m.json"
     io.write_matrix(m, np.eye(2))

@@ -46,6 +46,17 @@ def test_schedule_parse_errors():
         PhaseSchedule.from_text("# hsvt-schedule v1 k=1 convention=c\n0.1,-1\n")
 
 
+@pytest.mark.parametrize("text", [
+    "# hsvt-schedule v1 k=abc\n0.1,1\n",
+    "# hsvt-schedule v1 k=1\ninf,1\n",
+    "# hsvt-schedule v1 k=1\nnan,1\n",
+    "# hsvt-schedule v1 k=1\n0.1,inf\n",
+])
+def test_schedule_parse_rejects_malformed(text):
+    with pytest.raises(ParseError):
+        PhaseSchedule.from_text(text)
+
+
 def test_empty_schedule_roundtrip():
     sch = PhaseSchedule(steps=())
     assert PhaseSchedule.from_text(sch.to_text()).degree == 0
@@ -193,3 +204,42 @@ def test_degree_sweep_decreasing():
     rows = compiler.degree_sweep(f, [4, 8, 12, 16], opts=SolverOptions(seed=0))
     residuals = [r for _, r, _ in rows]
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
+
+
+# -- symmetric fold ----------------------------------------------------------
+
+@pytest.mark.parametrize("variable_t", [False, True])
+@pytest.mark.parametrize("k", [7, 8])
+def test_sym_fold_maps_to_symmetric_schedules(rng, k, variable_t):
+    fold = compiler._sym_fold(k, variable_t)
+    y = rng.uniform(0.3, 2.0, fold.shape[1])
+    x = fold @ y
+    phis = x[:k]
+    assert np.array_equal(phis, -phis[::-1])
+    if k % 2:
+        assert phis[k // 2] == 0.0
+    if variable_t:
+        times = x[k:]
+        assert np.array_equal(times, times[::-1])
+        assert np.all(times > 0.0)
+
+
+@pytest.mark.parametrize("variable_t", [False, True])
+@pytest.mark.parametrize("k", [7, 8])
+def test_folded_jacobian_matches_finite_difference(rng, k, variable_t):
+    fold = compiler._sym_fold(k, variable_t)
+    sigmas = compiler.chebyshev_grid(0.3, 0.8, 2 * k)
+    target = compiler.reduced_target(0.9 * sigmas)
+    args = (sigmas, target, variable_t, "full")
+    y = rng.uniform(0.3, 2.0, fold.shape[1])
+    jac = compiler._CachedObjective(*args, fold=fold).jacobian(y)
+    assert jac.flags.f_contiguous
+    h = 1e-6
+    fd = np.empty_like(jac)
+    for i in range(len(y)):
+        dy = np.zeros_like(y)
+        dy[i] = h
+        up = compiler._residual_jacobian(fold @ (y + dy), *args)[0]
+        down = compiler._residual_jacobian(fold @ (y - dy), *args)[0]
+        fd[:, i] = (up - down) / (2 * h)
+    np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-9)
