@@ -77,15 +77,21 @@ def _target_from_config(cfg: dict) -> targets.TargetFunction:
     raise ConfigError(f"unknown target kind {kind!r}")
 
 
+# config key -> (SolverOptions field, type); absent keys keep the field's default
+_SOLVER_KEYS = {
+    "eps": ("target_eps", float),
+    "seed": ("seed", int),
+    "restarts": ("restarts", int),
+    "variable_t": ("variable_t", bool),
+    "metric": ("metric", str),
+    "max_nfev": ("max_nfev", int),
+}
+
+
 def _solver_options(cfg: dict) -> SolverOptions:
-    return SolverOptions(
-        target_eps=float(cfg.get("eps", 1e-3)),
-        seed=int(cfg.get("seed", 0)),
-        restarts=int(cfg.get("restarts", 8)),
-        variable_t=bool(cfg.get("variable_t", False)),
-        metric=str(cfg.get("metric", "full")),
-        max_nfev=int(cfg.get("max_nfev", 1200)),
-    )
+    return SolverOptions(**{field: cast(cfg[key])
+                            for key, (field, cast) in _SOLVER_KEYS.items()
+                            if key in cfg})
 
 
 def _base_report(cfg: dict, t0: float) -> dict:
@@ -102,13 +108,13 @@ def cmd_synthesize(cfg: dict) -> int:
     t0 = time.time()
     f = _target_from_config(cfg)
     opts = _solver_options(cfg)
-    eps = float(cfg.get("eps", 1e-3))
     grid_size = cfg.get("grid_size")
     if cfg.get("k") is not None:
         k = int(cfg["k"])
         schedule, rep = compiler.synthesize_schedule(
             f, k, grid_size=int(grid_size) if grid_size else None, opts=opts)
     else:
+        eps = opts.target_eps
         schedule, rep = compiler.synthesize_to_accuracy(
             f, eps, k_max=applications._degree_budget(f, eps), opts=opts)
     report = _base_report(cfg, t0)

@@ -31,6 +31,11 @@ from .targets import TargetFunction
 CONVENTION = "lower-left-e-minus-i-phi"
 T_MIN = 1e-9
 T_MAX = 8.0
+# A solve is done once its max node residual is at most MARGIN * target_eps: the
+# accuracy contract holds with room left for round-off between grids.
+MARGIN = 0.8
+# least_squares status -> stop reason; a positive status is a tolerance test
+_STOP_REASONS = {-2: "eps", 0: "cap"}
 
 
 def _wrap_phase(phi: float) -> float:
@@ -150,6 +155,7 @@ class SynthesisReport:
     target_eps: float
     iterations: int
     converged: bool
+    stop_reason: str              # final solve: 'eps', 'tolerance' or 'cap'
     metric: str = "full"
 
     def to_dict(self) -> dict:
@@ -161,6 +167,7 @@ class SynthesisReport:
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
             "metric": self.metric,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -292,13 +299,23 @@ def _residual_jacobian(params, sigmas, target, variable_t, metric):
         j_c = du.reshape(du.shape[0], N * 4)
     res = np.concatenate([r_c.real, r_c.imag])
     jac = np.concatenate([j_c.real, j_c.imag], axis=1).T
-    return res, jac, u
+    return res, jac
 
 
 def _node_residuals(u, target, metric):
     if metric == "corner":
         return np.abs(u[:, 1, 0] - target[:, 1, 0])
     return np.linalg.norm(u - target, 2, axis=(1, 2))
+
+
+def _max_node_residual(res, metric) -> float:
+    """Max node residual read off the stacked residual vector of
+    _residual_jacobian, without evaluating the objective again."""
+    n = len(res) // 2
+    r_c = res[:n] + 1j * res[n:]
+    if metric == "corner":
+        return float(np.max(np.abs(r_c)))
+    return float(np.max(np.linalg.norm(r_c.reshape(-1, 2, 2), 2, axis=(1, 2))))
 
 
 def _target_on(f: TargetFunction, nodes) -> np.ndarray:
@@ -316,7 +333,7 @@ class _CachedObjective:
     """Memoizes the shared residual/Jacobian computation per parameter vector.
 
     With a fold S (see _sym_fold) the parameters are half-space vectors y:
-    residual and unitaries are those at S @ y, and the Jacobian is J S.
+    the residual is the one at S @ y, and the Jacobian is J S.
     """
 
     def __init__(self, sigmas, target, variable_t, metric, fold=None):
@@ -331,10 +348,10 @@ class _CachedObjective:
             if self.fold is None:
                 self._value = _residual_jacobian(params, *self.args)
             else:
-                res, jac, u = _residual_jacobian(self.fold @ params, *self.args)
+                res, jac = _residual_jacobian(self.fold @ params, *self.args)
                 # J S, kept Fortran-ordered like J: the memory order of the
                 # Jacobian changes the solver's round-off, hence its steps
-                self._value = res, (self.fold.T @ jac.T).T, u
+                self._value = res, (self.fold.T @ jac.T).T
             self._key = key
         return self._value
 
@@ -344,17 +361,20 @@ class _CachedObjective:
     def jacobian(self, params):
         return self._eval(params)[1]
 
-    def unitaries(self, params):
-        return self._eval(params)[2]
-
 
 def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
                         fold=None):
     """Best local minimum over the given initial points.
 
+    Returns (max node residual, x, nfev, stop reason of the best start).
     Without a fold this searches the full space.  With fold = _sym_fold(k, ...)
     it searches the symmetric half space: inits and the returned vector are
     half-space vectors y, with full parameters S @ y.
+
+    A start whose max node residual reaches MARGIN * target_eps ends the
+    search.  Bounded (trf) solves also end there: a start that already meets
+    it is not solved, and the solve stops at the first iterate that does.
+    lm takes no callback, so fixed-t solves run to tolerance or max_nfev.
     """
     # Both paths pass x_scale explicitly, so that scipy's default (which
     # changed for lm in scipy 1.16) cannot move the schedules they reproduce.
@@ -367,6 +387,7 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
     else:
         n_phi, tol = k // 2, 1e-15
         x_scale = "jac" if opts.variable_t else 1.0
+    stop = MARGIN * opts.target_eps
     if opts.variable_t:
         n_t = len(inits[0]) - n_phi
         lb = np.concatenate([np.full(n_phi, -2 * np.pi), np.full(n_t, opts.t_min)])
@@ -374,23 +395,36 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
         method, bounds = "trf", (lb, ub)
     else:
         method, bounds = "lm", (-np.inf, np.inf)
+    early = opts.variable_t and stop > 0.0
     obj = _CachedObjective(sigmas, target, opts.variable_t, opts.metric, fold)
+
+    def done(intermediate_result):
+        if _max_node_residual(intermediate_result.fun, opts.metric) <= stop:
+            raise StopIteration
+
     best = None
     nfev_total = 0
     for x0 in inits:
         if opts.variable_t:
             x0 = np.clip(x0, bounds[0] + 1e-12, bounds[1] - 1e-12)
-        sol = least_squares(obj.residual, x0, jac=obj.jacobian, method=method,
-                            bounds=bounds, xtol=tol, ftol=tol, gtol=tol,
-                            x_scale=x_scale, max_nfev=max_nfev)
-        nfev_total += sol.nfev
-        u = obj.unitaries(sol.x)
-        mx = float(np.max(_node_residuals(u, target, opts.metric)))
+        # memoized: least_squares' own first evaluation of x0 reuses it
+        mx = _max_node_residual(obj.residual(x0), opts.metric) if early else np.inf
+        if mx <= stop:
+            x, reason = x0, "eps"
+            nfev_total += 1
+        else:
+            sol = least_squares(obj.residual, x0, jac=obj.jacobian, method=method,
+                                bounds=bounds, xtol=tol, ftol=tol, gtol=tol,
+                                x_scale=x_scale, max_nfev=max_nfev,
+                                callback=done if early else None)
+            nfev_total += sol.nfev
+            x, reason = sol.x, _STOP_REASONS.get(sol.status, "tolerance")
+            mx = _max_node_residual(sol.fun, opts.metric)
         if best is None or mx < best[0]:
-            best = (mx, sol.x)
-        if best[0] <= 0.5 * opts.target_eps:
+            best = (mx, x, reason)
+        if best[0] <= stop:
             break
-    return best[0], best[1], nfev_total
+    return best[0], best[1], nfev_total, best[2]
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +520,7 @@ def _sym_continuation(f, k, opts, rng, eps_stop=None):
                               rng.uniform(0.5, 2.5, n_t)]) for _ in range(2)]
     stage_nfev = min(opts.max_nfev, 400)
     kc = k0
-    mx, y, nfev = _stage_solve(kc, f, opts, inits, stage_nfev)
+    mx, y, nfev, _ = _stage_solve(kc, f, opts, inits, stage_nfev)
     while kc < k:
         if eps_stop is not None and mx <= eps_stop:
             break
@@ -497,12 +531,12 @@ def _sym_continuation(f, k, opts, rng, eps_stop=None):
         if grow <= 0:
             break
         y, kc = _sym_grow(y, kc, grow, variable_t)
-        mx, y, nf = _stage_solve(kc, f, opts, [y], stage_nfev)
+        mx, y, nf, _ = _stage_solve(kc, f, opts, [y], stage_nfev)
         nfev += nf
     return mx, y, kc, nfev
 
 
-def _report(x, sigmas, target, opts: SolverOptions, nfev):
+def _report(x, sigmas, target, opts: SolverOptions, nfev, stop_reason):
     """(schedule, report) for a full parameter vector on the given grid."""
     schedule = _to_schedule(x, opts.variable_t)
     residuals = _node_residuals(reduced_product(schedule, sigmas), target, opts.metric)
@@ -515,6 +549,7 @@ def _report(x, sigmas, target, opts: SolverOptions, nfev):
         iterations=nfev,
         converged=max_residual <= opts.target_eps,
         metric=opts.metric,
+        stop_reason=stop_reason,
     )
     return schedule, report
 
@@ -550,9 +585,10 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
         if kc == k:
             warm = _sym_fold(k, opts.variable_t) @ y
 
-    mx, x = np.inf, None
+    mx, x, reason = np.inf, None, None
     if warm is not None:
-        mx, x, nf = _solve_fixed_degree(k, sigmas, target, opts, [warm], opts.max_nfev)
+        mx, x, nf, reason = _solve_fixed_degree(k, sigmas, target, opts, [warm],
+                                                opts.max_nfev)
         nfev_total += nf
     if mx > opts.target_eps:
         n_t = k if opts.variable_t else 0
@@ -560,12 +596,12 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
         fallback += [np.concatenate([rng.uniform(-np.pi, np.pi, k),
                                      rng.uniform(0.3, 2.0, n_t)])
                      for _ in range(opts.restarts)]
-        mx2, x2, nf = _solve_fixed_degree(k, sigmas, target, opts, fallback,
-                                          opts.max_nfev)
+        mx2, x2, nf, reason2 = _solve_fixed_degree(k, sigmas, target, opts,
+                                                   fallback, opts.max_nfev)
         nfev_total += nf
         if x is None or mx2 < mx:
-            mx, x = mx2, x2
-    return _report(x, sigmas, target, opts, nfev_total)
+            mx, x, reason = mx2, x2, reason2
+    return _report(x, sigmas, target, opts, nfev_total, reason)
 
 
 def synthesize_to_accuracy(f: TargetFunction, eps: float, k_max: int,
@@ -581,12 +617,13 @@ def synthesize_to_accuracy(f: TargetFunction, eps: float, k_max: int,
     if k_max < 6:
         return synthesize_schedule(f, k_max, opts=opts)
     rng = np.random.default_rng(opts.seed)
-    _, y, kc, nfev = _sym_continuation(f, k_max, opts, rng, eps_stop=0.8 * eps)
+    _, y, kc, nfev = _sym_continuation(f, k_max, opts, rng, eps_stop=MARGIN * eps)
     grid = chebyshev_grid(f.sigma_lo, f.sigma_hi, 4 * kc)
     target = _target_on(f, grid)
     warm = _sym_fold(kc, opts.variable_t) @ y
-    _, x, nf = _solve_fixed_degree(kc, grid, target, opts, [warm], opts.max_nfev)
-    return _report(x, grid, target, opts, nfev + nf)
+    _, x, nf, reason = _solve_fixed_degree(kc, grid, target, opts, [warm],
+                                           opts.max_nfev)
+    return _report(x, grid, target, opts, nfev + nf, reason)
 
 
 def degree_sweep(f: TargetFunction, ks, grid_size: int | None = None,
@@ -633,15 +670,15 @@ def degree_sweep(f: TargetFunction, ks, grid_size: int | None = None,
             inits.append(_sym_fold(k, False) @ y)
         if not inits:
             inits.append(np.zeros(k))
-        _, x, _ = _solve_fixed_degree(k, sigmas, target, opts, inits,
-                                      min(opts.max_nfev, 700))
+        _, x, _, _ = _solve_fixed_degree(k, sigmas, target, opts, inits,
+                                         min(opts.max_nfev, 700))
         r = eval_res(x)
         tries = 0
         while prev_res is not None and r >= prev_res and tries < 4 and inits:
             jitter = [inits[0] + rng.normal(0.0, 0.1 * (tries + 1), k)
                       for _ in range(2)]
-            _, x2, _ = _solve_fixed_degree(k, sigmas, target, opts, jitter,
-                                           opts.max_nfev)
+            _, x2, _, _ = _solve_fixed_degree(k, sigmas, target, opts, jitter,
+                                              opts.max_nfev)
             r2 = eval_res(x2)
             if r2 < r:
                 x, r = x2, r2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hsvt import cli, io
-from hsvt.compiler import PhaseSchedule
+from hsvt.compiler import PhaseSchedule, SolverOptions
 
 
 def run(argv):
@@ -95,6 +95,23 @@ def test_synthesize_then_simulate_pipeline(tmp_path):
     record = io.read_report(rep)["verification"]
     assert record["passed"]
     assert all(s["in_domain"] for s in record["per_subspace"])
+
+
+def test_synthesize_report_says_why_the_solver_stopped(tmp_path):
+    rep = tmp_path / "rep.json"
+    code = run(["synthesize", "--kind", "identity", "--sigma-lo", "0.4",
+                "--sigma-hi", "0.8", "--eps", "1e-2", "--variable-t",
+                "--report-out", str(rep)])
+    assert code == 0
+    synthesis = io.read_report(rep)["synthesis"]
+    assert synthesis["stop_reason"] == "eps"
+    assert synthesis["max_residual"] <= 0.8e-2
+
+
+def test_solver_options_default_from_solver_options():
+    assert cli._solver_options({}) == SolverOptions()
+    opts = cli._solver_options({"eps": "0.01", "max_nfev": 7.0, "seed": 2})
+    assert opts == SolverOptions(target_eps=0.01, max_nfev=7, seed=2)
 
 
 def test_schedule_file_reproducible(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hsvt import compiler, targets
+from hsvt import applications, compiler, targets
 from hsvt.compiler import PhaseSchedule, PhaseStep, SolverOptions
 from hsvt.errors import InvalidInputError, ParseError
 
@@ -197,6 +197,54 @@ def test_variable_t_synthesis_wide_domain():
     sch, rep = compiler.synthesize_to_accuracy(f, 1e-2, k_max=40, opts=opts)
     assert rep.converged
     assert np.all(sch.times() > 0)
+
+
+def test_variable_t_compile_stops_at_the_accuracy_contract():
+    # the apps compile: the final trf solve ends once its max residual meets
+    # MARGIN * eps, long before the max_nfev cap
+    f = targets.identity(0.4, 0.8)
+    sch, rep = compiler.synthesize_to_accuracy(
+        f, 1e-3, k_max=applications._degree_budget(f, 1e-3),
+        opts=SolverOptions(variable_t=True))
+    assert sch.degree == 16
+    assert rep.max_residual <= compiler.MARGIN * 1e-3
+    assert compiler.validate_residual(sch, f, grid_size=2001) <= 1e-3
+    assert rep.stop_reason == "eps"
+    assert rep.iterations < 1200
+    assert rep.to_dict()["stop_reason"] == "eps"
+
+
+def test_fixed_t_compile_runs_past_the_accuracy_contract():
+    # lm takes no callback: fixed-t solves end on tolerance or the cap
+    f = targets.identity(0.3, 0.8)
+    _, rep = compiler.synthesize_schedule(f, 8, opts=SolverOptions(seed=3))
+    assert rep.stop_reason in ("tolerance", "cap")
+
+
+def test_warm_start_within_margin_is_not_solved():
+    # a single step with phase pi realises sin(sigma) in the corner exactly
+    sigmas = compiler.chebyshev_grid(0.3, 0.8, 8)
+    target = compiler.reduced_target(np.sin(sigmas))
+    opts = SolverOptions(metric="corner", target_eps=1e-6, variable_t=True)
+    x0 = np.array([np.pi, 1.0])
+    mx, x, nfev, reason = compiler._solve_fixed_degree(1, sigmas, target, opts,
+                                                       [x0], 100)
+    assert mx <= compiler.MARGIN * 1e-6
+    assert np.array_equal(x, x0)
+    assert (nfev, reason) == (1, "eps")
+
+
+@pytest.mark.parametrize("metric", ["full", "corner"])
+def test_max_node_residual_from_stacked_residual(rng, metric):
+    sch = make_schedule(rng, 6, variable_t=True)
+    sigmas = compiler.chebyshev_grid(0.2, 0.9, 24)
+    target = compiler.reduced_target(0.5 * sigmas)
+    x = np.concatenate([sch.phis(), sch.times()])
+    res = compiler._residual_jacobian(x, sigmas, target, True, metric)[0]
+    u = compiler.reduced_product(sch, sigmas)
+    expected = np.max(compiler._node_residuals(u, target, metric))
+    assert compiler._max_node_residual(res, metric) == pytest.approx(expected,
+                                                                     rel=1e-12)
 
 
 def test_degree_sweep_decreasing():
