@@ -291,31 +291,40 @@ def _residual_jacobian(params, sigmas, target, variable_t, metric):
         blocks.append(np.einsum("knab,knbc,kncd->knad", suf[1:], d_t, pre[:-1]))
     du = np.concatenate(blocks, axis=0)          # (P, N, 2, 2)
 
+    r_c = _metric_diff(u, target, metric).reshape(-1)
     if metric == "corner":
-        r_c = u[:, 1, 0] - target[:, 1, 0]
         j_c = du[:, :, 1, 0]
     else:
-        r_c = (u - target).reshape(N * 4)
         j_c = du.reshape(du.shape[0], N * 4)
     res = np.concatenate([r_c.real, r_c.imag])
     jac = np.concatenate([j_c.real, j_c.imag], axis=1).T
     return res, jac
 
 
-def _node_residuals(u, target, metric):
+def _metric_diff(u, target, metric):
+    """What the metric measures of U - T: the (N,) lower-left entries for
+    'corner', all of the (N, 2, 2) difference for 'full'."""
     if metric == "corner":
-        return np.abs(u[:, 1, 0] - target[:, 1, 0])
-    return np.linalg.norm(u - target, 2, axis=(1, 2))
+        return u[:, 1, 0] - target[:, 1, 0]
+    return u - target
+
+
+def _node_residuals(diff):
+    """Per-node residual of a _metric_diff: the absolute value of the corner
+    entry, or the 2x2 spectral norm."""
+    if diff.ndim == 1:
+        return np.abs(diff)
+    return np.linalg.norm(diff, 2, axis=(1, 2))
 
 
 def _max_node_residual(res, metric) -> float:
     """Max node residual read off the stacked residual vector of
     _residual_jacobian, without evaluating the objective again."""
     n = len(res) // 2
-    r_c = res[:n] + 1j * res[n:]
-    if metric == "corner":
-        return float(np.max(np.abs(r_c)))
-    return float(np.max(np.linalg.norm(r_c.reshape(-1, 2, 2), 2, axis=(1, 2))))
+    diff = res[:n] + 1j * res[n:]
+    if metric == "full":
+        diff = diff.reshape(-1, 2, 2)
+    return float(np.max(_node_residuals(diff)))
 
 
 def _target_on(f: TargetFunction, nodes) -> np.ndarray:
@@ -539,7 +548,8 @@ def _sym_continuation(f, k, opts, rng, eps_stop=None):
 def _report(x, sigmas, target, opts: SolverOptions, nfev, stop_reason):
     """(schedule, report) for a full parameter vector on the given grid."""
     schedule = _to_schedule(x, opts.variable_t)
-    residuals = _node_residuals(reduced_product(schedule, sigmas), target, opts.metric)
+    u = reduced_product(schedule, sigmas)
+    residuals = _node_residuals(_metric_diff(u, target, opts.metric))
     max_residual = float(np.max(residuals))
     report = SynthesisReport(
         grid=sigmas,
@@ -650,7 +660,7 @@ def degree_sweep(f: TargetFunction, ks, grid_size: int | None = None,
 
     def eval_res(x):
         u = reduced_product(schedule_from_arrays(x), eval_grid)
-        return float(np.max(_node_residuals(u, eval_target, opts.metric)))
+        return float(np.max(_node_residuals(_metric_diff(u, eval_target, opts.metric))))
 
     rng = np.random.default_rng(opts.seed)
     out = []
@@ -693,7 +703,8 @@ def validate_residual(schedule: PhaseSchedule, f: TargetFunction,
     """Max residual on an independent Chebyshev grid of the given size."""
     sigmas = chebyshev_grid(f.sigma_lo, f.sigma_hi, grid_size)
     u = reduced_product(schedule, sigmas)
-    return float(np.max(_node_residuals(u, _target_on(f, sigmas), metric)))
+    diff = _metric_diff(u, _target_on(f, sigmas), metric)
+    return float(np.max(_node_residuals(diff)))
 
 
 def verify_pq_constraint(schedule: PhaseSchedule, grid) -> float:

@@ -242,7 +242,8 @@ def test_max_node_residual_from_stacked_residual(rng, metric):
     x = np.concatenate([sch.phis(), sch.times()])
     res = compiler._residual_jacobian(x, sigmas, target, True, metric)[0]
     u = compiler.reduced_product(sch, sigmas)
-    expected = np.max(compiler._node_residuals(u, target, metric))
+    diff = compiler._metric_diff(u, target, metric)
+    expected = np.max(compiler._node_residuals(diff))
     assert compiler._max_node_residual(res, metric) == pytest.approx(expected,
                                                                      rel=1e-12)
 
