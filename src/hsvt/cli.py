@@ -89,9 +89,14 @@ _SOLVER_KEYS = {
 
 
 def _solver_options(cfg: dict) -> SolverOptions:
-    return SolverOptions(**{field: cast(cfg[key])
-                            for key, (field, cast) in _SOLVER_KEYS.items()
-                            if key in cfg})
+    fields = {}
+    for key, (field, cast) in _SOLVER_KEYS.items():
+        if key in cfg:
+            try:
+                fields[field] = cast(cfg[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad value for config key {key!r}: {exc}") from exc
+    return SolverOptions(**fields)
 
 
 def _base_report(cfg: dict, t0: float) -> dict:

@@ -381,15 +381,14 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
     half-space vectors y, with full parameters S @ y.
 
     A start whose max node residual reaches MARGIN * target_eps ends the
-    search.  Bounded (trf) solves also end there: a start that already meets
-    it is not solved, and the solve stops at the first iterate that does.
-    lm takes no callback, so fixed-t solves run to tolerance or max_nfev.
+    search, and so does each solve: a start that already meets it is not
+    solved, and the solve stops at the first iterate that does.  With
+    target_eps = 0 every solve runs to tolerance or max_nfev.
     """
-    # Both paths pass x_scale explicitly, so that scipy's default (which
-    # changed for lm in scipy 1.16) cannot move the schedules they reproduce.
-    # The polish uses today's default: 1.0 under trf, 'jac' under lm.  The
-    # half-space stages were tuned the other way round: Jacobian scaling for
-    # the bounded variable-t (trf) solves, unit scaling under lm.
+    # x_scale is passed explicitly, so that a change of scipy's default cannot
+    # move the schedules the solves reproduce.  Variable-t: unit scaling for
+    # the polish, Jacobian scaling for the half-space stages.  Fixed-t: the
+    # other way round.
     if fold is None:
         n_phi, tol = k, 3e-16
         x_scale = 1.0 if opts.variable_t else "jac"
@@ -401,10 +400,10 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
         n_t = len(inits[0]) - n_phi
         lb = np.concatenate([np.full(n_phi, -2 * np.pi), np.full(n_t, opts.t_min)])
         ub = np.concatenate([np.full(n_phi, 2 * np.pi), np.full(n_t, T_MAX)])
-        method, bounds = "trf", (lb, ub)
+        bounds = (lb, ub)
     else:
-        method, bounds = "lm", (-np.inf, np.inf)
-    early = opts.variable_t and stop > 0.0
+        bounds = (-np.inf, np.inf)
+    early = stop > 0.0
     obj = _CachedObjective(sigmas, target, opts.variable_t, opts.metric, fold)
 
     def done(intermediate_result):
@@ -414,15 +413,14 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
     best = None
     nfev_total = 0
     for x0 in inits:
-        if opts.variable_t:
-            x0 = np.clip(x0, bounds[0] + 1e-12, bounds[1] - 1e-12)
+        x0 = np.clip(x0, bounds[0] + 1e-12, bounds[1] - 1e-12)
         # memoized: least_squares' own first evaluation of x0 reuses it
         mx = _max_node_residual(obj.residual(x0), opts.metric) if early else np.inf
         if mx <= stop:
             x, reason = x0, "eps"
             nfev_total += 1
         else:
-            sol = least_squares(obj.residual, x0, jac=obj.jacobian, method=method,
+            sol = least_squares(obj.residual, x0, jac=obj.jacobian, method="trf",
                                 bounds=bounds, xtol=tol, ftol=tol, gtol=tol,
                                 x_scale=x_scale, max_nfev=max_nfev,
                                 callback=done if early else None)
@@ -569,7 +567,9 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
     """Find a degree-k schedule approximating the target of f on its domain.
 
     Returns (PhaseSchedule, SynthesisReport).  Non-convergence is not an
-    error: the best schedule is returned with converged=False.
+    error: the best schedule is returned with converged=False.  An explicit
+    degree asks for the best schedule there, so no solve stops at eps; eps
+    only decides whether the fallback restarts run and the report converged.
     """
     opts = opts or SolverOptions()
     if k < 1:
@@ -585,10 +585,11 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
     target = reduced_target(fvals)
     rng = np.random.default_rng(opts.seed)
     nfev_total = 0
+    solve_opts = replace(opts, target_eps=0.0)
 
     warm = None
     if opts.continuation and k >= 6:
-        _, y, kc, nf = _sym_continuation(f, k, opts, rng)
+        _, y, kc, nf = _sym_continuation(f, k, solve_opts, rng)
         nfev_total += nf
         if kc < k:           # pad with exactly-canceling growth
             y, kc = _sym_grow(y, kc, (k - kc) // 2, opts.variable_t)
@@ -597,8 +598,8 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
 
     mx, x, reason = np.inf, None, None
     if warm is not None:
-        mx, x, nf, reason = _solve_fixed_degree(k, sigmas, target, opts, [warm],
-                                                opts.max_nfev)
+        mx, x, nf, reason = _solve_fixed_degree(k, sigmas, target, solve_opts,
+                                                [warm], opts.max_nfev)
         nfev_total += nf
     if mx > opts.target_eps:
         n_t = k if opts.variable_t else 0
@@ -606,7 +607,7 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
         fallback += [np.concatenate([rng.uniform(-np.pi, np.pi, k),
                                      rng.uniform(0.3, 2.0, n_t)])
                      for _ in range(opts.restarts)]
-        mx2, x2, nf, reason2 = _solve_fixed_degree(k, sigmas, target, opts,
+        mx2, x2, nf, reason2 = _solve_fixed_degree(k, sigmas, target, solve_opts,
                                                    fallback, opts.max_nfev)
         nfev_total += nf
         if x is None or mx2 < mx:

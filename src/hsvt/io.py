@@ -42,14 +42,22 @@ def matrix_to_dict(m: np.ndarray) -> dict:
     }
 
 
+def _is_number(v, kinds=(int, float)) -> bool:
+    """A JSON number of the given kinds; JSON's true and false are not."""
+    return isinstance(v, kinds) and not isinstance(v, bool)
+
+
 def matrix_from_dict(d: dict, path=None) -> np.ndarray:
     for key in ("rows", "cols", "entries"):
         if key not in d:
             raise ParseError(f"missing key {key!r}", path=path, field=key)
     rows, cols = d["rows"], d["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not (_is_number(rows, int) and _is_number(cols, int) and rows > 0 and cols > 0):
         raise ParseError("rows/cols must be positive integers", path=path, field="rows")
     entries = d["entries"]
+    if not isinstance(entries, (list, tuple)):
+        raise ParseError("entries must be a list of [re, im] pairs", path=path,
+                         field="entries")
     if len(entries) != rows * cols:
         raise ParseError(
             f"expected {rows * cols} entries, got {len(entries)}",
@@ -57,9 +65,15 @@ def matrix_from_dict(d: dict, path=None) -> np.ndarray:
         )
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(entries):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ParseError(f"entry {i} is not a [re, im] pair", path=path, field="entries")
-        flat[i] = complex(float(pair[0]), float(pair[1]))
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(map(_is_number, pair))):
+            raise ParseError(f"entry {i} is not a [re, im] pair of numbers",
+                             path=path, field="entries")
+        try:
+            flat[i] = complex(float(pair[0]), float(pair[1]))
+        except OverflowError as exc:
+            raise ParseError(f"entry {i} is out of range", path=path,
+                             field="entries") from exc
     if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
         raise ParseError("non-finite entry", path=path, field="entries")
     return flat.reshape(rows, cols)

@@ -182,13 +182,6 @@ def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:
     }
 
 
-def reduced_restriction(result: ProtocolResult, j: int) -> np.ndarray:
-    """2x2 restriction of the simulated unitary to invariant subspace j."""
-    dec = decompose_subspaces(embed(result.a_block))
-    basis = dec.pair_basis(j)
-    return basis.conj().T @ result.unitary @ basis
-
-
 def reduced_full_gap(result: ProtocolResult) -> float:
     """Max over subspaces of |restriction - reduced_model(schedule, sigma)|.
 

@@ -150,10 +150,6 @@ def custom_samples(pairs, sigma_lo=DEFAULT_SIGMA_LO, sigma_hi=DEFAULT_SIGMA_HI,
                           samples=tuple((float(a), float(b)) for a, b in pairs))
 
 
-def eval_target(f: TargetFunction, sigma: float) -> float:
-    return f(sigma)
-
-
 @dataclass(frozen=True)
 class ChebyshevExpansion:
     coeffs: np.ndarray

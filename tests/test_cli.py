@@ -33,6 +33,23 @@ def test_bad_matrix_file_exits_3(tmp_path):
     assert run(["simulate", "--matrix", str(bad), "--schedule", str(sch)]) == 3
 
 
+@pytest.mark.parametrize("entries", [[["a", 0]], [[None, 0]], [[[1], 0]], 5])
+def test_malformed_matrix_entries_exit_3(tmp_path, entries):
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps({"rows": 1, "cols": 1, "entries": entries}))
+    v = tmp_path / "v.json"
+    io.write_state(v, np.array([1.0]))
+    assert run(["apply", "--matrix", str(bad), "--state", str(v)]) == 3
+
+
+@pytest.mark.parametrize("cfg", [{"eps": "x"}, {"seed": "z"}, {"restarts": None}])
+def test_bad_solver_config_value_exits_2(tmp_path, capsys, cfg):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["synthesize", "--config", str(path), "--k", "1"]) == 2
+    assert repr(next(iter(cfg))) in capsys.readouterr().err
+
+
 def test_malformed_schedule_file_exits_3(tmp_path):
     m = tmp_path / "m.json"
     io.write_matrix(m, np.diag([0.5, 0.6]))

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hsvt
 from hsvt import applications, compiler, targets
 from hsvt.compiler import PhaseSchedule, PhaseStep, SolverOptions
 from hsvt.errors import InvalidInputError, ParseError
@@ -214,10 +218,49 @@ def test_variable_t_compile_stops_at_the_accuracy_contract():
     assert rep.to_dict()["stop_reason"] == "eps"
 
 
+def test_fixed_t_adaptive_compile_stops_at_the_accuracy_contract():
+    # the compile-ft compile: fixed-t solves stop at MARGIN * eps too, so the
+    # polish no longer runs to its max_nfev cap
+    f = targets.identity(0.4, 0.8)
+    sch, rep = compiler.synthesize_to_accuracy(
+        f, 1e-3, k_max=applications._degree_budget(f, 1e-3), opts=SolverOptions())
+    assert sch.degree == 36
+    assert rep.stop_reason == "eps"
+    assert rep.iterations < 2976
+    assert rep.max_residual <= compiler.MARGIN * 1e-3
+    assert compiler.validate_residual(sch, f, grid_size=2001) <= 1e-3
+
+
+def test_fixed_t_compile_repeats_across_processes(tmp_path):
+    # a fixed-t `hsvt synthesize` in two fresh processes writes the same bytes
+    src = os.path.dirname(os.path.dirname(hsvt.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    texts = []
+    for i in range(2):
+        out = tmp_path / f"s{i}.txt"
+        subprocess.run([sys.executable, "-m", "hsvt.cli", "synthesize",
+                        "--sigma-lo", "0.4", "--sigma-hi", "0.8", "--eps", "1e-2",
+                        "--schedule-out", str(out),
+                        "--report-out", str(tmp_path / f"r{i}.json")],
+                       env=env, check=True)
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
 def test_fixed_t_compile_runs_past_the_accuracy_contract():
-    # lm takes no callback: fixed-t solves end on tolerance or the cap
+    # an explicit degree asks for the best schedule there: its solves run to
+    # tolerance or the cap, not to eps
     f = targets.identity(0.3, 0.8)
     _, rep = compiler.synthesize_schedule(f, 8, opts=SolverOptions(seed=3))
+    assert rep.stop_reason in ("tolerance", "cap")
+
+
+def test_variable_t_compile_runs_past_the_accuracy_contract():
+    f = targets.identity(0.5, 0.8)
+    opts = SolverOptions(seed=3, variable_t=True, target_eps=1e-2)
+    _, rep = compiler.synthesize_schedule(f, 8, opts=opts)
     assert rep.stop_reason in ("tolerance", "cap")
 
 

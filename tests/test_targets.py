@@ -9,17 +9,17 @@ from hsvt.errors import CapError, DomainError, InvalidInputError
 
 def test_eval_identity():
     f = targets.identity(0.1, 0.9)
-    assert targets.eval_target(f, 0.5) == 0.5
+    assert f(0.5) == 0.5
 
 
 def test_eval_sine():
     f = targets.sine(0.1, 0.9)
-    assert targets.eval_target(f, 0.5) == pytest.approx(math.sin(0.5))
+    assert f(0.5) == pytest.approx(math.sin(0.5))
 
 
 def test_eval_scaled_power():
     f = targets.scaled_power(2, 0.9, 0.1, 0.9)
-    assert targets.eval_target(f, 0.5) == pytest.approx(0.225)
+    assert f(0.5) == pytest.approx(0.225)
 
 
 def test_domain_error_outside():
