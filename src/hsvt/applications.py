@@ -14,6 +14,7 @@ k literally carries sqrt(I - Ad A) A^k psi and the last block A^n psi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -31,8 +32,7 @@ DEFAULT_DOMAIN = (0.1, 0.9)
 HISTORY_SCALE = 0.75
 ZERO_PROB_TOL = 1e-14
 STATE_NORM_TOL = 1e-10
-
-_schedule_cache: dict = {}
+SCHEDULE_MEMO_SIZE = 32         # compiled schedules kept per process
 
 
 def _as_state(psi) -> np.ndarray:
@@ -69,10 +69,14 @@ def compiled_schedule(f: TargetFunction, eps: float,
     that budget raises.  The memo is keyed on all solver options.
     """
     opts = opts or SolverOptions(target_eps=eps, variable_t=True)
-    key = (f, float(eps), replace(opts, target_eps=eps))
-    hit = _schedule_cache.get(key)
-    if hit is not None:
-        return hit
+    return _compile_memoized(f, float(eps), replace(opts, target_eps=eps))
+
+
+@functools.lru_cache(maxsize=SCHEDULE_MEMO_SIZE)
+def _compile_memoized(f: TargetFunction, eps: float,
+                      opts: SolverOptions) -> PhaseSchedule:
+    # lru_cache stores no result for a call that raises, so a
+    # ConvergenceError is raised again on every retry
     k_max = _degree_budget(f, eps)
     schedule, report = compiler.synthesize_to_accuracy(f, eps, k_max, opts=opts)
     if not report.converged:
@@ -80,7 +84,6 @@ def compiled_schedule(f: TargetFunction, eps: float,
             f"synthesis reached residual {report.max_residual:.3e} > {eps:.3e} "
             f"within degree budget {k_max}"
         )
-    _schedule_cache[key] = schedule
     return schedule
 
 

@@ -40,18 +40,65 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _merge_config(args: argparse.Namespace, parser_keys: set) -> dict:
-    """File values first, command-line overrides second."""
+def _number(cast, value):
+    """cast(value) for a number or a numeric string; refuses bools and fractional ints."""
+    if isinstance(value, bool) or (cast is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"expected {cast.__name__}, got {value!r}")
+    return cast(value)
+
+
+def _number_list(cast):
+    """argparse type for a comma-separated list; a config file may give a JSON list."""
+    def parse(raw):
+        if isinstance(raw, str):
+            raw = [tok for tok in raw.split(",") if tok.strip()]
+        elif not isinstance(raw, list):
+            raise TypeError(f"expected a list or a comma-separated string, got {raw!r}")
+        return [_number(cast, v) for v in raw]
+    parse.__name__ = f"{cast.__name__} list"    # argparse names the type in its errors
+    return parse
+
+
+def _cast_config_value(action: argparse.Action, value):
+    """A config-file value as its flag would parse it from the command line."""
+    if action.type in (int, float):
+        return _number(action.type, value)
+    if action.type is not None:
+        return action.type(value)
+    want = bool if action.const is not None else str     # --variable-t takes true/false
+    if not isinstance(value, want):
+        raise TypeError(f"expected {want.__name__}, got {value!r}")
+    return value
+
+
+def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """File values first, command-line overrides second.
+
+    Each file value is cast by the type of the command's flag of that name
+    and checked against the flag's choices.
+    """
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices[args.command]._actions
+             if a.dest not in ("help", "config")}
     merged = {}
     if args.config:
         cfg = _load_config(args.config)
         for key, value in cfg.items():
             norm = key.replace("-", "_")
-            if norm not in parser_keys:
+            if norm not in flags:
                 raise ConfigError(f"unknown config key {key!r}")
+            action = flags[norm]
+            try:
+                value = _cast_config_value(action, value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad value for config key {key!r}: {exc}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise ConfigError(f"config key {key!r} must be one of "
+                                  f"{', '.join(action.choices)}, got {value!r}")
             merged[norm] = value
-    for key in parser_keys:
-        value = getattr(args, key, None)
+    for key in flags:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
@@ -59,9 +106,9 @@ def _merge_config(args: argparse.Namespace, parser_keys: set) -> dict:
 
 def _target_from_config(cfg: dict) -> targets.TargetFunction:
     kind = cfg.get("kind", "identity")
-    lo = float(cfg.get("sigma_lo", targets.DEFAULT_SIGMA_LO))
-    hi = float(cfg.get("sigma_hi", targets.DEFAULT_SIGMA_HI))
-    cap = float(cfg.get("cap", targets.DEFAULT_CAP))
+    lo = cfg.get("sigma_lo", targets.DEFAULT_SIGMA_LO)
+    hi = cfg.get("sigma_hi", targets.DEFAULT_SIGMA_HI)
+    cap = cfg.get("cap", targets.DEFAULT_CAP)
     if kind == "identity":
         return targets.identity(lo, hi, cap)
     if kind == "sine":
@@ -77,26 +124,14 @@ def _target_from_config(cfg: dict) -> targets.TargetFunction:
     raise ConfigError(f"unknown target kind {kind!r}")
 
 
-# config key -> (SolverOptions field, type); absent keys keep the field's default
-_SOLVER_KEYS = {
-    "eps": ("target_eps", float),
-    "seed": ("seed", int),
-    "restarts": ("restarts", int),
-    "variable_t": ("variable_t", bool),
-    "metric": ("metric", str),
-    "max_nfev": ("max_nfev", int),
-}
+# config key -> SolverOptions field; absent keys keep the field's default
+_SOLVER_KEYS = {"eps": "target_eps", "seed": "seed", "restarts": "restarts",
+                "variable_t": "variable_t", "metric": "metric", "max_nfev": "max_nfev"}
 
 
 def _solver_options(cfg: dict) -> SolverOptions:
-    fields = {}
-    for key, (field, cast) in _SOLVER_KEYS.items():
-        if key in cfg:
-            try:
-                fields[field] = cast(cfg[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"bad value for config key {key!r}: {exc}") from exc
-    return SolverOptions(**fields)
+    return SolverOptions(**{field: cfg[key] for key, field in _SOLVER_KEYS.items()
+                            if key in cfg})
 
 
 def _base_report(cfg: dict, t0: float) -> dict:
@@ -104,20 +139,27 @@ def _base_report(cfg: dict, t0: float) -> dict:
     return {
         "config": {k: cfg[k] for k in sorted(cfg)},
         "version": __version__,
-        "seed": int(cfg.get("seed", 0)),
+        "seed": cfg.get("seed", 0),
         "timing": {"elapsed_s": round(time.time() - t0, 3)},
     }
+
+
+def _emit_report(cfg: dict, report: dict) -> None:
+    """Write the report to report_out, or as JSON to stdout."""
+    if cfg.get("report_out"):
+        io.write_report(cfg["report_out"], report)
+    else:
+        json.dump(report, sys.stdout, indent=1, sort_keys=True)
+        print()
 
 
 def cmd_synthesize(cfg: dict) -> int:
     t0 = time.time()
     f = _target_from_config(cfg)
     opts = _solver_options(cfg)
-    grid_size = cfg.get("grid_size")
-    if cfg.get("k") is not None:
-        k = int(cfg["k"])
+    if "k" in cfg:
         schedule, rep = compiler.synthesize_schedule(
-            f, k, grid_size=int(grid_size) if grid_size else None, opts=opts)
+            f, cfg["k"], grid_size=cfg.get("grid_size"), opts=opts)
     else:
         eps = opts.target_eps
         schedule, rep = compiler.synthesize_to_accuracy(
@@ -128,11 +170,7 @@ def cmd_synthesize(cfg: dict) -> int:
     report["total_time"] = compiler.schedule_cost(schedule)[0]
     if cfg.get("schedule_out"):
         io._atomic_write_text(cfg["schedule_out"], schedule.to_text())
-    if cfg.get("report_out"):
-        io.write_report(cfg["report_out"], report)
-    else:
-        json.dump(report, sys.stdout, indent=1, sort_keys=True)
-        print()
+    _emit_report(cfg, report)
     return EXIT_OK if rep.converged else EXIT_NON_CONVERGENCE
 
 
@@ -145,30 +183,17 @@ def cmd_simulate(cfg: dict) -> int:
     with open(cfg["schedule"]) as fh:
         schedule = PhaseSchedule.from_text(fh.read(), path=cfg["schedule"])
     f = _target_from_config(cfg)
-    eps = float(cfg.get("eps", 1e-3))
+    eps = cfg.get("eps", 1e-3)
     noise = None
     if cfg.get("eta"):
-        noise = protocol.ControlNoiseModel(float(cfg["eta"]),
-                                           int(cfg.get("seed", 0)))
+        noise = protocol.ControlNoiseModel(cfg["eta"], cfg.get("seed", 0))
     target = protocol.build_target_unitary(a, f)
     result = protocol.simulate_protocol(a, schedule, noise=noise, target=target)
     record = protocol.verify(result, target, eps)
     report = _base_report(cfg, t0)
     report["verification"] = record
-    if cfg.get("report_out"):
-        io.write_report(cfg["report_out"], report)
-    else:
-        json.dump(report, sys.stdout, indent=1, sort_keys=True)
-        print()
+    _emit_report(cfg, report)
     return EXIT_OK
-
-
-def _parse_values(raw) -> list:
-    if isinstance(raw, (list, tuple)):
-        return [float(v) for v in raw]
-    if not str(raw).strip():
-        return []
-    return [float(tok) for tok in str(raw).split(",") if tok.strip()]
 
 
 def cmd_sweep(cfg: dict) -> int:
@@ -176,7 +201,7 @@ def cmd_sweep(cfg: dict) -> int:
     mode = cfg.get("mode", "degree")
     out = cfg.get("csv_out")
     if mode == "degree":
-        ks = [int(v) for v in _parse_values(cfg.get("ks", ""))]
+        ks = cfg.get("ks", [])
         f = _target_from_config(cfg)
         opts = _solver_options(cfg)
         rows = []
@@ -192,12 +217,12 @@ def cmd_sweep(cfg: dict) -> int:
         a = io.read_matrix(cfg["matrix"])
         with open(cfg["schedule"]) as fh:
             schedule = PhaseSchedule.from_text(fh.read(), path=cfg["schedule"])
-        etas = _parse_values(cfg.get("etas", ""))
-        trials = int(cfg.get("trials", 100))
+        etas = cfg.get("etas", [])
+        trials = cfg.get("trials", 100)
         rows = []
         if etas:
             table = protocol.noise_sweep(a, schedule, etas, trials,
-                                         seed=int(cfg.get("seed", 0)))
+                                         seed=cfg.get("seed", 0))
             total_t, steps = compiler.schedule_cost(schedule)
             for row in table:
                 rows.append([row["eta"], f"{row['mean_distance']:.12e}",
@@ -223,17 +248,13 @@ def cmd_apply(cfg: dict) -> int:
     psi = io.read_state(cfg["state"])
     result = applications.apply_matrix(
         a, psi, backend=cfg.get("backend", "exact"),
-        eps=float(cfg.get("eps", 1e-3)))
+        eps=cfg.get("eps", 1e-3))
     report = _base_report(cfg, t0)
     report["success_prob"] = result.success_prob
     report["amplification"] = result.amplification
     if cfg.get("state_out"):
         io.write_state(cfg["state_out"], result.state)
-    if cfg.get("report_out"):
-        io.write_report(cfg["report_out"], report)
-    else:
-        json.dump(report, sys.stdout, indent=1, sort_keys=True)
-        print()
+    _emit_report(cfg, report)
     return EXIT_OK
 
 
@@ -245,22 +266,18 @@ def cmd_ode(cfg: dict) -> int:
     b = io.read_matrix(cfg["generator"])
     psi0 = io.read_state(cfg["state"])
     problem = applications.OdeProblem(
-        b=b, dt=float(cfg.get("dt", 0.01)), steps=int(cfg.get("steps", 100)),
+        b=b, dt=cfg.get("dt", 0.01), steps=cfg.get("steps", 100),
         psi0=psi0)
     cascade, final = applications.ode_solve(
         problem, backend=cfg.get("backend", "exact"),
-        eps=float(cfg.get("eps", 1e-3)))
+        eps=cfg.get("eps", 1e-3))
     report = _base_report(cfg, t0)
     report["final_norm"] = float(np.linalg.norm(final))
     report["final_prob"] = float(np.real(np.vdot(final, final)))
     report["total_norm_sq"] = cascade.total_norm_sq()
     if cfg.get("state_out"):
         io.write_state(cfg["state_out"], final)
-    if cfg.get("report_out"):
-        io.write_report(cfg["report_out"], report)
-    else:
-        json.dump(report, sys.stdout, indent=1, sort_keys=True)
-        print()
+    _emit_report(cfg, report)
     return EXIT_OK
 
 
@@ -272,7 +289,7 @@ def cmd_history(cfg: dict) -> int:
     a = io.read_matrix(cfg["matrix"])
     psi = io.read_state(cfg["state"])
     result = applications.history_state(
-        a, psi, n=int(cfg.get("n", 4)), eps=float(cfg.get("eps", 1e-3)),
+        a, psi, n=cfg.get("n", 4), eps=cfg.get("eps", 1e-3),
         backend=cfg.get("backend", "exact"))
     report = _base_report(cfg, t0)
     report["success_prob"] = result.success_prob
@@ -280,11 +297,7 @@ def cmd_history(cfg: dict) -> int:
     report["amplification"] = result.amplification
     if cfg.get("state_out"):
         io.write_state(cfg["state_out"], result.history)
-    if cfg.get("report_out"):
-        io.write_report(cfg["report_out"], report)
-    else:
-        json.dump(report, sys.stdout, indent=1, sort_keys=True)
-        print()
+    _emit_report(cfg, report)
     return EXIT_OK
 
 
@@ -346,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     _add_target_flags(sp)
     sp.add_argument("--mode", choices=["degree", "noise"])
-    sp.add_argument("--ks")
-    sp.add_argument("--etas")
+    sp.add_argument("--ks", type=_number_list(int))
+    sp.add_argument("--etas", type=_number_list(float))
     sp.add_argument("--trials", type=int)
     sp.add_argument("--matrix")
     sp.add_argument("--schedule")
@@ -389,9 +402,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses status 2 for usage errors, which matches invalid-config
         return int(exc.code) if exc.code else EXIT_OK
-    keys = {k for k in vars(args) if k not in ("command", "config")}
     try:
-        cfg = _merge_config(args, keys)
+        cfg = _merge_config(parser, args)
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
-"""Block Hamiltonians, their Z operator, conjugated generators, and the
-two-dimensional invariant-subspace decomposition.
+"""Zero-diagonal block Hamiltonians and their two-dimensional invariant
+subspaces.
 
 Layout convention: the assembled Hamiltonian is
 
-    [[diag_r, A^dag],
-     [A,      diag_l]]
+    [[0, A^dag],
+     [A, 0    ]]
 
 so the first n coordinates span the right space H_R and the last m span the
 left space H_L.  Z is +I on H_R and -I on H_L.
@@ -12,38 +12,19 @@ left space H_L.  Z is +I on H_R and -I on H_L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NormalizationError, PreconditionError
-from .linalg import (
-    RANK_TOL,
-    as_complex_matrix,
-    expm_hermitian,
-    is_hermitian,
-)
+from .errors import NormalizationError
+from .linalg import as_complex_matrix, svd
 
 SIGMA_MAX_SLACK = 1e-10
-DIAG_ZERO_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ZOperator:
-    """diag(+I_n, -I_m); squares to the identity exactly."""
-
-    n: int
-    m: int
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(np.concatenate([np.ones(self.n), -np.ones(self.m)])).astype(complex)
 
 
 @dataclass(frozen=True)
 class BlockHamiltonian:
     a_block: np.ndarray                 # m x n, maps H_R -> H_L
-    diag_r: np.ndarray | None = None    # n x n Hermitian
-    diag_l: np.ndarray | None = None    # m x m Hermitian
 
     @property
     def n(self) -> int:
@@ -53,92 +34,38 @@ class BlockHamiltonian:
     def m(self) -> int:
         return self.a_block.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.n + self.m
-
-    def z_operator(self) -> ZOperator:
-        return ZOperator(self.n, self.m)
-
-    def has_diagonal_blocks(self) -> bool:
-        for blk in (self.diag_r, self.diag_l):
-            if blk is not None and np.linalg.norm(blk) > DIAG_ZERO_TOL:
-                return True
-        return False
-
     def assemble(self) -> np.ndarray:
         n, m = self.n, self.m
         h = np.zeros((n + m, n + m), dtype=complex)
         h[n:, :n] = self.a_block
         h[:n, n:] = self.a_block.conj().T
-        if self.diag_r is not None:
-            h[:n, :n] = self.diag_r
-        if self.diag_l is not None:
-            h[n:, n:] = self.diag_l
         return h
 
-    def off_diagonal_part(self) -> "BlockHamiltonian":
-        return BlockHamiltonian(a_block=self.a_block)
 
+def embed(a) -> BlockHamiltonian:
+    """Place A in the lower-left block of a zero-diagonal Hermitian matrix.
 
-def embed(a, diag_r=None, diag_l=None) -> BlockHamiltonian:
-    """Place A in the lower-left block of a Hermitian matrix.
-
-    Requires sigma_max(A) <= 1 (the A^dag A <= I sub-normalization) and
-    Hermitian on-diagonal blocks when given.
+    Requires sigma_max(A) <= 1 (the A^dag A <= I sub-normalization).
     """
     a = as_complex_matrix(a, "A")
     smax = float(np.linalg.norm(a, 2))
     if smax > 1.0 + SIGMA_MAX_SLACK:
         raise NormalizationError(smax)
-    m, n = a.shape
-    blocks = []
-    for blk, name, dim in ((diag_r, "diag_r", n), (diag_l, "diag_l", m)):
-        if blk is None:
-            blocks.append(None)
-            continue
-        blk = as_complex_matrix(blk, name)
-        if blk.shape != (dim, dim):
-            raise InvalidInputError(f"{name} must be {dim}x{dim}, got {blk.shape}")
-        if not is_hermitian(blk):
-            raise InvalidInputError(f"{name} is not Hermitian")
-        blocks.append(blk)
-    return BlockHamiltonian(a_block=a, diag_r=blocks[0], diag_l=blocks[1])
-
-
-def conjugated_generator(h: BlockHamiltonian, phi: float) -> np.ndarray:
-    """G_phi = exp(i phi Z/2) H exp(-i phi Z/2) for an off-diagonal H.
-
-    Multiplies the upper-right block by e^{i phi} and the lower-left block by
-    e^{-i phi}; the spectrum is unchanged.
-    """
-    if h.has_diagonal_blocks():
-        raise PreconditionError(
-            "conjugated_generator requires zero diagonal blocks; "
-            "use refocus_evolution to average them away first"
-        )
-    n, m = h.n, h.m
-    g = np.zeros((n + m, n + m), dtype=complex)
-    g[:n, n:] = np.exp(1j * phi) * h.a_block.conj().T
-    g[n:, :n] = np.exp(-1j * phi) * h.a_block
-    return g
+    return BlockHamiltonian(a_block=a)
 
 
 @dataclass(frozen=True)
 class SubspaceDecomposition:
-    """Per-pair invariant subspaces of an off-diagonal block Hamiltonian.
+    """Per-pair invariant subspaces of a block Hamiltonian.
 
     Each triple (sigma, r, l) spans a 2-D subspace on which H acts as
     sigma * X; (r (+) l)/sqrt(2) and (r (-) l)/sqrt(2) are eigenvectors with
-    eigenvalues +sigma and -sigma.  kernel_r / kernel_l hold the unpaired
-    orthonormal complements.
+    eigenvalues +sigma and -sigma.
     """
 
-    triples: list = field(default_factory=list)   # (sigma, r_vec, l_vec)
-    kernel_r: np.ndarray = None
-    kernel_l: np.ndarray = None
-    n: int = 0
-    m: int = 0
+    triples: list       # (sigma, r_vec, l_vec)
+    n: int
+    m: int
 
     def pair_basis(self, j: int) -> np.ndarray:
         """(n+m) x 2 isometry [r_j (+) 0, 0 (+) l_j]."""
@@ -150,43 +77,8 @@ class SubspaceDecomposition:
 
 
 def decompose_subspaces(h: BlockHamiltonian) -> SubspaceDecomposition:
-    if h.has_diagonal_blocks():
-        raise PreconditionError("decompose_subspaces requires zero diagonal blocks")
-    a = h.a_block
-    m, n = a.shape
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    v = vh.conj().T
-    p = min(m, n)
-    for j in range(p):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > RANK_TOL)
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            v[:, j] = col / phase
-            u[:, j] = u[:, j] / phase
-    triples = [(float(s[j]), v[:, j].copy(), u[:, j].copy()) for j in range(p)]
-    return SubspaceDecomposition(
-        triples=triples,
-        kernel_r=v[:, p:].copy(),
-        kernel_l=u[:, p:].copy(),
-        n=n,
-        m=m,
-    )
-
-
-def refocus_evolution(h: BlockHamiltonian, total_t: float, steps: int) -> np.ndarray:
-    """First-order refocusing of the on-diagonal blocks.
-
-    Each cycle applies exp(-i H d) Z exp(+i H d) Z with d = total_t/(2 steps);
-    the second half equals exp(+i ZHZ d), so the cycle generator is
-    (H - ZHZ) d = 2 H_off d and the product converges to
-    exp(-i H_off total_t) with O(total_t^2 / steps) error.
-    """
-    if steps < 1:
-        raise InvalidInputError("steps must be >= 1")
-    hm = h.assemble()
-    z = h.z_operator().matrix()
-    zhz = z @ hm @ z
-    delta = total_t / (2.0 * steps)
-    cycle = expm_hermitian(hm, delta) @ expm_hermitian(zhz, -delta)
-    return np.linalg.matrix_power(cycle, steps)
+    """One pair per singular triple of A, in linalg.svd's phase convention."""
+    res = svd(h.a_block)
+    triples = [(float(s), res.right_vectors[:, j], res.left_vectors[:, j])
+               for j, s in enumerate(res.singulars)]
+    return SubspaceDecomposition(triples=triples, n=h.n, m=h.m)

@@ -14,9 +14,6 @@ import numpy as np
 from .errors import InvalidInputError, NotPSDError
 
 HERMITICITY_TOL = 1e-10
-UNITARITY_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-10
-SQRT_TOL = 1e-9
 PSD_EIG_FLOOR = -1e-8
 RANK_TOL = 1e-12
 
@@ -44,9 +41,6 @@ class SvdResult:
     singulars: np.ndarray       # descending, >= 0
     left_vectors: np.ndarray    # columns |l_j>
     right_vectors: np.ndarray   # columns |r_j>
-
-    def reconstruct(self) -> np.ndarray:
-        return self.left_vectors @ np.diag(self.singulars) @ self.right_vectors.conj().T
 
 
 @dataclass(frozen=True)
@@ -81,16 +75,6 @@ def hermitian_eig(h) -> HermitianEig:
         raise InvalidInputError("matrix is not Hermitian")
     w, v = np.linalg.eigh(m)
     return HermitianEig(eigenvalues=w, eigenvectors=v)
-
-
-def expm_hermitian(h, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, via eigendecomposition.
-
-    Orthonormal eigenvectors make the result unitary to round-off.
-    """
-    eig = hermitian_eig(h)
-    phases = np.exp(-1j * eig.eigenvalues * t)
-    return (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T
 
 
 def sqrt_psd(m) -> np.ndarray:

@@ -25,12 +25,9 @@ import numpy as np
 
 from . import linalg
 from .compiler import PhaseSchedule, reduced_model
-from .embedding import BlockHamiltonian, decompose_subspaces, embed
+from .embedding import decompose_subspaces, embed
 from .errors import CapError, InvalidInputError
 from .targets import TargetFunction
-
-UNITARITY_TOL = 1e-10
-ANTIHERM_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,19 @@ def random_contraction(rng, n, m=None, lo=0.1, hi=0.9):
     return u @ np.diag(s) @ vh
 
 
+def conjugated_generator(h, phi):
+    """G_phi = exp(i phi Z/2) H exp(-i phi Z/2) for a block Hamiltonian h.
+
+    Multiplies the upper-right block by e^{i phi} and the lower-left block by
+    e^{-i phi}; the spectrum is unchanged.
+    """
+    n, m = h.n, h.m
+    g = np.zeros((n + m, n + m), dtype=complex)
+    g[:n, n:] = np.exp(1j * phi) * h.a_block.conj().T
+    g[n:, :n] = np.exp(-1j * phi) * h.a_block
+    return g
+
+
 def random_state(rng, n):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)

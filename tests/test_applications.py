@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hsvt import applications, linalg, targets
-from hsvt.compiler import SolverOptions
-from hsvt.errors import (GeneratorError, InvalidInputError, PreconditionError,
-                         SingularInversionError, ZeroProbabilitySignal)
+from hsvt.compiler import PhaseSchedule, SolverOptions
+from hsvt.errors import (ConvergenceError, GeneratorError, InvalidInputError,
+                         PreconditionError, SingularInversionError,
+                         ZeroProbabilitySignal)
 
 from conftest import random_contraction, random_state
 
@@ -220,3 +223,15 @@ def test_compiled_schedule_memo_keys_on_all_options():
     assert applications.compiled_schedule(f, 0.05, other) is not default
     same = SolverOptions(target_eps=0.05, variable_t=True)
     assert applications.compiled_schedule(f, 0.05, same) is default
+
+
+def test_compiled_schedule_does_not_memoize_failure(monkeypatch):
+    report = SimpleNamespace(converged=False, max_residual=1.0)
+    schedule = PhaseSchedule(steps=())
+    monkeypatch.setattr(applications.compiler, "synthesize_to_accuracy",
+                        lambda *args, **kwargs: (schedule, report))
+    f = targets.identity(0.3, 0.6)
+    with pytest.raises(ConvergenceError):
+        applications.compiled_schedule(f, 0.07)
+    report.converged = True
+    assert applications.compiled_schedule(f, 0.07) is schedule

@@ -11,6 +11,12 @@ def run(argv):
     return cli.main(argv)
 
 
+def merged_config(path, command="synthesize"):
+    """The config main() hands to a command, from a config file alone."""
+    parser = cli.build_parser()
+    return cli._merge_config(parser, parser.parse_args([command, "--config", str(path)]))
+
+
 # -- exit codes --------------------------------------------------------------
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -47,6 +53,31 @@ def test_bad_solver_config_value_exits_2(tmp_path, capsys, cfg):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     assert run(["synthesize", "--config", str(path), "--k", "1"]) == 2
+    assert repr(next(iter(cfg))) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("synthesize", {"sigma_lo": "x"}),
+    ("synthesize", {"variable_t": "false"}),
+    ("synthesize", {"k": True}),
+    ("synthesize", {"k": 1.5}),
+    ("synthesize", {"grid_size": "x"}),
+    ("synthesize", {"metric": "fast"}),
+    ("synthesize", {"kind": 3}),
+    ("simulate", {"eta": [0.1]}),
+    ("sweep", {"trials": "many"}),
+    ("sweep", {"ks": "8,x"}),
+    ("sweep", {"etas": [0.1, False]}),
+    ("sweep", {"mode": "speed"}),
+    ("ode", {"dt": None}),
+    ("ode", {"steps": "x"}),
+    ("history", {"n": {"n": 2}}),
+    ("apply", {"backend": "gpu"}),
+])
+def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path)]) == 2
     assert repr(next(iter(cfg))) in capsys.readouterr().err
 
 
@@ -125,10 +156,21 @@ def test_synthesize_report_says_why_the_solver_stopped(tmp_path):
     assert synthesis["max_residual"] <= 0.8e-2
 
 
-def test_solver_options_default_from_solver_options():
+def test_solver_options_default_from_solver_options(tmp_path):
     assert cli._solver_options({}) == SolverOptions()
-    opts = cli._solver_options({"eps": "0.01", "max_nfev": 7.0, "seed": 2})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"eps": "0.01", "max_nfev": 7.0, "seed": 2,
+                                "variable_t": False}))
+    opts = cli._solver_options(merged_config(path))
     assert opts == SolverOptions(target_eps=0.01, max_nfev=7, seed=2)
+
+
+def test_config_lists_match_flags(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"ks": [8, 12], "etas": "1e-3, 2e-3"}))
+    assert merged_config(path, "sweep") == {"ks": [8, 12], "etas": [1e-3, 2e-3]}
+    parser = cli.build_parser()
+    assert parser.parse_args(["sweep", "--ks", "8,12"]).ks == [8, 12]
 
 
 def test_schedule_file_reproducible(tmp_path):

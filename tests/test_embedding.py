@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from hsvt import embedding, linalg
-from hsvt.errors import InvalidInputError, NormalizationError, PreconditionError
+from hsvt import embedding
+from hsvt.errors import NormalizationError
 
-from conftest import random_contraction
+from conftest import conjugated_generator, random_contraction
 
 
-def test_embed_scalar_example():
+def test_embed_scalar_example(rng):
     h = embedding.embed([[0.5]])
     assert np.allclose(h.assemble(), [[0.0, 0.5], [0.5, 0.0]])
+    a = random_contraction(rng, 2, 3)   # 3 x 2
+    m = embedding.embed(a).assemble()
+    assert np.array_equal(m, m.conj().T)
+    # lower-left block is A exactly
+    assert np.array_equal(m[2:, :2], a)
 
 
 def test_embed_zero_block():
@@ -18,61 +23,31 @@ def test_embed_zero_block():
     assert np.array_equal(h.assemble(), np.zeros((4, 4)))
 
 
-def test_embed_with_diagonals_hermitian(rng):
-    a = random_contraction(rng, 2, 3)
-    dr = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    dr = (dr + dr.conj().T) / 2
-    dl = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    dl = (dl + dl.conj().T) / 2
-    h = embedding.embed(a, diag_r=dr, diag_l=dl)
-    m = h.assemble()
-    assert np.linalg.norm(m - m.conj().T, 2) < 1e-12
-    # lower-left block is A exactly
-    assert np.array_equal(m[2:, :2], a)
-
-
 def test_embed_rejects_large_sigma():
     with pytest.raises(NormalizationError):
         embedding.embed([[1.5]])
 
 
-def test_embed_rejects_nonhermitian_diagonal():
-    with pytest.raises(InvalidInputError):
-        embedding.embed([[0.5]], diag_r=[[1j]])
-
-
-def test_z_operator_squares_to_identity():
-    z = embedding.ZOperator(2, 3).matrix()
-    assert np.array_equal(z @ z, np.eye(5))
-    assert np.array_equal(np.diag(z), [1, 1, -1, -1, -1])
-
-
 def test_conjugated_generator_phases(rng):
     a = random_contraction(rng, 3)
     h = embedding.embed(a)
-    assert np.allclose(embedding.conjugated_generator(h, 0.0), h.assemble())
-    g_pi = embedding.conjugated_generator(h, np.pi)
+    assert np.allclose(conjugated_generator(h, 0.0), h.assemble())
+    g_pi = conjugated_generator(h, np.pi)
     assert np.allclose(g_pi, -h.assemble(), atol=1e-12)
 
 
 def test_conjugated_generator_matches_explicit_conjugation(rng):
     a = random_contraction(rng, 2, 4)
     h = embedding.embed(a)
-    z = h.z_operator().matrix()
+    z = np.diag([1, 1, -1, -1, -1, -1])
     phi = 0.3
     e = sla.expm(0.5j * phi * z)
     want = e @ h.assemble() @ e.conj().T
-    got = embedding.conjugated_generator(h, phi)
+    got = conjugated_generator(h, phi)
     assert np.linalg.norm(got - want, 2) < 1e-12
     # spectrum preserved
     assert np.allclose(np.linalg.eigvalsh(got), np.linalg.eigvalsh(h.assemble()),
                        atol=1e-10)
-
-
-def test_conjugated_generator_requires_zero_diagonals():
-    h = embedding.embed([[0.5]], diag_r=[[0.2]])
-    with pytest.raises(PreconditionError):
-        embedding.conjugated_generator(h, 0.1)
 
 
 def test_decompose_diagonal_example():
@@ -112,8 +87,8 @@ def test_decompose_pairs_orthogonal(rng):
 def test_subspace_invariance_of_conjugated_evolution(rng):
     a = random_contraction(rng, 3)
     h = embedding.embed(a)
-    g = embedding.conjugated_generator(h, 0.7)
-    u = linalg.expm_hermitian(g, 1.3)
+    g = conjugated_generator(h, 0.7)
+    u = sla.expm(-1.3j * g)
     dec = embedding.decompose_subspaces(h)
     for j in range(len(dec.triples)):
         b = dec.pair_basis(j)
@@ -121,33 +96,3 @@ def test_subspace_invariance_of_conjugated_evolution(rng):
         # projection back onto the pair recovers everything
         proj = b @ (b.conj().T @ mapped)
         assert np.linalg.norm(mapped - proj) < 1e-10
-
-
-def test_refocus_exact_for_zero_diagonals(rng):
-    a = random_contraction(rng, 3)
-    h = embedding.embed(a)
-    want = linalg.expm_hermitian(h.assemble(), 0.9)
-    for steps in (1, 3, 7):
-        got = embedding.refocus_evolution(h, 0.9, steps)
-        assert np.linalg.norm(got - want, 2) < 1e-12
-
-
-def test_refocus_cancels_pure_diagonal(rng):
-    # block-diagonal H commutes with Z, so each cycle cancels exactly
-    dr = np.diag([0.4, -0.2])
-    dl = np.diag([0.3])
-    h = embedding.embed(np.zeros((1, 2)), diag_r=dr, diag_l=dl)
-    for steps in (1, 2, 8):
-        got = embedding.refocus_evolution(h, 1.0, steps)
-        assert np.linalg.norm(got - np.eye(3), 2) < 1e-12
-
-
-def test_refocus_first_order_convergence(rng):
-    a = random_contraction(rng, 2)
-    dr = rng.normal(size=(2, 2)); dr = (dr + dr.T) / 4
-    dl = rng.normal(size=(2, 2)); dl = (dl + dl.T) / 4
-    h = embedding.embed(a, diag_r=dr, diag_l=dl)
-    want = linalg.expm_hermitian(h.off_diagonal_part().assemble(), 1.0)
-    e16 = np.linalg.norm(embedding.refocus_evolution(h, 1.0, 16) - want, 2)
-    e32 = np.linalg.norm(embedding.refocus_evolution(h, 1.0, 32) - want, 2)
-    assert e16 / e32 == pytest.approx(2.0, rel=0.25)

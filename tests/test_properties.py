@@ -1,11 +1,15 @@
 """Property tests: hostile input only ever raises the documented errors."""
 
+import json
+
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hsvt import cli, io  # noqa: E402
+import hsvt  # noqa: E402
+from hsvt import cli, compiler, io, linalg, protocol  # noqa: E402
 from hsvt.compiler import PhaseSchedule, SolverOptions  # noqa: E402
 from hsvt.errors import ConfigError, ParseError  # noqa: E402
 
@@ -60,11 +64,53 @@ def test_matrix_from_dict_raises_only_parse_error(d):
     assert m.shape == (d["rows"], d["cols"])
 
 
+_PARSER = cli.build_parser()
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.dictionaries(st.sampled_from(sorted(cli._SOLVER_KEYS)), json_values))
-def test_solver_options_raise_only_config_error(cfg):
+def test_solver_options_raise_only_config_error(tmp_path_factory, cfg):
+    # the config goes through the same merge as `hsvt synthesize --config`
+    path = tmp_path_factory.getbasetemp() / "solver-config.json"
+    path.write_text(json.dumps(cfg))
+    args = _PARSER.parse_args(["synthesize", "--config", str(path)])
     try:
-        opts = cli._solver_options(cfg)
+        opts = cli._solver_options(cli._merge_config(_PARSER, args))
     except ConfigError:
         return
     assert isinstance(opts, SolverOptions)
+    assert type(opts.target_eps) is float and type(opts.variable_t) is bool
+    assert all(type(v) is int for v in (opts.seed, opts.restarts, opts.max_nfev))
+    assert opts.metric in ("full", "corner")
+
+
+@st.composite
+def contractions(draw):
+    """m x n matrices, 1 <= m, n <= 5, with singular values drawn from [0, 1]."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    s = draw(st.lists(st.floats(0.0, 1.0), min_size=min(m, n), max_size=min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    u, _, vh = np.linalg.svd(g, full_matrices=False)
+    return (u * s) @ vh
+
+
+schedules = st.integers(0, 8).flatmap(lambda k: st.builds(
+    compiler.schedule_from_arrays,
+    st.lists(st.floats(-np.pi, np.pi), min_size=k, max_size=k),
+    st.lists(st.floats(0.0, compiler.T_MAX, exclude_min=True), min_size=k, max_size=k)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(contractions(), schedules)
+def test_protocol_matches_reduced_model_on_random_inputs(a, schedule):
+    result = protocol.simulate_protocol(a, schedule)
+    u = result.unitary
+    assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2) <= 1e-10
+    assert protocol.reduced_full_gap(result) <= 1e-10
+    assert compiler.verify_pq_constraint(schedule, linalg.svd(a).singulars) <= 1e-10
+
+
+def test_public_names_resolve():
+    for name in hsvt.__all__:
+        assert getattr(hsvt, name) is not None, name

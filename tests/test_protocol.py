@@ -6,7 +6,7 @@ from hsvt import compiler, embedding, linalg, protocol, targets
 from hsvt.compiler import PhaseSchedule
 from hsvt.errors import CapError, InvalidInputError
 
-from conftest import random_contraction
+from conftest import conjugated_generator, random_contraction
 
 
 def make_schedule(rng, k, variable_t=False):
@@ -70,7 +70,7 @@ def test_single_step_matches_exponential(rng):
     sch = compiler.schedule_from_arrays([0.7], [1.3])
     res = protocol.simulate_protocol(a, sch)
     h = embedding.embed(a)
-    g = embedding.conjugated_generator(h, 0.7)
+    g = conjugated_generator(h, 0.7)
     want = sla.expm(-1.3j * g)
     assert np.linalg.norm(res.unitary - want, 2) < 1e-12
 
