@@ -5,6 +5,10 @@ Everything here runs in one of two backends:
 * ``exact``    - closed-form blocks from the SVD (the test oracle),
 * ``protocol`` - a compiled phase schedule simulated on the full space.
 
+Each call builds its block unitary once: the protocol backend simulates
+the schedule's steps once per call, and a cascade of n steps then applies
+that one matrix n times.
+
 States are plain 1-D complex arrays; norms are reported, never forced.
 Register phases: each application of the block unitary multiplies both
 output blocks by the global factor i, which is deterministic bookkeeping
@@ -131,19 +135,22 @@ class ApplyResult:
     amplification: int           # ceil(pi / (4 sqrt(p)))
 
 
-def _apply_block(a, x, f: TargetFunction, backend: str, eps: float,
-                 opts: SolverOptions | None):
-    """(sqrt-complement block, f(A) block) of the unitary applied to (x, 0)."""
+def _block_unitary(a, f: TargetFunction, backend: str, eps: float,
+                   opts: SolverOptions | None) -> np.ndarray:
+    """The block unitary that carries f(A), in the chosen backend."""
     if backend == "exact":
-        u = protocol.build_target_unitary(a, f).matrix
-    elif backend == "protocol":
+        return protocol.build_target_unitary(a, f).matrix
+    if backend == "protocol":
         _check_sigma_in_domain(a, f.sigma_lo, f.sigma_hi)
         schedule = compiled_schedule(f, eps, opts)
-        u = protocol.simulate_protocol(a, schedule).unitary
-    else:
-        raise InvalidInputError(f"unknown backend {backend!r}")
-    n = a.shape[1]
-    y = u @ np.concatenate([x, np.zeros(a.shape[0], dtype=complex)])
+        return protocol.simulate_protocol(a, schedule).unitary
+    raise InvalidInputError(f"unknown backend {backend!r}")
+
+
+def _apply_block(u: np.ndarray, x: np.ndarray):
+    """(sqrt-complement block, f(A) block) of u applied to (x, 0)."""
+    n = x.size
+    y = u[:, :n] @ x
     # strip the deterministic global factor i of the block unitary
     return -1j * y[:n], -1j * y[n:]
 
@@ -160,7 +167,7 @@ def apply_matrix(a, psi, backend: str = "exact", eps: float = 1e-3,
             f"state dimension {psi.size} does not match A columns {a.shape[1]}")
     f = targets.identity(*domain) if backend == "protocol" else \
         targets.identity(1e-6, 1.0 - 1e-9, cap=1.0)
-    _, lower = _apply_block(a, psi, f, backend, eps, opts)
+    _, lower = _apply_block(_block_unitary(a, f, backend, eps, opts), psi)
     p = float(np.real(np.vdot(lower, lower)))
     if p < ZERO_PROB_TOL:
         raise ZeroProbabilitySignal("A annihilates the input state")
@@ -214,10 +221,11 @@ def power_cascade(a, psi, n: int, backend: str = "exact", eps: float = 1e-3,
         raise InvalidInputError("state dimension does not match A")
     f = targets.identity(*domain) if backend == "protocol" else \
         targets.identity(1e-6, 1.0 - 1e-9, cap=1.0)
+    u = _block_unitary(a, f, backend, eps, opts)
     blocks = []
     carried = psi
     for _ in range(n):
-        fixed, carried = _apply_block(a, carried, f, backend, eps, opts)
+        fixed, carried = _apply_block(u, carried)
         blocks.append(fixed)
     blocks.append(carried)
     state = CascadeState(blocks=tuple(blocks))
@@ -317,11 +325,8 @@ def history_state(a, psi, n: int, eps: float = 1e-3, backend: str = "exact",
         # target approaches 1 and the complementary sqrt(1 - f^2) approaches 0
         c = HISTORY_SCALE * lo
         f_inv = targets.scaled_power(-1.0, c, lo, hi)
-        raw = []
-        for k in range(n):
-            _, lower = _apply_block(s_mat, cascade.block(k), f_inv,
-                                    "protocol", eps, opts)
-            raw.append(lower)
+        u = _block_unitary(s_mat, f_inv, "protocol", eps, opts)
+        raw = [_apply_block(u, cascade.block(k))[1] for k in range(n)]
     else:
         raise InvalidInputError(f"unknown backend {backend!r}")
 

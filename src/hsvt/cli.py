@@ -130,8 +130,15 @@ _SOLVER_KEYS = {"eps": "target_eps", "seed": "seed", "restarts": "restarts",
 
 
 def _solver_options(cfg: dict) -> SolverOptions:
-    return SolverOptions(**{field: cfg[key] for key, field in _SOLVER_KEYS.items()
-                            if key in cfg})
+    fields = {}
+    for key, field in _SOLVER_KEYS.items():
+        if key in cfg:
+            fields[field] = cfg[key]
+            try:
+                SolverOptions(**{field: cfg[key]})    # each check reads one field
+            except InvalidInputError as exc:
+                raise ConfigError(f"bad value for config key {key!r}: {exc}") from exc
+    return SolverOptions(**fields)
 
 
 def _base_report(cfg: dict, t0: float) -> dict:

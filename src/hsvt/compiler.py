@@ -131,21 +131,6 @@ def schedule_from_arrays(phis, times=None) -> PhaseSchedule:
 class ReducedUnitary:
     matrix: np.ndarray   # 2x2
 
-    @property
-    def p_corner(self) -> complex:
-        """Upper-left entry, the P(cos sigma) polynomial corner."""
-        return complex(self.matrix[0, 0])
-
-    @property
-    def q_corner(self) -> complex:
-        """Upper-right entry, the i sin(sigma) Q(cos sigma) corner."""
-        return complex(self.matrix[0, 1])
-
-    @property
-    def f_corner(self) -> complex:
-        """Lower-left entry; the target convention puts i f(sigma) here."""
-        return complex(self.matrix[1, 0])
-
 
 @dataclass(frozen=True)
 class SynthesisReport:
@@ -181,6 +166,18 @@ class SolverOptions:
     max_nfev: int = 1200
     continuation: bool = True
     t_min: float = 1e-3           # lower bound on step times (variable-t mode)
+
+    def __post_init__(self):
+        for name, ok, want in (
+                ("target_eps", self.target_eps >= 0, ">= 0"),
+                ("seed", self.seed >= 0, ">= 0"),
+                ("restarts", self.restarts >= 0, ">= 0"),
+                ("metric", self.metric in ("full", "corner"), "'full' or 'corner'"),
+                ("max_nfev", self.max_nfev >= 1, ">= 1"),
+                ("t_min", 0 < self.t_min < T_MAX, f"in (0, {T_MAX:g})")):
+            if not ok:
+                raise InvalidInputError(
+                    f"{name} must be {want}, got {getattr(self, name)!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ def as_complex_matrix(a, name="matrix") -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return bool(np.linalg.norm(m - m.conj().T, 2) <= tol * max(1.0, np.linalg.norm(m, 2)))
+    # ||.||_F >= ||.||_2 and max|m_ij| <= ||m||_2: no SVD, and never looser
+    # than ||m - m^dag||_2 <= tol * max(1, ||m||_2)
+    return bool(np.linalg.norm(m - m.conj().T) <= tol * np.max(np.abs(m), initial=1.0))
 
 
 @dataclass(frozen=True)

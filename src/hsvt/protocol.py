@@ -15,6 +15,13 @@ the closed-form goal
 which is unitary and anti-Hermitian at once; the global factor i is part
 of the contract and verification uses plain operator distance, never a
 phase-invariant one.
+
+noise_sweep builds no full-space matrix.  On the pair (r_j, l_j) of each
+singular value sigma_j every step is the SU(2) rotation [[c, w], [-w*, c]]
+(c = cos sigma t, w = -i sin(sigma t) e^{i phi}), so a whole run is a pair
+(a_j, b_j) in [[a, b], [-b*, a*]], and kernel directions carry the identity.
+The distance of two runs is therefore exactly
+max_j sqrt(|da_j|^2 + |db_j|^2).
 """
 
 from __future__ import annotations
@@ -56,6 +63,8 @@ class ControlNoiseModel:
     def __post_init__(self):
         if not (self.eta >= 0.0):
             raise InvalidInputError(f"eta must be >= 0, got {self.eta}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
     def time_factors(self, count: int) -> np.ndarray:
         """Per-step multiplicative factors 1 + eta * N(0, 1), in step order."""
@@ -195,31 +204,47 @@ def reduced_full_gap(result: ProtocolResult) -> float:
     return worst
 
 
+def _reduced_corners(sigmas, phis, times):
+    """Corners (a, b) of each run's product [[a, b], [-b*, a*]] at each sigma.
+
+    times is (K,) for one run or (runs, K); a and b are (runs, N).
+    """
+    times = np.atleast_2d(times)
+    e = np.exp(1j * np.asarray(phis))
+    a = np.ones((times.shape[0], len(sigmas)), dtype=complex)
+    b = np.zeros_like(a)
+    for k in range(times.shape[1]):
+        angles = np.multiply.outer(times[:, k], sigmas)
+        c, w = np.cos(angles), -1j * np.sin(angles) * e[k]
+        a, b = c * a - w * np.conj(b), c * b + w * np.conj(a)
+    return a, b
+
+
 def noise_sweep(a, schedule: PhaseSchedule, etas, trials: int,
                 seed: int = 0) -> list[dict]:
     """Mean/max distance of noisy runs from the noiseless protocol.
 
     Trial i uses seed + i for every eta (common random numbers), so rows are
     directly comparable across etas and the whole table is deterministic.
+    Distances are computed per singular pair (see the module docstring).
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
-    h = embed(a)
-    n, m = h.n, h.m
-    eig = linalg.hermitian_eig(h.assemble())
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    sigmas = linalg.svd(embed(a).a_block).singulars     # embed validates sigma_max <= 1
     phis = schedule.phis()
     base_times = schedule.times()
-    u0 = _protocol_unitary(eig, n, m, phis, base_times)
+    a0, b0 = _reduced_corners(sigmas, phis, base_times)
     table = []
     for eta in etas:
         eta = float(eta)
         if eta < 0:
             raise InvalidInputError("eta must be >= 0")
-        dists = np.empty(trials)
-        for i in range(trials):
-            factors = ControlNoiseModel(eta, seed + i).time_factors(len(phis))
-            u = _protocol_unitary(eig, n, m, phis, base_times * factors)
-            dists[i] = np.linalg.norm(u - u0, 2)
+        factors = np.stack([ControlNoiseModel(eta, seed + i).time_factors(len(phis))
+                            for i in range(trials)])
+        an, bn = _reduced_corners(sigmas, phis, base_times * factors)
+        dists = np.sqrt(np.abs(an - a0) ** 2 + np.abs(bn - b0) ** 2).max(axis=1)
         table.append({
             "eta": eta,
             "mean_distance": float(np.mean(dists)),

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hsvt import embedding, linalg, protocol
+
 
 def random_contraction(rng, n, m=None, lo=0.1, hi=0.9):
     """n x n (or m x n) matrix with singular values drawn from [lo, hi]."""
@@ -22,6 +24,23 @@ def conjugated_generator(h, phi):
     g[:n, n:] = np.exp(1j * phi) * h.a_block.conj().T
     g[n:, :n] = np.exp(-1j * phi) * h.a_block
     return g
+
+
+def noise_sweep_oracle(a, schedule, etas, trials, seed=0):
+    """(mean, max) per eta of full-space distances ||U - U0||_2, as noise_sweep."""
+    h = embedding.embed(a)
+    eig = linalg.hermitian_eig(h.assemble())
+    phis, times = schedule.phis(), schedule.times()
+    u0 = protocol._protocol_unitary(eig, h.n, h.m, phis, times)
+    rows = []
+    for eta in etas:
+        dists = []
+        for i in range(trials):
+            factors = protocol.ControlNoiseModel(eta, seed + i).time_factors(len(phis))
+            u = protocol._protocol_unitary(eig, h.n, h.m, phis, times * factors)
+            dists.append(np.linalg.norm(u - u0, 2))
+        rows.append((np.mean(dists), np.max(dists)))
+    return rows
 
 
 def random_state(rng, n):

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hsvt import applications, linalg, targets
+from hsvt import applications, linalg, protocol, targets
 from hsvt.compiler import PhaseSchedule, SolverOptions
 from hsvt.errors import (ConvergenceError, GeneratorError, InvalidInputError,
                          PreconditionError, SingularInversionError,
@@ -105,6 +105,30 @@ def test_cascade_single_step_reduces_to_apply(rng):
     assert np.linalg.norm(carried / np.linalg.norm(carried) - res.state) < 1e-10
 
 
+def counting(monkeypatch, module, name):
+    """Wrap module.name so each call is counted; returns the list of calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_protocol_cascade_simulates_once(rng, monkeypatch):
+    a = random_contraction(rng, 2, lo=0.45, hi=0.75)
+    psi = random_state(rng, 2)
+    calls = counting(monkeypatch, protocol, "simulate_protocol")
+    state, _ = applications.power_cascade(a, psi, 50, backend="protocol",
+                                          domain=(0.4, 0.8))
+    assert len(calls) == 1
+    want = np.linalg.matrix_power(a, 50) @ psi
+    assert np.linalg.norm(state.block(50) - want) < 50 * 1e-3
+
+
 def test_cascade_rejects_rectangular(rng):
     with pytest.raises(InvalidInputError):
         applications.power_cascade(random_contraction(rng, 3, 2), [1, 0, 0], 2)
@@ -141,6 +165,14 @@ def test_ode_matches_euler_iteration(rng):
     _, final = applications.ode_solve(prob)
     want = np.linalg.matrix_power(np.eye(3) + 0.05 * b, 8) @ psi
     assert np.linalg.norm(final - want) < 1e-10
+
+
+def test_ode_builds_one_unitary(rng, monkeypatch):
+    b = rng.normal(size=(3, 3)); b = b - b.T - 2.0 * np.eye(3)
+    psi = random_state(rng, 3)
+    calls = counting(monkeypatch, protocol, "build_target_unitary")
+    applications.ode_solve(applications.OdeProblem(b=b, dt=0.01, steps=100, psi0=psi))
+    assert len(calls) == 1
 
 
 # -- history state -----------------------------------------------------------

@@ -81,6 +81,23 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
     assert repr(next(iter(cfg))) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["sweep", "--mode", "noise", "--etas", "1e-3", "--trials", "2", "--seed", "-1"], "seed"),
+    (["simulate", "--eta", "1e-3", "--seed", "-1"], "seed"),
+    (["synthesize", "--seed", "-1"], "'seed'"),
+    (["synthesize", "--max-nfev", "0"], "'max_nfev'"),
+])
+def test_out_of_range_seed_and_max_nfev_exit_2(tmp_path, capsys, argv, named):
+    m = tmp_path / "m.json"
+    io.write_matrix(m, np.diag([0.5]))
+    sch = tmp_path / "s.txt"
+    sch.write_text(PhaseSchedule.from_text("# hsvt-schedule v1 k=1\n0.3,1\n").to_text())
+    if argv[0] != "synthesize":
+        argv = argv + ["--matrix", str(m), "--schedule", str(sch)]
+    assert run(argv) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_malformed_schedule_file_exits_3(tmp_path):
     m = tmp_path / "m.json"
     io.write_matrix(m, np.diag([0.5, 0.6]))

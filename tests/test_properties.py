@@ -13,6 +13,8 @@ from hsvt import cli, compiler, io, linalg, protocol  # noqa: E402
 from hsvt.compiler import PhaseSchedule, SolverOptions  # noqa: E402
 from hsvt.errors import ConfigError, ParseError  # noqa: E402
 
+from conftest import noise_sweep_oracle  # noqa: E402
+
 HEADER = "# hsvt-schedule v1 "
 _number = st.one_of(st.floats(), st.integers().map(str), st.text(max_size=8))
 _row = st.tuples(_number, _number).map(lambda p: f"{p[0]},{p[1]}")
@@ -109,6 +111,30 @@ def test_protocol_matches_reduced_model_on_random_inputs(a, schedule):
     assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2) <= 1e-10
     assert protocol.reduced_full_gap(result) <= 1e-10
     assert compiler.verify_pq_constraint(schedule, linalg.svd(a).singulars) <= 1e-10
+    (row,) = protocol.noise_sweep(a, schedule, [0.1], trials=2)
+    ((mean, worst),) = noise_sweep_oracle(a, schedule, [0.1], 2)
+    assert abs(row["mean_distance"] - mean) <= 1e-12
+    assert abs(row["max_distance"] - worst) <= 1e-12
+
+
+@st.composite
+def near_hermitian(draw):
+    """Hermitian matrices of any scale plus a non-Hermitian part near the tolerance."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    skew = 10.0 ** draw(st.floats(-2, 2)) * linalg.HERMITICITY_TOL * max(1.0, scale)
+    return scale * (g + g.conj().T) / 2 + skew * e / np.linalg.norm(e, 2)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(near_hermitian())
+def test_is_hermitian_never_looser_than_spectral_test(m):
+    tol = linalg.HERMITICITY_TOL
+    if linalg.is_hermitian(m):
+        assert np.linalg.norm(m - m.conj().T, 2) <= tol * max(1.0, np.linalg.norm(m, 2))
 
 
 def test_public_names_resolve():

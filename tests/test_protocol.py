@@ -6,7 +6,7 @@ from hsvt import compiler, embedding, linalg, protocol, targets
 from hsvt.compiler import PhaseSchedule
 from hsvt.errors import CapError, InvalidInputError
 
-from conftest import conjugated_generator, random_contraction
+from conftest import conjugated_generator, noise_sweep_oracle, random_contraction
 
 
 def make_schedule(rng, k, variable_t=False):
@@ -172,3 +172,25 @@ def test_noise_sweep_deterministic(rng):
     t1 = protocol.noise_sweep(a, sch, [1e-3], trials=3, seed=5)
     t2 = protocol.noise_sweep(a, sch, [1e-3], trials=3, seed=5)
     assert t1 == t2
+
+
+def test_noise_sweep_matches_full_space_oracle(rng):
+    u, _, vh = np.linalg.svd(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    rank_deficient = (u * [0.7, 0.3, 0.0]) @ vh
+    etas = [0.0, 1e-3, 0.1]
+    for a in (random_contraction(rng, 3), random_contraction(rng, 4, 2),
+              random_contraction(rng, 2, 4), rank_deficient, [[0.6]]):
+        sch = make_schedule(rng, 6, variable_t=True)
+        table = protocol.noise_sweep(a, sch, etas, trials=5, seed=2)
+        assert table[0]["mean_distance"] == 0.0 and table[0]["max_distance"] == 0.0
+        for row, (mean, worst) in zip(table, noise_sweep_oracle(a, sch, etas, 5, seed=2)):
+            assert row["mean_distance"] == pytest.approx(mean, abs=1e-12)
+            assert row["max_distance"] == pytest.approx(worst, abs=1e-12)
+
+
+def test_noise_rejects_negative_seed(rng):
+    with pytest.raises(InvalidInputError):
+        protocol.ControlNoiseModel(1e-3, seed=-1)
+    with pytest.raises(InvalidInputError):
+        protocol.noise_sweep(random_contraction(rng, 2), make_schedule(rng, 2),
+                             [1e-3], trials=2, seed=-1)
