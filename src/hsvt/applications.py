@@ -192,18 +192,11 @@ class CascadeState:
     def n(self) -> int:
         return len(self.blocks) - 1
 
-    @property
-    def dim(self) -> int:
-        return self.blocks[0].size
-
     def block(self, j: int) -> np.ndarray:
         return self.blocks[j]
 
     def total_norm_sq(self) -> float:
         return float(sum(np.real(np.vdot(b, b)) for b in self.blocks))
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
 
 
 def power_cascade(a, psi, n: int, backend: str = "exact", eps: float = 1e-3,

@@ -3,7 +3,8 @@
 Every flag can also come from a JSON config file (--config); explicit flags
 override file values, and unknown config keys are rejected.  All randomness
 flows from the single --seed value.  Exit statuses: 0 success, 2 invalid
-config, 3 parse error, 4 precondition violation, 5 non-convergence.
+config (an output path that cannot be written included), 3 parse error,
+4 precondition violation, 5 non-convergence.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 import numpy as np
 
 from . import applications, compiler, io, protocol, targets
-from .compiler import PhaseSchedule, SolverOptions
+from .compiler import SolverOptions
 from .errors import (ConfigError, ConvergenceError, HsvtError,
                      InvalidInputError, ParseError, PreconditionError)
 
@@ -29,9 +30,9 @@ EXIT_NON_CONVERGENCE = 5
 
 def _load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
@@ -176,7 +177,7 @@ def cmd_synthesize(cfg: dict) -> int:
     report["k"] = schedule.degree
     report["total_time"] = compiler.schedule_cost(schedule)[0]
     if cfg.get("schedule_out"):
-        io._atomic_write_text(cfg["schedule_out"], schedule.to_text())
+        io.write_schedule(cfg["schedule_out"], schedule)
     _emit_report(cfg, report)
     return EXIT_OK if rep.converged else EXIT_NON_CONVERGENCE
 
@@ -187,8 +188,7 @@ def cmd_simulate(cfg: dict) -> int:
         if key not in cfg:
             raise ConfigError(f"simulate needs '{key}'")
     a = io.read_matrix(cfg["matrix"])
-    with open(cfg["schedule"]) as fh:
-        schedule = PhaseSchedule.from_text(fh.read(), path=cfg["schedule"])
+    schedule = io.read_schedule(cfg["schedule"])
     f = _target_from_config(cfg)
     eps = cfg.get("eps", 1e-3)
     noise = None
@@ -222,8 +222,7 @@ def cmd_sweep(cfg: dict) -> int:
             if key not in cfg:
                 raise ConfigError(f"noise sweep needs '{key}'")
         a = io.read_matrix(cfg["matrix"])
-        with open(cfg["schedule"]) as fh:
-            schedule = PhaseSchedule.from_text(fh.read(), path=cfg["schedule"])
+        schedule = io.read_schedule(cfg["schedule"])
         etas = cfg.get("etas", [])
         trials = cfg.get("trials", 100)
         rows = []
@@ -326,9 +325,7 @@ def _add_common(sp):
 
 
 def _add_target_flags(sp):
-    # sampled targets need data that no flag or config key carries
-    sp.add_argument("--kind",
-                    choices=[k for k in targets.KINDS if k != "custom-samples"])
+    sp.add_argument("--kind", choices=targets.KINDS)
     sp.add_argument("--sigma-lo", dest="sigma_lo", type=float)
     sp.add_argument("--sigma-hi", dest="sigma_hi", type=float)
     sp.add_argument("--cap", type=float)
@@ -402,6 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# first match wins; reads map their OSErrors to ParseError or ConfigError, so
+# an OSError that gets here comes from writing an output file
+EXIT_CODES = ((ConfigError, EXIT_INVALID_CONFIG), (ParseError, EXIT_PARSE),
+              (ConvergenceError, EXIT_NON_CONVERGENCE),
+              (PreconditionError, EXIT_PRECONDITION),
+              (InvalidInputError, EXIT_INVALID_CONFIG),
+              (OSError, EXIT_INVALID_CONFIG), (HsvtError, EXIT_PRECONDITION))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -412,24 +418,9 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(parser, args)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (HsvtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NON_CONVERGENCE
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
-    except HsvtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

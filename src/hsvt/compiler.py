@@ -29,7 +29,6 @@ from .errors import CapError, InvalidInputError, ParseError
 from .targets import TargetFunction
 
 CONVENTION = "lower-left-e-minus-i-phi"
-T_MIN = 1e-9
 T_MAX = 8.0
 # A solve is done once its max node residual is at most MARGIN * target_eps: the
 # accuracy contract holds with room left for round-off between grids.
@@ -60,7 +59,6 @@ class PhaseStep:
 @dataclass(frozen=True)
 class PhaseSchedule:
     steps: tuple
-    convention: str = CONVENTION
 
     @property
     def degree(self) -> int:
@@ -75,7 +73,7 @@ class PhaseSchedule:
     # v1 text format ------------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"# hsvt-schedule v1 k={self.degree} convention={self.convention}"]
+        lines = [f"# hsvt-schedule v1 k={self.degree} convention={CONVENTION}"]
         for s in self.steps:
             lines.append(f"{s.phi:.17g},{s.t:.17g}")
         return "\n".join(lines) + "\n"
@@ -95,7 +93,6 @@ class PhaseSchedule:
         except ValueError as exc:
             raise ParseError(f"bad degree: {exc}", path=path, line=1,
                              field="k") from exc
-        convention = fields.get("convention", CONVENTION)
         steps = []
         for i, line in enumerate(lines[1:], start=2):
             line = line.strip()
@@ -118,18 +115,16 @@ class PhaseSchedule:
                 f"header says k={fields['k']} but found {len(steps)} steps",
                 path=path, field="k",
             )
-        return cls(steps=tuple(steps), convention=convention)
+        if fields.get("convention", CONVENTION) != CONVENTION:
+            raise ParseError(f"convention {fields['convention']!r} is not {CONVENTION!r}",
+                             path=path, line=1, field="convention")
+        return cls(steps=tuple(steps))
 
 
 def schedule_from_arrays(phis, times=None) -> PhaseSchedule:
     phis = np.asarray(phis, dtype=float)
     times = np.ones_like(phis) if times is None else np.asarray(times, dtype=float)
     return PhaseSchedule(steps=tuple(PhaseStep(p, t) for p, t in zip(phis, times)))
-
-
-@dataclass(frozen=True)
-class ReducedUnitary:
-    matrix: np.ndarray   # 2x2
 
 
 @dataclass(frozen=True)
@@ -164,7 +159,6 @@ class SolverOptions:
     variable_t: bool = False
     metric: str = "full"          # 'full' or 'corner'
     max_nfev: int = 1200
-    continuation: bool = True
     t_min: float = 1e-3           # lower bound on step times (variable-t mode)
 
     def __post_init__(self):
@@ -226,10 +220,11 @@ def reduced_product(schedule: PhaseSchedule, sigmas) -> np.ndarray:
     return u
 
 
-def reduced_model(schedule: PhaseSchedule, sigma: float) -> ReducedUnitary:
+def reduced_model(schedule: PhaseSchedule, sigma: float) -> np.ndarray:
+    """The 2x2 reduced unitary at one sigma."""
     if sigma < 0:
         raise InvalidInputError("sigma must be >= 0")
-    return ReducedUnitary(matrix=reduced_product(schedule, [float(sigma)])[0])
+    return reduced_product(schedule, [float(sigma)])[0]
 
 
 def reduced_target(f_values) -> np.ndarray:
@@ -585,7 +580,7 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
     solve_opts = replace(opts, target_eps=0.0)
 
     warm = None
-    if opts.continuation and k >= 6:
+    if k >= 6:
         _, y, kc, nf = _sym_continuation(f, k, solve_opts, rng)
         nfev_total += nf
         if kc < k:           # pad with exactly-canceling growth
@@ -645,6 +640,8 @@ def degree_sweep(f: TargetFunction, ks, grid_size: int | None = None,
     Returns a list of (k, max_residual, schedule) sorted as given.
     """
     ks = [int(k) for k in ks]
+    if any(k < 1 for k in ks):
+        raise InvalidInputError(f"every degree must be >= 1, got {ks}")
     opts = opts or SolverOptions(target_eps=0.0)
     opts = replace(opts, target_eps=0.0)    # never stop a sweep point early
     if opts.variable_t:

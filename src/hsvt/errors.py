@@ -36,10 +36,6 @@ class CapError(PreconditionError):
     """A target function violates its magnitude cap."""
 
 
-class FitError(HsvtError):
-    """Chebyshev collocation received non-finite samples."""
-
-
 class GeneratorError(PreconditionError):
     """ODE generator is not dissipative for the requested step size."""
 

@@ -2,9 +2,11 @@
 
 Matrices and states use a JSON object {"rows": r, "cols": c,
 "entries": [[re, im], ...]} in row-major order; states are r x 1 matrices.
-Floats are serialized with Python's shortest round-trip repr, so read/write
-round-trips are exact.  All writes are atomic (write to a temp file in the
-same directory, then rename).
+Schedules use PhaseSchedule's text format.  Floats are serialized with
+Python's shortest round-trip repr, so read/write round-trips are exact.
+Files are read as UTF-8; one that cannot be read or decoded raises
+ParseError.  All writes are atomic (write to a temp file in the same
+directory, then rename).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import tempfile
 
 import numpy as np
 
+from .compiler import PhaseSchedule
 from .errors import ParseError
 
 
@@ -85,15 +88,28 @@ def write_matrix(path, m: np.ndarray) -> None:
 
 def read_matrix(path) -> np.ndarray:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=path) from exc
     if not isinstance(d, dict):
         raise ParseError("top-level JSON value must be an object", path=path)
     return matrix_from_dict(d, path=path)
+
+
+def write_schedule(path, schedule: PhaseSchedule) -> None:
+    _atomic_write_text(path, schedule.to_text())
+
+
+def read_schedule(path) -> PhaseSchedule:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read file: {exc}", path=path) from exc
+    return PhaseSchedule.from_text(text, path=path)
 
 
 def write_state(path, psi: np.ndarray) -> None:

@@ -199,7 +199,7 @@ def reduced_full_gap(result: ProtocolResult) -> float:
     for j, (sigma, _, _) in enumerate(dec.triples):
         basis = dec.pair_basis(j)
         got = basis.conj().T @ result.unitary @ basis
-        want = reduced_model(result.schedule_used, sigma).matrix
+        want = reduced_model(result.schedule_used, sigma)
         worst = max(worst, float(np.linalg.norm(got - want, 2)))
     return worst
 

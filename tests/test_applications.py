@@ -251,7 +251,7 @@ def test_compiled_schedule_memo_keys_on_all_options():
     f = targets.identity(0.4, 0.8)
     default = applications.compiled_schedule(f, 0.05)
     other = SolverOptions(variable_t=True, metric="corner", max_nfev=10,
-                          restarts=0, continuation=False)
+                          restarts=0)
     assert applications.compiled_schedule(f, 0.05, other) is not default
     same = SolverOptions(target_eps=0.05, variable_t=True)
     assert applications.compiled_schedule(f, 0.05, same) is default

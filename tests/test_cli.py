@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hsvt import cli, io
-from hsvt.compiler import PhaseSchedule, SolverOptions
+from hsvt.compiler import CONVENTION, PhaseSchedule, SolverOptions
 
 
 def run(argv):
@@ -104,6 +104,68 @@ def test_malformed_schedule_file_exits_3(tmp_path):
     sch = tmp_path / "s.txt"
     sch.write_text("# hsvt-schedule v1 k=abc\n0.1,1\n")
     assert run(["simulate", "--matrix", str(m), "--schedule", str(sch)]) == 3
+
+
+def _unreadable_file(tmp_path, kind):
+    """A path to a missing file, a directory, or a file that is not UTF-8."""
+    path = tmp_path / kind
+    if kind == "dir":
+        path.mkdir()
+    elif kind == "latin1":
+        path.write_bytes(b'{"caf\xe9": 1}\n')
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "dir", "latin1"])
+def test_unreadable_schedule_exits_3(tmp_path, capsys, kind):
+    m = tmp_path / "m.json"
+    io.write_matrix(m, np.diag([0.5]))
+    sch = str(_unreadable_file(tmp_path, kind))
+    assert run(["simulate", "--matrix", str(m), "--schedule", sch]) == 3
+    assert run(["sweep", "--mode", "noise", "--matrix", str(m), "--schedule", sch,
+                "--etas", "0", "--trials", "1"]) == 3
+    assert "cannot read file" in capsys.readouterr().err
+
+
+def test_non_utf8_matrix_exits_3(tmp_path):
+    v = tmp_path / "v.json"
+    io.write_state(v, np.array([1.0]))
+    bad = _unreadable_file(tmp_path, "latin1")
+    assert run(["apply", "--matrix", str(bad), "--state", str(v)]) == 3
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    bad = _unreadable_file(tmp_path, "latin1")
+    assert run(["synthesize", "--config", str(bad)]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_foreign_schedule_convention_exits_3(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    io.write_matrix(m, np.diag([0.5]))
+    sch = tmp_path / "s.txt"
+    sch.write_text("# hsvt-schedule v1 k=1 convention=other\n0.3,1\n")
+    assert run(["simulate", "--matrix", str(m), "--schedule", str(sch)]) == 3
+    assert "'convention'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ks", ["-2", "0", "8,0"])
+def test_degree_sweep_below_one_exits_2(capsys, ks):
+    assert run(["sweep", "--mode", "degree", "--ks", ks]) == 2
+    assert ">= 1" in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    io.write_matrix(m, np.diag([0.5]))
+    sch = tmp_path / "s.txt"
+    sch.write_text("# hsvt-schedule v1 k=1\n0.3,1\n")
+    out = str(tmp_path / "nodir" / "out")
+    assert run(["simulate", "--matrix", str(m), "--schedule", str(sch),
+                "--report-out", out]) == 2
+    assert run(["sweep", "--mode", "noise", "--matrix", str(m), "--schedule", str(sch),
+                "--etas", "0", "--trials", "1", "--csv-out", out]) == 2
+    assert capsys.readouterr().err.count("nodir") == 2
 
 
 def test_kind_flag_offers_only_buildable_kinds(capsys):
@@ -218,7 +280,7 @@ def test_noise_sweep_csv(tmp_path):
     io.write_matrix(m, np.diag([0.5]))
     sched = tmp_path / "s.txt"
     steps = PhaseSchedule.from_text(
-        "# hsvt-schedule v1 k=2 convention=c\n0.3,1\n-0.3,1\n")
+        f"# hsvt-schedule v1 k=2 convention={CONVENTION}\n0.3,1\n-0.3,1\n")
     sched.write_text(steps.to_text())
     out = tmp_path / "n.csv"
     code = run(["sweep", "--mode", "noise", "--matrix", str(m),

@@ -36,7 +36,7 @@ def test_schedule_text_roundtrip(rng):
     assert back.degree == 7
     assert np.array_equal(back.phis(), sch.phis())
     assert np.array_equal(back.times(), sch.times())
-    assert back.convention == sch.convention
+    assert back.to_text() == sch.to_text()
 
 
 def test_schedule_parse_errors():
@@ -70,12 +70,12 @@ def test_empty_schedule_roundtrip():
 
 def test_reduced_model_empty_schedule():
     u = compiler.reduced_model(PhaseSchedule(steps=()), 0.5)
-    assert np.array_equal(u.matrix, np.eye(2))
+    assert np.array_equal(u, np.eye(2))
 
 
 def test_reduced_model_single_step_closed_form():
     sch = compiler.schedule_from_arrays([0.0])
-    u = compiler.reduced_model(sch, 0.5).matrix
+    u = compiler.reduced_model(sch, 0.5)
     c, s = math.cos(0.5), math.sin(0.5)
     want = np.array([[c, -1j * s], [-1j * s, c]])
     assert np.linalg.norm(u - want, 2) < 1e-14
@@ -83,13 +83,13 @@ def test_reduced_model_single_step_closed_form():
 
 def test_reduced_model_identity_at_sigma_zero(rng):
     sch = make_schedule(rng, 6, variable_t=True)
-    u = compiler.reduced_model(sch, 0.0).matrix
+    u = compiler.reduced_model(sch, 0.0)
     assert np.linalg.norm(u - np.eye(2), 2) < 1e-14
 
 
 def test_reduced_model_unitary_and_unimodular(rng):
     sch = make_schedule(rng, 5)
-    u = compiler.reduced_model(sch, 0.7).matrix
+    u = compiler.reduced_model(sch, 0.7)
     assert np.linalg.norm(u.conj().T @ u - np.eye(2), 2) < 1e-12
     assert abs(abs(np.linalg.det(u)) - 1) < 1e-12
 
