@@ -188,10 +188,6 @@ class CascadeState:
 
     blocks: tuple = field(default_factory=tuple)
 
-    @property
-    def n(self) -> int:
-        return len(self.blocks) - 1
-
     def block(self, j: int) -> np.ndarray:
         return self.blocks[j]
 

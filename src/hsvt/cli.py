@@ -1,10 +1,13 @@
 """Command-line interface: synthesize, simulate, sweep, apply, ode, history.
 
 Every flag can also come from a JSON config file (--config); explicit flags
-override file values, and unknown config keys are rejected.  All randomness
-flows from the single --seed value.  Exit statuses: 0 success, 2 invalid
-config (an output path that cannot be written included), 3 parse error,
-4 precondition violation, 5 non-convergence.
+override file values, and unknown config keys are rejected.  The randomness
+of synthesize, simulate (--eta) and sweep flows from their --seed value; the
+protocol-backend compile of apply, ode and history always uses seed 0, as
+applications.compiled_schedule does.  Every command but sweep writes a JSON
+report.  Exit statuses: 0 success, 2 invalid config (an output path that
+cannot be written included), 3 parse error, 4 precondition violation,
+5 non-convergence.
 """
 
 from __future__ import annotations
@@ -105,24 +108,17 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     return merged
 
 
+def _require(cfg: dict, what: str, *keys) -> None:
+    for key in keys:
+        if key not in cfg:
+            raise ConfigError(f"{what} needs '{key}'")
+
+
 def _target_from_config(cfg: dict) -> targets.TargetFunction:
-    kind = cfg.get("kind", "identity")
-    lo = cfg.get("sigma_lo", targets.DEFAULT_SIGMA_LO)
-    hi = cfg.get("sigma_hi", targets.DEFAULT_SIGMA_HI)
-    cap = cfg.get("cap", targets.DEFAULT_CAP)
-    if kind == "identity":
-        return targets.identity(lo, hi, cap)
-    if kind == "sine":
-        return targets.sine(lo, hi, cap)
-    if kind == "scaled-power":
-        if "power" not in cfg or "coeff" not in cfg:
-            raise ConfigError("scaled-power needs 'power' and 'coeff'")
-        return targets.scaled_power(cfg["power"], cfg["coeff"], lo, hi, cap)
-    if kind == "inverse-sqrt-complement":
-        if "coeff" not in cfg:
-            raise ConfigError("inverse-sqrt-complement needs 'coeff'")
-        return targets.inverse_sqrt_complement(cfg["coeff"], lo, hi, cap)
-    raise ConfigError(f"unknown target kind {kind!r}")
+    return targets.TargetFunction(
+        cfg.get("kind", "identity"), cfg.get("sigma_lo", targets.DEFAULT_SIGMA_LO),
+        cfg.get("sigma_hi", targets.DEFAULT_SIGMA_HI), cfg.get("cap", targets.DEFAULT_CAP),
+        power=cfg.get("power"), coeff=cfg.get("coeff"))
 
 
 # config key -> SolverOptions field; absent keys keep the field's default
@@ -161,8 +157,10 @@ def _emit_report(cfg: dict, report: dict) -> None:
         print()
 
 
-def cmd_synthesize(cfg: dict) -> int:
-    t0 = time.time()
+# Each command returns (exit status, report fields); main adds the common
+# fields and emits the report.  A command that reports nothing returns None.
+
+def cmd_synthesize(cfg: dict):
     f = _target_from_config(cfg)
     opts = _solver_options(cfg)
     if "k" in cfg:
@@ -172,139 +170,97 @@ def cmd_synthesize(cfg: dict) -> int:
         eps = opts.target_eps
         schedule, rep = compiler.synthesize_to_accuracy(
             f, eps, k_max=applications._degree_budget(f, eps), opts=opts)
-    report = _base_report(cfg, t0)
-    report["synthesis"] = rep.to_dict()
-    report["k"] = schedule.degree
-    report["total_time"] = compiler.schedule_cost(schedule)[0]
     if cfg.get("schedule_out"):
         io.write_schedule(cfg["schedule_out"], schedule)
-    _emit_report(cfg, report)
-    return EXIT_OK if rep.converged else EXIT_NON_CONVERGENCE
+    status = EXIT_OK if rep.converged else EXIT_NON_CONVERGENCE
+    return status, {"synthesis": rep.to_dict(), "k": schedule.degree,
+                    "total_time": compiler.schedule_cost(schedule)[0]}
 
 
-def cmd_simulate(cfg: dict) -> int:
-    t0 = time.time()
-    for key in ("matrix", "schedule"):
-        if key not in cfg:
-            raise ConfigError(f"simulate needs '{key}'")
+def cmd_simulate(cfg: dict):
+    _require(cfg, "simulate", "matrix", "schedule")
     a = io.read_matrix(cfg["matrix"])
     schedule = io.read_schedule(cfg["schedule"])
     f = _target_from_config(cfg)
-    eps = cfg.get("eps", 1e-3)
     noise = None
     if cfg.get("eta"):
         noise = protocol.ControlNoiseModel(cfg["eta"], cfg.get("seed", 0))
     target = protocol.build_target_unitary(a, f)
-    result = protocol.simulate_protocol(a, schedule, noise=noise, target=target)
-    record = protocol.verify(result, target, eps)
-    report = _base_report(cfg, t0)
-    report["verification"] = record
-    _emit_report(cfg, report)
-    return EXIT_OK
+    result = protocol.simulate_protocol(a, schedule, noise=noise)
+    return EXIT_OK, {"verification": protocol.verify(result, target, cfg.get("eps", 1e-3))}
 
 
-def cmd_sweep(cfg: dict) -> int:
-    t0 = time.time()
+def cmd_sweep(cfg: dict):
     mode = cfg.get("mode", "degree")
-    out = cfg.get("csv_out")
+    rows = []
     if mode == "degree":
-        ks = cfg.get("ks", [])
         f = _target_from_config(cfg)
-        opts = _solver_options(cfg)
-        rows = []
-        if ks:
-            for k, residual, schedule in compiler.degree_sweep(f, ks, opts=opts):
-                total_t, steps = compiler.schedule_cost(schedule)
-                rows.append([k, f"{residual:.12e}", f"{total_t:.12e}", steps])
+        for k, residual, schedule in compiler.degree_sweep(
+                f, cfg.get("ks", []), opts=_solver_options(cfg)):
+            total_t, steps = compiler.schedule_cost(schedule)
+            rows.append([k, f"{residual:.12e}", f"{total_t:.12e}", steps])
         header = ["k", "max_residual", "total_time", "steps"]
     elif mode == "noise":
-        for key in ("matrix", "schedule"):
-            if key not in cfg:
-                raise ConfigError(f"noise sweep needs '{key}'")
+        _require(cfg, "noise sweep", "matrix", "schedule")
         a = io.read_matrix(cfg["matrix"])
         schedule = io.read_schedule(cfg["schedule"])
-        etas = cfg.get("etas", [])
-        trials = cfg.get("trials", 100)
-        rows = []
-        if etas:
-            table = protocol.noise_sweep(a, schedule, etas, trials,
-                                         seed=cfg.get("seed", 0))
-            total_t, steps = compiler.schedule_cost(schedule)
-            for row in table:
-                rows.append([row["eta"], f"{row['mean_distance']:.12e}",
-                             f"{total_t:.12e}", steps])
+        table = protocol.noise_sweep(a, schedule, cfg.get("etas", []),
+                                     cfg.get("trials", 100), seed=cfg.get("seed", 0))
+        total_t, steps = compiler.schedule_cost(schedule)
+        for row in table:
+            rows.append([row["eta"], f"{row['mean_distance']:.12e}",
+                         f"{total_t:.12e}", steps])
         header = ["eta", "mean_distance", "total_time", "steps"]
     else:
         raise ConfigError(f"unknown sweep mode {mode!r}")
-    if out:
-        io.write_csv(out, header, rows)
+    if cfg.get("csv_out"):
+        io.write_csv(cfg["csv_out"], header, rows)
     else:
         print(",".join(header))
         for row in rows:
             print(",".join(str(c) for c in row))
-    return EXIT_OK
+    return EXIT_OK, None
 
 
-def cmd_apply(cfg: dict) -> int:
-    t0 = time.time()
-    for key in ("matrix", "state"):
-        if key not in cfg:
-            raise ConfigError(f"apply needs '{key}'")
+def cmd_apply(cfg: dict):
+    _require(cfg, "apply", "matrix", "state")
     a = io.read_matrix(cfg["matrix"])
     psi = io.read_state(cfg["state"])
     result = applications.apply_matrix(
-        a, psi, backend=cfg.get("backend", "exact"),
-        eps=cfg.get("eps", 1e-3))
-    report = _base_report(cfg, t0)
-    report["success_prob"] = result.success_prob
-    report["amplification"] = result.amplification
+        a, psi, backend=cfg.get("backend", "exact"), eps=cfg.get("eps", 1e-3))
     if cfg.get("state_out"):
         io.write_state(cfg["state_out"], result.state)
-    _emit_report(cfg, report)
-    return EXIT_OK
+    return EXIT_OK, {"success_prob": result.success_prob,
+                     "amplification": result.amplification}
 
 
-def cmd_ode(cfg: dict) -> int:
-    t0 = time.time()
-    for key in ("generator", "state"):
-        if key not in cfg:
-            raise ConfigError(f"ode needs '{key}'")
+def cmd_ode(cfg: dict):
+    _require(cfg, "ode", "generator", "state")
     b = io.read_matrix(cfg["generator"])
     psi0 = io.read_state(cfg["state"])
     problem = applications.OdeProblem(
-        b=b, dt=cfg.get("dt", 0.01), steps=cfg.get("steps", 100),
-        psi0=psi0)
+        b=b, dt=cfg.get("dt", 0.01), steps=cfg.get("steps", 100), psi0=psi0)
     cascade, final = applications.ode_solve(
-        problem, backend=cfg.get("backend", "exact"),
-        eps=cfg.get("eps", 1e-3))
-    report = _base_report(cfg, t0)
-    report["final_norm"] = float(np.linalg.norm(final))
-    report["final_prob"] = float(np.real(np.vdot(final, final)))
-    report["total_norm_sq"] = cascade.total_norm_sq()
+        problem, backend=cfg.get("backend", "exact"), eps=cfg.get("eps", 1e-3))
     if cfg.get("state_out"):
         io.write_state(cfg["state_out"], final)
-    _emit_report(cfg, report)
-    return EXIT_OK
+    return EXIT_OK, {"final_norm": float(np.linalg.norm(final)),
+                     "final_prob": float(np.real(np.vdot(final, final))),
+                     "total_norm_sq": cascade.total_norm_sq()}
 
 
-def cmd_history(cfg: dict) -> int:
-    t0 = time.time()
-    for key in ("matrix", "state"):
-        if key not in cfg:
-            raise ConfigError(f"history needs '{key}'")
+def cmd_history(cfg: dict):
+    _require(cfg, "history", "matrix", "state")
     a = io.read_matrix(cfg["matrix"])
     psi = io.read_state(cfg["state"])
     result = applications.history_state(
         a, psi, n=cfg.get("n", 4), eps=cfg.get("eps", 1e-3),
         backend=cfg.get("backend", "exact"))
-    report = _base_report(cfg, t0)
-    report["success_prob"] = result.success_prob
-    report["kappa_tilde"] = result.kappa_tilde
-    report["amplification"] = result.amplification
     if cfg.get("state_out"):
         io.write_state(cfg["state_out"], result.history)
-    _emit_report(cfg, report)
-    return EXIT_OK
+    return EXIT_OK, {"success_prob": result.success_prob,
+                     "kappa_tilde": result.kappa_tilde,
+                     "amplification": result.amplification}
 
 
 _COMMANDS = {
@@ -317,11 +273,12 @@ _COMMANDS = {
 }
 
 
-def _add_common(sp):
+def _add_common(sp, report=True):
+    """--config; --eps and --report-out for the commands that write a report."""
     sp.add_argument("--config", help="JSON config file; flags override it")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--report-out", dest="report_out")
+    if report:
+        sp.add_argument("--eps", type=float)
+        sp.add_argument("--report-out", dest="report_out")
 
 
 def _add_target_flags(sp):
@@ -343,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("synthesize", help="compile a phase schedule")
     _add_common(sp)
     _add_target_flags(sp)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--grid-size", dest="grid_size", type=int)
     sp.add_argument("--restarts", type=int)
@@ -355,20 +313,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="run a schedule against a matrix")
     _add_common(sp)
     _add_target_flags(sp)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--matrix")
     sp.add_argument("--schedule")
     sp.add_argument("--eta", type=float)
 
     sp = sub.add_parser("sweep", help="degree or noise sweep to CSV")
-    _add_common(sp)
+    _add_common(sp, report=False)
     _add_target_flags(sp)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--mode", choices=["degree", "noise"])
     sp.add_argument("--ks", type=_number_list(int))
     sp.add_argument("--etas", type=_number_list(float))
     sp.add_argument("--trials", type=int)
     sp.add_argument("--matrix")
     sp.add_argument("--schedule")
-    sp.add_argument("--restarts", type=int)
     sp.add_argument("--max-nfev", dest="max_nfev", type=int)
     sp.add_argument("--csv-out", dest="csv_out")
 
@@ -417,7 +376,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         cfg = _merge_config(parser, args)
-        return _COMMANDS[args.command](cfg)
+        t0 = time.time()
+        status, fields = _COMMANDS[args.command](cfg)
+        if fields is not None:
+            _emit_report(cfg, {**_base_report(cfg, t0), **fields})
+        return status
     except (HsvtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))

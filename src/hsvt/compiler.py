@@ -29,6 +29,7 @@ from .errors import CapError, InvalidInputError, ParseError
 from .targets import TargetFunction
 
 CONVENTION = "lower-left-e-minus-i-phi"
+T_MIN = 1e-3          # bounds on step times (variable-t mode)
 T_MAX = 8.0
 # A solve is done once its max node residual is at most MARGIN * target_eps: the
 # accuracy contract holds with room left for round-off between grids.
@@ -159,7 +160,6 @@ class SolverOptions:
     variable_t: bool = False
     metric: str = "full"          # 'full' or 'corner'
     max_nfev: int = 1200
-    t_min: float = 1e-3           # lower bound on step times (variable-t mode)
 
     def __post_init__(self):
         for name, ok, want in (
@@ -167,8 +167,7 @@ class SolverOptions:
                 ("seed", self.seed >= 0, ">= 0"),
                 ("restarts", self.restarts >= 0, ">= 0"),
                 ("metric", self.metric in ("full", "corner"), "'full' or 'corner'"),
-                ("max_nfev", self.max_nfev >= 1, ">= 1"),
-                ("t_min", 0 < self.t_min < T_MAX, f"in (0, {T_MAX:g})")):
+                ("max_nfev", self.max_nfev >= 1, ">= 1")):
             if not ok:
                 raise InvalidInputError(
                     f"{name} must be {want}, got {getattr(self, name)!r}")
@@ -390,7 +389,7 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
     stop = MARGIN * opts.target_eps
     if opts.variable_t:
         n_t = len(inits[0]) - n_phi
-        lb = np.concatenate([np.full(n_phi, -2 * np.pi), np.full(n_t, opts.t_min)])
+        lb = np.concatenate([np.full(n_phi, -2 * np.pi), np.full(n_t, T_MIN)])
         ub = np.concatenate([np.full(n_phi, 2 * np.pi), np.full(n_t, T_MAX)])
         bounds = (lb, ub)
     else:
@@ -629,15 +628,14 @@ def synthesize_to_accuracy(f: TargetFunction, eps: float, k_max: int,
     return _report(x, grid, target, opts, nfev + nf, reason)
 
 
-def degree_sweep(f: TargetFunction, ks, grid_size: int | None = None,
-                 eval_grid_size: int = 201, opts: SolverOptions | None = None):
+def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):
     """Synthesize at each degree in ks, chaining warm starts across degrees.
 
     Residuals are measured on one shared dense evaluation grid so the sweep
     is comparable across degrees.  Each degree is seeded both by the previous
     solution (extended with canceling pairs, which preserves the product) and
     by a fresh symmetric continuation; stalls trigger jittered re-solves.
-    Returns a list of (k, max_residual, schedule) sorted as given.
+    Returns a list of (k, max_residual, schedule) sorted as given, [] for no ks.
     """
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
@@ -646,11 +644,9 @@ def degree_sweep(f: TargetFunction, ks, grid_size: int | None = None,
     opts = replace(opts, target_eps=0.0)    # never stop a sweep point early
     if opts.variable_t:
         raise InvalidInputError("degree_sweep runs in fixed-t mode")
-    if grid_size is None:
-        grid_size = max(2 * max(ks), 64)
-    sigmas = chebyshev_grid(f.sigma_lo, f.sigma_hi, grid_size)
+    sigmas = chebyshev_grid(f.sigma_lo, f.sigma_hi, max(2 * max(ks, default=0), 64))
     target = _target_on(f, sigmas)
-    eval_grid = chebyshev_grid(f.sigma_lo, f.sigma_hi, eval_grid_size)
+    eval_grid = chebyshev_grid(f.sigma_lo, f.sigma_hi, 201)
     eval_target = _target_on(f, eval_grid)
 
     def eval_res(x):
@@ -693,12 +689,11 @@ def degree_sweep(f: TargetFunction, ks, grid_size: int | None = None,
     return out
 
 
-def validate_residual(schedule: PhaseSchedule, f: TargetFunction,
-                      grid_size: int, metric: str = "full") -> float:
-    """Max residual on an independent Chebyshev grid of the given size."""
+def validate_residual(schedule: PhaseSchedule, f: TargetFunction, grid_size: int) -> float:
+    """Max full-metric residual on an independent Chebyshev grid of the given size."""
     sigmas = chebyshev_grid(f.sigma_lo, f.sigma_hi, grid_size)
     u = reduced_product(schedule, sigmas)
-    diff = _metric_diff(u, _target_on(f, sigmas), metric)
+    diff = _metric_diff(u, _target_on(f, sigmas), "full")
     return float(np.max(_node_residuals(diff)))
 
 

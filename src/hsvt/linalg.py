@@ -1,8 +1,7 @@
 """Dense complex linear-algebra kernel.
 
 All routines operate on numpy complex arrays and are pure functions.  The
-tolerances below are the package-wide defaults; callers that need stricter
-checks pass them explicitly.
+tolerances below are the package-wide constants.
 """
 
 from __future__ import annotations
@@ -30,10 +29,11 @@ def as_complex_matrix(a, name="matrix") -> np.ndarray:
     return m
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     # ||.||_F >= ||.||_2 and max|m_ij| <= ||m||_2: no SVD, and never looser
-    # than ||m - m^dag||_2 <= tol * max(1, ||m||_2)
-    return bool(np.linalg.norm(m - m.conj().T) <= tol * np.max(np.abs(m), initial=1.0))
+    # than ||m - m^dag||_2 <= HERMITICITY_TOL * max(1, ||m||_2)
+    return bool(np.linalg.norm(m - m.conj().T)
+                <= HERMITICITY_TOL * np.max(np.abs(m), initial=1.0))
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,6 @@ class ProtocolResult:
     unitary: np.ndarray
     a_block: np.ndarray
     schedule_used: PhaseSchedule
-    noise_model: ControlNoiseModel | None = None
     achieved_eps: float | None = None
 
 
@@ -152,7 +151,7 @@ def simulate_protocol(a, schedule: PhaseSchedule,
     if target is not None:
         achieved = linalg.op_distance(u, target.matrix)
     return ProtocolResult(unitary=u, a_block=h.a_block, schedule_used=schedule,
-                          noise_model=noise, achieved_eps=achieved)
+                          achieved_eps=achieved)
 
 
 def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:

@@ -30,6 +30,8 @@ CAP_CHECK_POINTS = 512
 ARCCOS_FAMILY_CONSTANT = 2.0
 
 KINDS = ("identity", "scaled-power", "inverse-sqrt-complement", "sine")
+# the parameters each kind's closed form reads
+KIND_PARAMS = {"scaled-power": ("power", "coeff"), "inverse-sqrt-complement": ("coeff",)}
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,9 @@ class TargetFunction:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown target kind {self.kind!r}")
+        for name in KIND_PARAMS.get(self.kind, ()):
+            if getattr(self, name) is None:
+                raise InvalidInputError(f"{self.kind} needs {name!r}")
         if not (0.0 < self.sigma_lo < self.sigma_hi < 1.0):
             raise InvalidInputError(
                 f"domain must satisfy 0 < sigma_lo < sigma_hi < 1, "
@@ -121,14 +126,13 @@ class DegreeEstimate:
     delta: float
 
 
-def degree_for_accuracy(delta: float, eps: float,
-                        family_constant: float = ARCCOS_FAMILY_CONSTANT) -> DegreeEstimate:
+def degree_for_accuracy(delta: float, eps: float) -> DegreeEstimate:
     """Smallest k with C exp(-sqrt(2 delta) k) <= eps."""
     if not (0.0 < delta < 1.0):
         raise InvalidInputError("delta must lie in (0, 1)")
     if not (0.0 < eps < 1.0):
         raise InvalidInputError("eps must lie in (0, 1)")
     rate = math.sqrt(2.0 * delta)
-    k = max(1, math.ceil(math.log(family_constant / eps) / rate))
-    return DegreeEstimate(k=k, predicted_eps=family_constant * math.exp(-rate * k),
+    k = max(1, math.ceil(math.log(ARCCOS_FAMILY_CONSTANT / eps) / rate))
+    return DegreeEstimate(k=k, predicted_eps=ARCCOS_FAMILY_CONSTANT * math.exp(-rate * k),
                           delta=delta)

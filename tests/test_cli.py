@@ -182,6 +182,37 @@ def test_history_unit_sigma_exits_4(tmp_path):
                 "--n", "2"]) == 4
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--kind", "scaled-power", "--coeff", "0.5"], "'power'"),
+    (["--kind", "inverse-sqrt-complement"], "'coeff'"),
+])
+def test_missing_kind_parameter_exits_2(capsys, argv, named):
+    assert run(["synthesize", "--k", "1"] + argv) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("sweep", "eps", 0.5), ("sweep", "restarts", 0), ("sweep", "report_out", "r.json"),
+    ("apply", "seed", 5), ("ode", "seed", 5), ("history", "seed", 5),
+])
+def test_deleted_flags_exit_2(tmp_path, capsys, command, key, value):
+    m = tmp_path / "m.json"
+    io.write_matrix(m, np.diag([0.5]))
+    b = tmp_path / "b.json"
+    io.write_matrix(b, [[-1.0]])
+    v = tmp_path / "v.json"
+    io.write_state(v, [1.0])
+    rest = {"sweep": ["--ks", ""], "apply": ["--matrix", str(m), "--state", str(v)],
+            "ode": ["--generator", str(b), "--state", str(v)],
+            "history": ["--matrix", str(m), "--state", str(v)]}[command]
+    flag = "--" + key.replace("_", "-")
+    assert run([command, flag, str(value)] + rest) == 2
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run([command, "--config", str(cfg)] + rest) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_unknown_sweep_mode_exits_2():
     assert run(["sweep", "--mode", "degree", "--ks", ""]) == 0
 

@@ -143,16 +143,6 @@ def test_synthesize_sine_single_step_corner():
     assert sch.steps[0].t == pytest.approx(1.0, abs=1e-6)
 
 
-def test_synthesize_zero_target_corner():
-    # f == 0: a near-zero-time step makes the product diagonal
-    f = targets.scaled_power(1, 0.0, 0.3, 0.8)
-    opts = SolverOptions(metric="corner", target_eps=1e-10, variable_t=True,
-                         restarts=4, t_min=1e-11)
-    _, rep = compiler.synthesize_schedule(f, 1, grid_size=8, opts=opts)
-    # the solver keeps t bounded away from zero, so a small floor remains
-    assert rep.max_residual < 1e-8
-
-
 def test_synthesize_identity_converges():
     f = targets.identity(float(np.arccos(0.9)), 0.95)
     opts = SolverOptions(target_eps=5e-3, seed=0)
@@ -289,6 +279,10 @@ def test_max_node_residual_from_stacked_residual(rng, metric):
     expected = np.max(compiler._node_residuals(diff))
     assert compiler._max_node_residual(res, metric) == pytest.approx(expected,
                                                                      rel=1e-12)
+
+
+def test_degree_sweep_of_no_degrees_is_empty():
+    assert compiler.degree_sweep(targets.identity(0.4, 0.8), []) == []
 
 
 def test_degree_sweep_decreasing():

@@ -1,6 +1,9 @@
 """Property tests: hostile input only ever raises the documented errors."""
 
+import contextlib
 import json
+import os
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -140,3 +143,111 @@ def test_is_hermitian_never_looser_than_spectral_test(m):
 def test_public_names_resolve():
     for name in hsvt.__all__:
         assert getattr(hsvt, name) is not None, name
+
+
+# -- the whole CLI -----------------------------------------------------------
+
+_COMMAND_FLAGS = {
+    cmd: {a.dest: a.option_strings[0] for a in sp._actions if a.dest != "help"}
+    for action in _PARSER._actions if isinstance(action, cli.argparse._SubParsersAction)
+    for cmd, sp in action.choices.items()
+}
+_BAD_INPUTS = ["hostile.json", "latin1.json", "missing.json", "dir"]
+_INPUTS = {"matrix": ["m1.json", "m2.json", "big.json"], "generator": ["g1.json", "m2.json"],
+           "state": ["v1.json", "v2.json"], "schedule": ["s.txt", "hostile.txt"]}
+_OUTPUTS = ["out/a", "nodir/a", "dir"]
+_junk = st.sampled_from(["", "x", "-", "1,x", "nan", "-inf", "1e400"])
+_float = st.one_of(st.sampled_from(["0.5", "0.3", "0.8", "1e-3", "0"]),
+                   st.floats().map(repr), _junk)
+
+
+def _ints(lo, hi):
+    return st.one_of(st.integers(lo, hi).map(str), _junk)
+
+
+def _list(elements):
+    return st.lists(elements, max_size=3).map(",".join)
+
+
+# Values for every flag dest.  Whatever sets the amount of work is bounded
+# (k <= 2, ks <= 3, trials <= 2, few steps), and no value picks the protocol
+# backend, which would compile a schedule.
+_FLAG_VALUES = {
+    "k": _ints(-2, 2), "ks": st.one_of(_list(st.integers(-1, 3).map(str)), _junk),
+    "trials": _ints(-1, 2), "steps": _ints(-1, 5), "n": _ints(-1, 3),
+    "max_nfev": _ints(-1, 50), "restarts": _ints(-1, 2), "grid_size": _ints(-1, 12),
+    "seed": _ints(-2, 2**63),
+    "etas": st.one_of(_list(st.floats().map(repr)), _junk),
+    **{name: _float for name in ("eps", "sigma_lo", "sigma_hi", "cap", "power",
+                                 "coeff", "eta", "dt")},
+    "kind": st.sampled_from(list(hsvt.targets.KINDS) + ["bogus"]),
+    "mode": st.sampled_from(["degree", "noise", "bogus"]),
+    "backend": st.sampled_from(["exact", "bogus"]),
+    "metric": st.sampled_from(["full", "corner", "bogus"]),
+    "variable_t": st.just(None),
+    **{name: st.sampled_from(good + _BAD_INPUTS) for name, good in _INPUTS.items()},
+    **{name: st.sampled_from(_OUTPUTS)
+       for name in ("report_out", "schedule_out", "csv_out", "state_out")},
+    "config": st.sampled_from(["config.json", "hostile.json", "latin1.json",
+                               "missing.json", "dir"]),
+}
+_config_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                         st.lists(st.one_of(st.none(), st.text(max_size=2)), max_size=2))
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, config object, hostile matrix dict, hostile schedule text)."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = _COMMAND_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=5))
+    required = [dest for dest in _INPUTS if dest in flags and dest not in chosen]
+    if draw(st.sampled_from([True, True, True, False])):
+        chosen += required
+    if command == "synthesize" and "k" not in chosen:
+        chosen.append("k")          # without --k synthesize runs an adaptive compile
+    argv = [command]
+    for dest in chosen:
+        value = draw(_FLAG_VALUES[dest])
+        argv.append(flags[dest] if value is None else f"{flags[dest]}={value}")
+    keys = st.sampled_from(sorted(set(flags) - {"config", "k"}) + ["bogus"])
+    config = draw(st.one_of(
+        st.dictionaries(keys, st.nothing(), max_size=0),
+        st.lists(keys, unique=True, max_size=4).flatmap(lambda ks: st.fixed_dictionaries(
+            {key: st.one_of(_FLAG_VALUES.get(key, _config_junk), _config_junk)
+             for key in ks})),
+        json_values))
+    return argv, config, draw(matrix_dicts), draw(schedule_texts)
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    io.write_matrix(root / "m1.json", np.diag([0.5]))
+    io.write_matrix(root / "m2.json", np.array([[0.5, 0.1], [0.0, 0.6]]))
+    io.write_matrix(root / "big.json", np.array([[2.0]]))
+    io.write_matrix(root / "g1.json", np.array([[-1.0]]))
+    io.write_state(root / "v1.json", np.array([1.0]))
+    io.write_state(root / "v2.json", np.array([1.0, 1.0]) / np.sqrt(2))
+    (root / "s.txt").write_text("# hsvt-schedule v1 k=2\n0.3,1\n-0.3,1\n")
+    (root / "latin1.json").write_bytes(b'{"caf\xe9": 1}\n')
+    (root / "dir").mkdir()
+    (root / "out").mkdir()
+    return root
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(run=cli_runs())
+def test_cli_exits_with_a_documented_status(cli_files, run):
+    argv, config, matrix, schedule_text = run
+    (cli_files / "config.json").write_text(json.dumps(config))
+    (cli_files / "hostile.json").write_text(json.dumps(matrix))
+    (cli_files / "hostile.txt").write_text(schedule_text)
+    cwd = os.getcwd()
+    os.chdir(cli_files)         # the drawn paths are relative to it
+    try:
+        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
+            status = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    assert status in (0, 2, 3, 4, 5), (argv, config)

@@ -40,6 +40,16 @@ def test_bad_domain_rejected():
         targets.identity(0.0, 0.5)
 
 
+@pytest.mark.parametrize("args, named", [
+    (("scaled-power",), "'power'"),
+    (("scaled-power", 0.1, 0.9, 0.99, 2.0), "'coeff'"),
+    (("inverse-sqrt-complement", 0.1, 0.5), "'coeff'"),
+])
+def test_missing_kind_parameter_rejected(args, named):
+    with pytest.raises(InvalidInputError, match=named):
+        targets.TargetFunction(*args)
+
+
 def test_x_interval_and_gap():
     f = targets.identity(0.1, 0.9)
     x_lo, x_hi = f.x_interval()
