@@ -56,21 +56,13 @@ def amplification_rounds(p: float) -> int:
     return int(math.ceil(math.pi / (4.0 * math.sqrt(p))))
 
 
-def _degree_budget(f: TargetFunction, eps: float) -> int:
-    """Largest degree an adaptive compile of f to accuracy eps may reach.
-
-    Three times the truncation-law estimate: the synthesized rate runs below
-    the truncation rate by roughly a factor two.
-    """
-    return max(3 * targets.degree_for_accuracy(f.x_gap(), eps).k, 16)
-
-
 def compiled_schedule(f: TargetFunction, eps: float,
                       opts: SolverOptions | None = None) -> PhaseSchedule:
     """Compile (and memoize) a schedule for f to accuracy eps.
 
-    Degree grows adaptively up to _degree_budget; non-convergence within
-    that budget raises.  The memo is keyed on all solver options.
+    Degree grows adaptively within the compiler's degree budget (see
+    compiler.synthesize_to_accuracy); a schedule that misses eps raises
+    ConvergenceError.  The memo is keyed on all solver options.
     """
     opts = opts or SolverOptions(target_eps=eps, variable_t=True)
     return _compile_memoized(f, float(eps), replace(opts, target_eps=eps))
@@ -81,12 +73,11 @@ def _compile_memoized(f: TargetFunction, eps: float,
                       opts: SolverOptions) -> PhaseSchedule:
     # lru_cache stores no result for a call that raises, so a
     # ConvergenceError is raised again on every retry
-    k_max = _degree_budget(f, eps)
-    schedule, report = compiler.synthesize_to_accuracy(f, eps, k_max, opts=opts)
+    schedule, report = compiler.synthesize_to_accuracy(f, eps, opts=opts)
     if not report.converged:
         raise ConvergenceError(
             f"synthesis reached residual {report.max_residual:.3e} > {eps:.3e} "
-            f"within degree budget {k_max}"
+            f"at degree {schedule.degree}"
         )
     return schedule
 

@@ -122,8 +122,8 @@ def _target_from_config(cfg: dict) -> targets.TargetFunction:
 
 
 # config key -> SolverOptions field; absent keys keep the field's default
-_SOLVER_KEYS = {"eps": "target_eps", "seed": "seed", "restarts": "restarts",
-                "variable_t": "variable_t", "metric": "metric", "max_nfev": "max_nfev"}
+_SOLVER_KEYS = {"eps": "target_eps", "seed": "seed", "variable_t": "variable_t",
+                "metric": "metric", "max_nfev": "max_nfev"}
 
 
 def _solver_options(cfg: dict) -> SolverOptions:
@@ -167,9 +167,7 @@ def cmd_synthesize(cfg: dict):
         schedule, rep = compiler.synthesize_schedule(
             f, cfg["k"], grid_size=cfg.get("grid_size"), opts=opts)
     else:
-        eps = opts.target_eps
-        schedule, rep = compiler.synthesize_to_accuracy(
-            f, eps, k_max=applications._degree_budget(f, eps), opts=opts)
+        schedule, rep = compiler.synthesize_to_accuracy(f, opts.target_eps, opts=opts)
     if cfg.get("schedule_out"):
         io.write_schedule(cfg["schedule_out"], schedule)
     status = EXIT_OK if rep.converged else EXIT_NON_CONVERGENCE
@@ -191,16 +189,15 @@ def cmd_simulate(cfg: dict):
 
 
 def cmd_sweep(cfg: dict):
-    mode = cfg.get("mode", "degree")
     rows = []
-    if mode == "degree":
+    if cfg.get("mode", "degree") == "degree":
         f = _target_from_config(cfg)
         for k, residual, schedule in compiler.degree_sweep(
                 f, cfg.get("ks", []), opts=_solver_options(cfg)):
             total_t, steps = compiler.schedule_cost(schedule)
             rows.append([k, f"{residual:.12e}", f"{total_t:.12e}", steps])
         header = ["k", "max_residual", "total_time", "steps"]
-    elif mode == "noise":
+    else:       # "noise"; argparse and _merge_config reject any other mode
         _require(cfg, "noise sweep", "matrix", "schedule")
         a = io.read_matrix(cfg["matrix"])
         schedule = io.read_schedule(cfg["schedule"])
@@ -211,8 +208,6 @@ def cmd_sweep(cfg: dict):
             rows.append([row["eta"], f"{row['mean_distance']:.12e}",
                          f"{total_t:.12e}", steps])
         header = ["eta", "mean_distance", "total_time", "steps"]
-    else:
-        raise ConfigError(f"unknown sweep mode {mode!r}")
     if cfg.get("csv_out"):
         io.write_csv(cfg["csv_out"], header, rows)
     else:
@@ -303,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--grid-size", dest="grid_size", type=int)
-    sp.add_argument("--restarts", type=int)
     sp.add_argument("--max-nfev", dest="max_nfev", type=int)
     sp.add_argument("--metric", choices=["full", "corner"])
     sp.add_argument("--variable-t", dest="variable_t", action="store_const",

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import CapError, InvalidInputError, ParseError
-from .targets import TargetFunction
+from .targets import TargetFunction, degree_for_accuracy
 
 CONVENTION = "lower-left-e-minus-i-phi"
 T_MIN = 1e-3          # bounds on step times (variable-t mode)
@@ -34,6 +34,9 @@ T_MAX = 8.0
 # A solve is done once its max node residual is at most MARGIN * target_eps: the
 # accuracy contract holds with room left for round-off between grids.
 MARGIN = 0.8
+# random starts an explicit-degree compile adds to its deterministic one when
+# the warm start misses eps
+RESTARTS = 8
 # least_squares status -> stop reason; a positive status is a tolerance test
 _STOP_REASONS = {-2: "eps", 0: "cap"}
 
@@ -156,7 +159,6 @@ class SynthesisReport:
 class SolverOptions:
     target_eps: float = 1e-3
     seed: int = 0
-    restarts: int = 8
     variable_t: bool = False
     metric: str = "full"          # 'full' or 'corner'
     max_nfev: int = 1200
@@ -165,7 +167,6 @@ class SolverOptions:
         for name, ok, want in (
                 ("target_eps", self.target_eps >= 0, ">= 0"),
                 ("seed", self.seed >= 0, ">= 0"),
-                ("restarts", self.restarts >= 0, ">= 0"),
                 ("metric", self.metric in ("full", "corner"), "'full' or 'corner'"),
                 ("max_nfev", self.max_nfev >= 1, ">= 1")):
             if not ok:
@@ -210,8 +211,6 @@ def _product_chain(m):
 def reduced_product(schedule: PhaseSchedule, sigmas) -> np.ndarray:
     """(N, 2, 2) reduced unitaries at each sigma node."""
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    if schedule.degree == 0:
-        return np.broadcast_to(_I2, (len(sigmas), 2, 2)).copy()
     m = _step_matrices(schedule.phis(), schedule.times(), sigmas)
     u = np.broadcast_to(_I2, (len(sigmas), 2, 2)).copy()
     for k in range(schedule.degree):
@@ -462,32 +461,27 @@ def _sym_fold(k, variable_t):
 
 
 def _sym_grow(y, k, grow_by, variable_t):
-    """Extend a half-space solution to degree k + 2*grow_by, product preserved.
+    """Extend a nonempty half-space solution to degree k + 2*grow_by, product
+    preserved.
 
     Variable-t schedules split their largest steps in two (same phase, half
-    the time); fixed-t schedules append a canceling (phi, phi + pi) pair,
-    which requires grow_by to be even.
+    the time); fixed-t half vectors append grow_by // 2 canceling
+    (phi, phi + pi) pairs, so grow_by must be even there.
     """
-    m, mid = _sym_sizes(k)
+    m = _sym_sizes(k)[0]
     if variable_t:
         ph, tau = list(y[:m]), list(y[m:2 * m])
-        t_mid = list(y[2 * m:])
         for _ in range(grow_by):
-            j = int(np.argmax(tau)) if tau else 0
-            if not tau:
-                ph.append(0.0)
-                tau.append(1.0)
-                continue
+            j = int(np.argmax(tau))
             ph.insert(j + 1, ph[j])
             half = tau[j] / 2.0
             tau[j] = half
             tau.insert(j + 1, half)
-        return np.concatenate([ph, tau, t_mid]), k + 2 * grow_by
+        return np.concatenate([ph, tau, y[2 * m:]]), k + 2 * grow_by
     ph = list(y[:m])
     for _ in range(grow_by // 2):
-        anchor = ph[-1] if ph else 0.0
-        ph.extend([anchor, anchor + np.pi])
-    return np.asarray(ph), k + 2 * (grow_by - grow_by % 2)
+        ph.extend([ph[-1], ph[-1] + np.pi])
+    return np.asarray(ph), k + 2 * grow_by
 
 
 def _stage_solve(k, f, opts, inits, max_nfev):
@@ -500,8 +494,9 @@ def _stage_solve(k, f, opts, inits, max_nfev):
 def _sym_continuation(f, k, opts, rng, eps_stop=None):
     """Grow a symmetric solution from low degree up to k.
 
-    Returns (residual, half_vector, degree_reached, nfev).  If eps_stop is
-    given, stops early at the first degree whose stage residual meets it.
+    Returns (residual, half_vector, degree_reached, nfev).  The degree
+    reached is k, unless eps_stop is given and an earlier stage residual
+    meets it.
     """
     m, mid = _sym_sizes(k)
     variable_t = opts.variable_t
@@ -509,7 +504,8 @@ def _sym_continuation(f, k, opts, rng, eps_stop=None):
         m0 = min(m, 4)
     else:
         # low-degree cold starts find the right basin; pair growth needs
-        # the starting half-size to match the parity of the final one
+        # the starting half-size to match the parity of the final one, so
+        # every fixed-t stage grows by exactly one pair
         m0 = min(m, 2 + (m % 2))
     k0 = 2 * m0 + mid
     n_t = m0 + mid if variable_t else 0
@@ -522,13 +518,7 @@ def _sym_continuation(f, k, opts, rng, eps_stop=None):
     while kc < k:
         if eps_stop is not None and mx <= eps_stop:
             break
-        mc = _sym_sizes(kc)[0]
-        grow = min(2, m - mc)
-        if not variable_t and grow % 2 == 1:
-            grow += 1 if m - mc > grow else -1
-        if grow <= 0:
-            break
-        y, kc = _sym_grow(y, kc, grow, variable_t)
+        y, kc = _sym_grow(y, kc, min(2, m - _sym_sizes(kc)[0]), variable_t)
         mx, y, nf, _ = _stage_solve(kc, f, opts, [y], stage_nfev)
         nfev += nf
     return mx, y, kc, nfev
@@ -559,8 +549,11 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
 
     Returns (PhaseSchedule, SynthesisReport).  Non-convergence is not an
     error: the best schedule is returned with converged=False.  An explicit
-    degree asks for the best schedule there, so no solve stops at eps; eps
-    only decides whether the fallback restarts run and the report converged.
+    degree asks for the best schedule there, so no solve stops at eps.  For
+    k >= 6 a symmetric continuation warm-starts one solve; when that misses
+    eps (and always for k < 6), one deterministic start and RESTARTS random
+    ones are solved too, and the best result wins.  eps also decides whether
+    the report converged.
     """
     opts = opts or SolverOptions()
     if k < 1:
@@ -578,17 +571,10 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
     nfev_total = 0
     solve_opts = replace(opts, target_eps=0.0)
 
-    warm = None
-    if k >= 6:
-        _, y, kc, nf = _sym_continuation(f, k, solve_opts, rng)
-        nfev_total += nf
-        if kc < k:           # pad with exactly-canceling growth
-            y, kc = _sym_grow(y, kc, (k - kc) // 2, opts.variable_t)
-        if kc == k:
-            warm = _sym_fold(k, opts.variable_t) @ y
-
     mx, x, reason = np.inf, None, None
-    if warm is not None:
+    if k >= 6:
+        _, y, _, nfev_total = _sym_continuation(f, k, solve_opts, rng)
+        warm = _sym_fold(k, opts.variable_t) @ y
         mx, x, nf, reason = _solve_fixed_degree(k, sigmas, target, solve_opts,
                                                 [warm], opts.max_nfev)
         nfev_total += nf
@@ -597,7 +583,7 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
         fallback = [np.concatenate([np.zeros(k), np.ones(n_t)])]
         fallback += [np.concatenate([rng.uniform(-np.pi, np.pi, k),
                                      rng.uniform(0.3, 2.0, n_t)])
-                     for _ in range(opts.restarts)]
+                     for _ in range(RESTARTS)]
         mx2, x2, nf, reason2 = _solve_fixed_degree(k, sigmas, target, solve_opts,
                                                    fallback, opts.max_nfev)
         nfev_total += nf
@@ -606,18 +592,19 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
     return _report(x, sigmas, target, opts, nfev_total, reason)
 
 
-def synthesize_to_accuracy(f: TargetFunction, eps: float, k_max: int,
+def synthesize_to_accuracy(f: TargetFunction, eps: float,
                            opts: SolverOptions | None = None):
     """Grow the schedule degree only as far as needed for accuracy eps.
 
     Runs the symmetric continuation with early stopping and returns
     (PhaseSchedule, SynthesisReport) at the first degree whose residual on
     the stage grid meets eps; the report is evaluated on a fresh 4k grid.
-    Falls back to synthesize_schedule at k_max for very low k_max.
+    The degree budget is three times the truncation-law estimate, and at
+    least 16: the synthesized rate runs below the truncation rate by roughly
+    a factor two.
     """
+    k_max = max(3 * degree_for_accuracy(f.x_gap(), eps).k, 16)
     opts = replace(opts or SolverOptions(), target_eps=eps)
-    if k_max < 6:
-        return synthesize_schedule(f, k_max, opts=opts)
     rng = np.random.default_rng(opts.seed)
     _, y, kc, nfev = _sym_continuation(f, k_max, opts, rng, eps_stop=MARGIN * eps)
     grid = chebyshev_grid(f.sigma_lo, f.sigma_hi, 4 * kc)
@@ -665,17 +652,14 @@ def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):
                 anchor = pad[-1]
                 pad.extend([anchor, anchor + np.pi])
             inits.append(np.asarray(pad))
-        _, y, kc, _ = _sym_continuation(f, k, opts,
-                                        np.random.default_rng(opts.seed + 1))
-        if kc == k:
-            inits.append(_sym_fold(k, False) @ y)
-        if not inits:
-            inits.append(np.zeros(k))
+        _, y, _, _ = _sym_continuation(f, k, opts,
+                                       np.random.default_rng(opts.seed + 1))
+        inits.append(_sym_fold(k, False) @ y)
         _, x, _, _ = _solve_fixed_degree(k, sigmas, target, opts, inits,
                                          min(opts.max_nfev, 700))
         r = eval_res(x)
         tries = 0
-        while prev_res is not None and r >= prev_res and tries < 4 and inits:
+        while prev_res is not None and r >= prev_res and tries < 4:
             jitter = [inits[0] + rng.normal(0.0, 0.1 * (tries + 1), k)
                       for _ in range(2)]
             _, x2, _, _ = _solve_fixed_degree(k, sigmas, target, opts, jitter,
@@ -713,6 +697,4 @@ def verify_pq_constraint(schedule: PhaseSchedule, grid) -> float:
 
 def schedule_cost(schedule: PhaseSchedule) -> tuple[float, int]:
     """(total evolution time, step count)."""
-    if schedule.degree == 0:
-        return (0.0, 0)
     return (float(np.sum(schedule.times())), schedule.degree)

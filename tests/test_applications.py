@@ -250,8 +250,7 @@ def test_inverse_block_encode_rejects_out_of_domain():
 def test_compiled_schedule_memo_keys_on_all_options():
     f = targets.identity(0.4, 0.8)
     default = applications.compiled_schedule(f, 0.05)
-    other = SolverOptions(variable_t=True, metric="corner", max_nfev=10,
-                          restarts=0)
+    other = SolverOptions(variable_t=True, metric="corner", max_nfev=10)
     assert applications.compiled_schedule(f, 0.05, other) is not default
     same = SolverOptions(target_eps=0.05, variable_t=True)
     assert applications.compiled_schedule(f, 0.05, same) is default

@@ -194,6 +194,7 @@ def test_missing_kind_parameter_exits_2(capsys, argv, named):
 @pytest.mark.parametrize("command, key, value", [
     ("sweep", "eps", 0.5), ("sweep", "restarts", 0), ("sweep", "report_out", "r.json"),
     ("apply", "seed", 5), ("ode", "seed", 5), ("history", "seed", 5),
+    ("synthesize", "restarts", 8),
 ])
 def test_deleted_flags_exit_2(tmp_path, capsys, command, key, value):
     m = tmp_path / "m.json"
@@ -202,7 +203,8 @@ def test_deleted_flags_exit_2(tmp_path, capsys, command, key, value):
     io.write_matrix(b, [[-1.0]])
     v = tmp_path / "v.json"
     io.write_state(v, [1.0])
-    rest = {"sweep": ["--ks", ""], "apply": ["--matrix", str(m), "--state", str(v)],
+    rest = {"sweep": ["--ks", ""], "synthesize": ["--k", "1"],
+            "apply": ["--matrix", str(m), "--state", str(v)],
             "ode": ["--generator", str(b), "--state", str(v)],
             "history": ["--matrix", str(m), "--state", str(v)]}[command]
     flag = "--" + key.replace("_", "-")
@@ -213,8 +215,11 @@ def test_deleted_flags_exit_2(tmp_path, capsys, command, key, value):
     assert repr(key) in capsys.readouterr().err
 
 
-def test_unknown_sweep_mode_exits_2():
-    assert run(["sweep", "--mode", "degree", "--ks", ""]) == 0
+def test_unknown_sweep_mode_exits_2(tmp_path):
+    assert run(["sweep", "--mode", "bogus", "--ks", ""]) == 2
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"mode": "bogus"}))
+    assert run(["sweep", "--config", str(cfg), "--ks", ""]) == 2
 
 
 # -- synthesize --------------------------------------------------------------

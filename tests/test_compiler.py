@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hsvt
-from hsvt import applications, compiler, targets
+from hsvt import compiler, targets
 from hsvt.compiler import PhaseSchedule, PhaseStep, SolverOptions
 from hsvt.errors import InvalidInputError, ParseError
 
@@ -135,7 +135,7 @@ def test_schedule_cost():
 
 def test_synthesize_sine_single_step_corner():
     f = targets.sine(0.3, 0.8)
-    opts = SolverOptions(metric="corner", target_eps=1e-10, restarts=4)
+    opts = SolverOptions(metric="corner", target_eps=1e-10)
     sch, rep = compiler.synthesize_schedule(f, 1, grid_size=8, opts=opts)
     assert rep.converged
     assert rep.max_residual < 1e-10
@@ -152,6 +152,14 @@ def test_synthesize_identity_converges():
     # residual reproduced on an independent denser grid
     dense = compiler.validate_residual(sch, f, 10 * 24)
     assert dense <= 2 * max(rep.max_residual, 1e-12)
+
+
+def test_synthesize_random_starts_rescue_a_missed_warm_start():
+    # the warm start misses eps here (2.2e-2 without the random starts)
+    f = targets.identity(0.4, 0.8)
+    opts = SolverOptions(seed=2, variable_t=True, target_eps=1e-2)
+    _, rep = compiler.synthesize_schedule(f, 6, opts=opts)
+    assert rep.converged
 
 
 def test_synthesize_report_consistency():
@@ -180,7 +188,7 @@ def test_synthesize_rejects_bad_args():
 def test_synthesize_to_accuracy_stops_early():
     f = targets.identity(0.35, 0.8)
     opts = SolverOptions(target_eps=1e-2, variable_t=True, seed=0)
-    sch, rep = compiler.synthesize_to_accuracy(f, 1e-2, k_max=40, opts=opts)
+    sch, rep = compiler.synthesize_to_accuracy(f, 1e-2, opts=opts)
     assert rep.converged
     assert sch.degree < 40
 
@@ -188,7 +196,7 @@ def test_synthesize_to_accuracy_stops_early():
 def test_variable_t_synthesis_wide_domain():
     f = targets.identity(0.2, 0.85)
     opts = SolverOptions(target_eps=1e-2, variable_t=True, seed=0)
-    sch, rep = compiler.synthesize_to_accuracy(f, 1e-2, k_max=40, opts=opts)
+    sch, rep = compiler.synthesize_to_accuracy(f, 1e-2, opts=opts)
     assert rep.converged
     assert np.all(sch.times() > 0)
 
@@ -198,8 +206,7 @@ def test_variable_t_compile_stops_at_the_accuracy_contract():
     # MARGIN * eps, long before the max_nfev cap
     f = targets.identity(0.4, 0.8)
     sch, rep = compiler.synthesize_to_accuracy(
-        f, 1e-3, k_max=applications._degree_budget(f, 1e-3),
-        opts=SolverOptions(variable_t=True))
+        f, 1e-3, opts=SolverOptions(variable_t=True))
     assert sch.degree == 16
     assert rep.max_residual <= compiler.MARGIN * 1e-3
     assert compiler.validate_residual(sch, f, grid_size=2001) <= 1e-3
@@ -212,8 +219,7 @@ def test_fixed_t_adaptive_compile_stops_at_the_accuracy_contract():
     # the compile-ft compile: fixed-t solves stop at MARGIN * eps too, so the
     # polish no longer runs to its max_nfev cap
     f = targets.identity(0.4, 0.8)
-    sch, rep = compiler.synthesize_to_accuracy(
-        f, 1e-3, k_max=applications._degree_budget(f, 1e-3), opts=SolverOptions())
+    sch, rep = compiler.synthesize_to_accuracy(f, 1e-3, opts=SolverOptions())
     assert sch.degree == 36
     assert rep.stop_reason == "eps"
     assert rep.iterations < 2976

@@ -85,7 +85,7 @@ def test_solver_options_raise_only_config_error(tmp_path_factory, cfg):
         return
     assert isinstance(opts, SolverOptions)
     assert type(opts.target_eps) is float and type(opts.variable_t) is bool
-    assert all(type(v) is int for v in (opts.seed, opts.restarts, opts.max_nfev))
+    assert all(type(v) is int for v in (opts.seed, opts.max_nfev))
     assert opts.metric in ("full", "corner")
 
 
@@ -175,7 +175,7 @@ def _list(elements):
 _FLAG_VALUES = {
     "k": _ints(-2, 2), "ks": st.one_of(_list(st.integers(-1, 3).map(str)), _junk),
     "trials": _ints(-1, 2), "steps": _ints(-1, 5), "n": _ints(-1, 3),
-    "max_nfev": _ints(-1, 50), "restarts": _ints(-1, 2), "grid_size": _ints(-1, 12),
+    "max_nfev": _ints(-1, 50), "grid_size": _ints(-1, 12),
     "seed": _ints(-2, 2**63),
     "etas": st.one_of(_list(st.floats().map(repr)), _junk),
     **{name: _float for name in ("eps", "sigma_lo", "sigma_hi", "cap", "power",
