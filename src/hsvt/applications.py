@@ -290,7 +290,7 @@ def history_state(a, psi, n: int, eps: float = 1e-3, backend: str = "exact",
     s_eigs = np.linalg.eigvalsh(s_mat)
     s_min, s_max = float(s_eigs[0]), float(s_eigs[-1])
     kappa = s_max / s_min
-    cascade, _ = power_cascade(a, psi, n, backend="exact")
+    cascade, _ = power_cascade(a, psi, n, backend=backend, eps=eps, opts=opts)
 
     if backend == "exact":
         c = s_min

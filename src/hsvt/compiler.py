@@ -194,28 +194,27 @@ def _step_matrices(phis, times, sigmas):
     return m
 
 
-def _product_chain(m):
-    """Prefix and suffix partial products of (K, N, 2, 2) step matrices."""
-    K, N = m.shape[:2]
-    pre = np.empty((K + 1, N, 2, 2), dtype=complex)
-    pre[0] = _I2
-    for k in range(K):
-        pre[k + 1] = m[k] @ pre[k]
-    suf = np.empty((K + 1, N, 2, 2), dtype=complex)
-    suf[K] = _I2
-    for k in range(K - 1, -1, -1):
-        suf[k] = suf[k + 1] @ m[k]
-    return pre, suf
+def _chain(m, planes=None, reverse=False):
+    """The product m[K-1] ... m[0] of (K, N, 2, 2) step matrices, built from
+    m[0] up, or with reverse from m[K-1] down.
+
+    With planes, a (2, 2, 2, K, N) array, planes[:, :, :, k] receives the real
+    and imaginary planes [part, a, b] of the running product step k is
+    multiplied onto: m[k-1] ... m[0], or with reverse m[K-1] ... m[k+1].
+    """
+    u = np.broadcast_to(_I2, m.shape[1:]).copy()
+    at = None if planes is None else planes.transpose(3, 4, 1, 2, 0)
+    for k in reversed(range(len(m))) if reverse else range(len(m)):
+        if at is not None:
+            at[k] = u.view(float).reshape(at.shape[1:])
+        u = u @ m[k] if reverse else m[k] @ u
+    return u
 
 
 def reduced_product(schedule: PhaseSchedule, sigmas) -> np.ndarray:
     """(N, 2, 2) reduced unitaries at each sigma node."""
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    m = _step_matrices(schedule.phis(), schedule.times(), sigmas)
-    u = np.broadcast_to(_I2, (len(sigmas), 2, 2)).copy()
-    for k in range(schedule.degree):
-        u = m[k] @ u
-    return u
+    return _chain(_step_matrices(schedule.phis(), schedule.times(), sigmas))
 
 
 def reduced_model(schedule: PhaseSchedule, sigma: float) -> np.ndarray:
@@ -245,10 +244,12 @@ def chebyshev_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def _residual_jacobian(params, sigmas, target, variable_t, metric):
-    """Stacked real residual vector and its Jacobian.
+    """Stacked real residual vector, and a callable that returns its Jacobian.
 
     metric 'full' uses all four entries of U - T; 'corner' only the
-    lower-left entry minus i f.
+    lower-left entry minus i f.  The residual needs only the prefix
+    products; the callable runs the suffix products and the derivative
+    contraction, so a point whose Jacobian is never asked for skips them.
     """
     if variable_t:
         K = len(params) // 2
@@ -256,39 +257,56 @@ def _residual_jacobian(params, sigmas, target, variable_t, metric):
     else:
         K = len(params)
         phis, times = params, np.ones(K)
-    N = len(sigmas)
     m = _step_matrices(phis, times, sigmas)
-    pre, suf = _product_chain(m)
-    u = pre[K]
-
-    angles = np.multiply.outer(times, sigmas)
-    st, ct = np.sin(angles), np.cos(angles)
-    e = np.exp(1j * phis)
-
-    d_phi = np.zeros((K, N, 2, 2), dtype=complex)
-    d_phi[..., 0, 1] = st * e[:, None]
-    d_phi[..., 1, 0] = -st * np.conj(e)[:, None]
-    du_dphi = np.einsum("knab,knbc,kncd->knad", suf[1:], d_phi, pre[:-1])
-
-    blocks = [du_dphi]
-    if variable_t:
-        d_t = np.zeros((K, N, 2, 2), dtype=complex)
-        sg = sigmas[None, :]
-        d_t[..., 0, 0] = -sg * st
-        d_t[..., 1, 1] = -sg * st
-        d_t[..., 0, 1] = -1j * sg * ct * e[:, None]
-        d_t[..., 1, 0] = -1j * sg * ct * np.conj(e)[:, None]
-        blocks.append(np.einsum("knab,knbc,kncd->knad", suf[1:], d_t, pre[:-1]))
-    du = np.concatenate(blocks, axis=0)          # (P, N, 2, 2)
-
-    r_c = _metric_diff(u, target, metric).reshape(-1)
-    if metric == "corner":
-        j_c = du[:, :, 1, 0]
-    else:
-        j_c = du.reshape(du.shape[0], N * 4)
+    pre = np.empty((2, 2, 2) + m.shape[:2])
+    r_c = _metric_diff(_chain(m, pre), target, metric).reshape(-1)
     res = np.concatenate([r_c.real, r_c.imag])
-    jac = np.concatenate([j_c.real, j_c.imag], axis=1).T
-    return res, jac
+
+    def jacobian():
+        suf = np.empty_like(pre)
+        _chain(m, suf, reverse=True)
+        angles = np.multiply.outer(times, sigmas)
+        st, ct = np.sin(angles), np.cos(angles)
+        e = np.exp(1j * phis)[:, None]
+        # the nonzero entries (b, c) of each step's derivative
+        blocks = [{(0, 1): st * e, (1, 0): -st * np.conj(e)}]
+        if variable_t:
+            sg = sigmas[None, :]
+            diag = (-sg * st).astype(complex)
+            blocks.append({(0, 0): diag, (0, 1): -1j * sg * ct * e,
+                           (1, 0): -1j * sg * ct * np.conj(e), (1, 1): diag})
+        return _chain_jacobian(suf, blocks, pre, metric)
+
+    return res, jacobian
+
+
+def _chain_jacobian(s, blocks, p, metric):
+    """Jacobian of the stacked residual from the suffix and prefix planes s
+    and p of _chain and, per block of parameters, the nonzero entries
+    {(b, c): D[b, c]} of each step's derivative.
+
+    Entry (a, d) is the sum over (b, c), in that order and onto +0.0, of
+    (S[a,b] D[b,c]) P[c,d] with each complex product written out in real
+    arithmetic: the arithmetic of np.einsum("knab,knbc,kncd->knad", S, D, P),
+    so the floats are the einsum's, signed zeros included.  numpy's complex
+    multiply rounds differently and is not used.  The result is Fortran-
+    ordered, as the solver's round-off depends on the memory order.
+    """
+    rows, cols = ((slice(1, 2), slice(0, 1)) if metric == "corner"
+                  else (slice(2), slice(2)))
+    s, p = s[:, rows], p[:, :, cols]         # (2, a, b, K, N), (2, c, d, K, N)
+    n, K, N = s.shape[1], s.shape[-2], s.shape[-1]
+    out = np.zeros((2, n, n, len(blocks) * K, N))
+    for i, entries in enumerate(blocks):
+        o_re, o_im = out[..., i * K:(i + 1) * K, :]
+        for (b, c), d in entries.items():
+            (s_re, s_im), (p_re, p_im) = s[:, :, b, None], p[:, c]
+            sd_re = s_re * d.real - s_im * d.imag
+            sd_im = s_re * d.imag + s_im * d.real
+            o_re += sd_re * p_re - sd_im * p_im
+            o_im += sd_re * p_im + sd_im * p_re
+    # (part, a, d, P, N) -> rows ordered (part, node, a, d), a column per parameter
+    return out.transpose(3, 0, 4, 1, 2).reshape(len(blocks) * K, -1).T
 
 
 def _metric_diff(u, target, metric):
@@ -329,7 +347,8 @@ def _to_schedule(x, variable_t) -> PhaseSchedule:
 
 
 class _CachedObjective:
-    """Memoizes the shared residual/Jacobian computation per parameter vector.
+    """Memoizes the residual per parameter vector, and builds its Jacobian
+    only when the solver asks, at most once per vector.
 
     With a fold S (see _sym_fold) the parameters are half-space vectors y:
     the residual is the one at S @ y, and the Jacobian is J S.
@@ -339,26 +358,28 @@ class _CachedObjective:
         self.args = (sigmas, target, variable_t, metric)
         self.fold = fold
         self._key = None
-        self._value = None
 
     def _eval(self, params):
         key = params.tobytes()
         if key != self._key:
-            if self.fold is None:
-                self._value = _residual_jacobian(params, *self.args)
-            else:
-                res, jac = _residual_jacobian(self.fold @ params, *self.args)
-                # J S, kept Fortran-ordered like J: the memory order of the
-                # Jacobian changes the solver's round-off, hence its steps
-                self._value = res, (self.fold.T @ jac.T).T
+            x = params if self.fold is None else self.fold @ params
+            self._res, self._jacobian = _residual_jacobian(x, *self.args)
+            self._jac = None
             self._key = key
-        return self._value
 
     def residual(self, params):
-        return self._eval(params)[0]
+        self._eval(params)
+        return self._res
 
     def jacobian(self, params):
-        return self._eval(params)[1]
+        self._eval(params)
+        if self._jac is None:
+            # drop the pass with the chains it holds once it has run
+            jac, self._jacobian = self._jacobian(), None
+            # J S, kept Fortran-ordered like J: the memory order of the
+            # Jacobian changes the solver's round-off, hence its steps
+            self._jac = jac if self.fold is None else (self.fold.T @ jac.T).T
+        return self._jac
 
 
 def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,

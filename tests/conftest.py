@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsvt import embedding, linalg, protocol
+from hsvt import compiler, embedding, linalg, protocol
 
 
 def random_contraction(rng, n, m=None, lo=0.1, hi=0.9):
@@ -41,6 +41,55 @@ def noise_sweep_oracle(a, schedule, etas, trials, seed=0):
             dists.append(np.linalg.norm(u - u0, 2))
         rows.append((np.mean(dists), np.max(dists)))
     return rows
+
+
+def einsum_residual_jacobian(params, sigmas, target, variable_t, metric):
+    """(residual, Jacobian) of compiler._residual_jacobian, with each step's
+    derivative contracted by np.einsum over dense (K, N, 2, 2) chains."""
+    if variable_t:
+        K = len(params) // 2
+        phis, times = params[:K], params[K:]
+    else:
+        K = len(params)
+        phis, times = params, np.ones(K)
+    N = len(sigmas)
+    m = compiler._step_matrices(phis, times, sigmas)
+    pre = np.empty((K + 1, N, 2, 2), dtype=complex)
+    pre[0] = np.eye(2)
+    for k in range(K):
+        pre[k + 1] = m[k] @ pre[k]
+    suf = np.empty((K + 1, N, 2, 2), dtype=complex)
+    suf[K] = np.eye(2)
+    for k in range(K - 1, -1, -1):
+        suf[k] = suf[k + 1] @ m[k]
+    u = pre[K]
+
+    angles = np.multiply.outer(times, sigmas)
+    st, ct = np.sin(angles), np.cos(angles)
+    e = np.exp(1j * phis)
+
+    d_phi = np.zeros((K, N, 2, 2), dtype=complex)
+    d_phi[..., 0, 1] = st * e[:, None]
+    d_phi[..., 1, 0] = -st * np.conj(e)[:, None]
+    blocks = [np.einsum("knab,knbc,kncd->knad", suf[1:], d_phi, pre[:-1])]
+    if variable_t:
+        d_t = np.zeros((K, N, 2, 2), dtype=complex)
+        sg = sigmas[None, :]
+        d_t[..., 0, 0] = -sg * st
+        d_t[..., 1, 1] = -sg * st
+        d_t[..., 0, 1] = -1j * sg * ct * e[:, None]
+        d_t[..., 1, 0] = -1j * sg * ct * np.conj(e)[:, None]
+        blocks.append(np.einsum("knab,knbc,kncd->knad", suf[1:], d_t, pre[:-1]))
+    du = np.concatenate(blocks, axis=0)          # (P, N, 2, 2)
+
+    r_c = compiler._metric_diff(u, target, metric).reshape(-1)
+    if metric == "corner":
+        j_c = du[:, :, 1, 0]
+    else:
+        j_c = du.reshape(du.shape[0], N * 4)
+    res = np.concatenate([r_c.real, r_c.imag])
+    jac = np.concatenate([j_c.real, j_c.imag], axis=1).T
+    return res, jac
 
 
 def random_state(rng, n):

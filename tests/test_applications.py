@@ -220,6 +220,29 @@ def test_history_protocol_backend_agrees(rng):
     assert prot.kappa_tilde == pytest.approx(exact.kappa_tilde, abs=1e-10)
 
 
+def test_history_protocol_error_scales_with_eps(rng):
+    # Each compiled block is within eps of its target on the domain.  Block k
+    # of the cascade passes through k + 1 of them and then the inversion, so
+    # it is off by at most (k + 2) eps, and the last block by n eps; the
+    # normalization at most doubles the error over the raw norm sqrt(p).
+    a = random_contraction(rng, 2, lo=0.4, hi=0.6)
+    psi = random_state(rng, 2)
+    n, eps = 2, 1e-2
+    exact = applications.history_state(a, psi, n)
+    prot = applications.history_state(a, psi, n, backend="protocol", eps=eps)
+    raw = eps * np.sqrt(sum((k + 2) ** 2 for k in range(n)) + n ** 2)
+    assert np.linalg.norm(prot.history - exact.history) <= (
+        2 * raw / np.sqrt(prot.success_prob))
+
+
+def test_history_protocol_cascade_runs_on_the_default_domain():
+    # sigma = 0.05 is inside sqrt(I - Ad A)'s inversion domain but outside
+    # the cascade's compiled one
+    with pytest.raises(PreconditionError):
+        applications.history_state(np.diag([0.05, 0.5]), [1.0, 0.0], 2,
+                                   backend="protocol")
+
+
 # -- inverse block encoding pipeline -----------------------------------------
 
 def test_inverse_block_encode_scalar():

@@ -11,6 +11,8 @@ from hsvt import compiler, targets
 from hsvt.compiler import PhaseSchedule, PhaseStep, SolverOptions
 from hsvt.errors import InvalidInputError, ParseError
 
+from conftest import einsum_residual_jacobian
+
 
 def make_schedule(rng, k, variable_t=False):
     phis = rng.uniform(-np.pi, np.pi, k)
@@ -335,3 +337,73 @@ def test_folded_jacobian_matches_finite_difference(rng, k, variable_t):
         down = compiler._residual_jacobian(fold @ (y - dy), *args)[0]
         fd[:, i] = (up - down) / (2 * h)
     np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-9)
+
+
+# -- objective against the einsum oracle -------------------------------------
+
+def same_floats(a, b):
+    """Equal arrays, signed zeros included."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+@pytest.mark.parametrize("folded", [False, True])
+@pytest.mark.parametrize("variable_t", [False, True])
+@pytest.mark.parametrize("metric", ["full", "corner"])
+@pytest.mark.parametrize("start", ["random", "zero-phase"])
+def test_objective_equals_einsum_form_exactly(rng, start, metric, variable_t,
+                                              folded):
+    k = 9
+    fold = compiler._sym_fold(k, variable_t) if folded else None
+    n = fold.shape[1] if folded else (2 * k if variable_t else k)
+    n_phi = k // 2 if folded else k
+    if start == "zero-phase":
+        # the start _sym_continuation and the fallback solve first: phases 0,
+        # unit times, where products have exact zeros to sign
+        y = np.concatenate([np.zeros(n_phi), np.ones(n - n_phi)])
+    else:
+        y = np.concatenate([rng.uniform(-np.pi, np.pi, n_phi),
+                            rng.uniform(0.3, 2.0, n - n_phi)])
+    sigmas = compiler.chebyshev_grid(0.1, 0.9, 4 * k)
+    target = compiler.reduced_target(0.8 * sigmas)
+    obj = compiler._CachedObjective(sigmas, target, variable_t, metric, fold)
+    x = y if fold is None else fold @ y
+    res, jac = einsum_residual_jacobian(x, sigmas, target, variable_t, metric)
+    if fold is not None:
+        jac = (fold.T @ jac.T).T
+    got = obj.jacobian(y)
+    assert same_floats(obj.residual(y), res)
+    assert same_floats(got, jac)
+    assert got.flags.f_contiguous
+
+
+def test_jacobian_built_only_when_the_solver_asks(monkeypatch):
+    real_objective = compiler._residual_jacobian
+    real_solver = compiler.least_squares
+    points, jacobians, sols = [], [], []
+
+    def counted_objective(params, *args):
+        points.append(params.tobytes())
+        res, jacobian = real_objective(params, *args)
+
+        def counted_jacobian():
+            jacobians.append(params.tobytes())
+            return jacobian()
+        return res, counted_jacobian
+
+    def recorded_solver(*args, **kwargs):
+        sols.append(real_solver(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(compiler, "_residual_jacobian", counted_objective)
+    monkeypatch.setattr(compiler, "least_squares", recorded_solver)
+    sigmas = compiler.chebyshev_grid(0.4, 0.8, 24)
+    target = compiler._target_on(targets.identity(0.4, 0.8), sigmas)
+    opts = SolverOptions(target_eps=0.0, variable_t=True)
+    x0 = np.concatenate([np.zeros(6), np.ones(6)])
+    compiler._solve_fixed_degree(6, sigmas, target, opts, [x0], 200)
+    (sol,) = sols
+    assert len(jacobians) == sol.njev < sol.nfev
+    assert len(points) == len(set(points)) == sol.nfev
+    assert len(set(jacobians)) == len(jacobians)
