@@ -1,6 +1,7 @@
 """Singular-value transformations of block Hamiltonians by alternating
-evolution, with schedule synthesis, full-space simulation, and the
-application suite built on inverse block encoding."""
+evolution, with schedule synthesis, simulation of the protocol one singular
+pair at a time on the synthesis' own 2x2 kernel, and the application suite
+built on inverse block encoding."""
 
 from . import applications, compiler, embedding, errors, io, linalg, protocol, targets
 from .applications import (apply_matrix, history_state, inverse_block_encode,

@@ -211,10 +211,16 @@ def _chain(m, planes=None, reverse=False):
     return u
 
 
+def step_product(phis, times, sigmas) -> np.ndarray:
+    """(N, 2, 2) products of the steps (phis, times) at each of the N sigmas:
+    the one 2x2 kernel of the compiler and the simulator."""
+    return _chain(_step_matrices(phis, times, sigmas))
+
+
 def reduced_product(schedule: PhaseSchedule, sigmas) -> np.ndarray:
     """(N, 2, 2) reduced unitaries at each sigma node."""
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    return _chain(_step_matrices(schedule.phis(), schedule.times(), sigmas))
+    return step_product(schedule.phis(), schedule.times(), sigmas)
 
 
 def reduced_model(schedule: PhaseSchedule, sigma: float) -> np.ndarray:
@@ -418,7 +424,12 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
     obj = _CachedObjective(sigmas, target, opts.variable_t, opts.metric, fold)
 
     def done(intermediate_result):
-        if _max_node_residual(intermediate_result.fun, opts.metric) <= stop:
+        fun = intermediate_result.fun
+        # each component bounds its node's residual from below, so an
+        # iterate with a large one cannot stop: skip the per-node norms
+        if np.max(np.abs(fun)) > stop * (1 + 1e-9):
+            return
+        if _max_node_residual(fun, opts.metric) <= stop:
             raise StopIteration
 
     best = None

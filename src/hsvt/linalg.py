@@ -61,18 +61,19 @@ def svd(a) -> SvdResult:
     m = as_complex_matrix(a, "A")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     v = vh.conj().T
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > RANK_TOL)
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            v[:, j] = col / phase
-            u[:, j] = u[:, j] / phase
+    big = np.abs(v) > RANK_TOL
+    fix = np.flatnonzero(big.any(axis=0))
+    if fix.size:
+        lead = v[big[:, fix].argmax(axis=0), fix]
+        # np.hypot rounds as the scalar abs does; array np.abs does not
+        phase = lead / np.hypot(lead.real, lead.imag)
+        v[:, fix] /= phase
+        u[:, fix] /= phase
     return SvdResult(singulars=s, left_vectors=u, right_vectors=v)
 
 
-def hermitian_eig(h) -> HermitianEig:
-    m = as_complex_matrix(h, "H")
+def hermitian_eig(h, name="H") -> HermitianEig:
+    m = as_complex_matrix(h, name)
     if not is_hermitian(m):
         raise InvalidInputError("matrix is not Hermitian")
     w, v = np.linalg.eigh(m)
@@ -81,10 +82,8 @@ def hermitian_eig(h) -> HermitianEig:
 
 def sqrt_psd(m) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues in [-1e-10, 0) are clamped to 0."""
-    mat = as_complex_matrix(m, "M")
-    if not is_hermitian(mat):
-        raise InvalidInputError("matrix is not Hermitian")
-    w, v = np.linalg.eigh(mat)
+    eig = hermitian_eig(m, "M")
+    w, v = eig.eigenvalues, eig.eigenvectors
     if np.any(w < PSD_EIG_FLOOR):
         raise NotPSDError(f"eigenvalue {w.min():.6g} below PSD floor {PSD_EIG_FLOOR:g}")
     w = np.clip(w, 0.0, None)

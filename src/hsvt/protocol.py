@@ -1,4 +1,4 @@
-"""Full-space protocol simulation and target-unitary construction.
+"""Protocol simulation and target-unitary construction.
 
 simulate_protocol runs the alternating sequence
 
@@ -6,8 +6,15 @@ simulate_protocol runs the alternating sequence
 
 on the whole direct-sum space, with an optional multiplicative error on
 each step time (the dominant control-field error channel: the relative
-accuracy of each pulse's time integral).  build_target_unitary assembles
-the closed-form goal
+accuracy of each pulse's time integral).  Every step preserves the plane
+of each singular pair (r_j, l_j) of A and is the identity on
+ker A (+) ker A^dag, so the product is I + B (P - I) B^dag, with
+B = [r_j (+) 0, 0 (+) l_j] and P_j the compiler's 2x2 step product at
+sigma_j: one SVD, the 2x2 products, then four rank-r updates.
+_protocol_unitary, the product of full-space evolutions from an
+eigendecomposition of H, is kept as the oracle that reduced_full_gap and
+the tests compare against.  build_target_unitary assembles the closed-form
+goal
 
     U_f = i * [[ sqrt(I - f(Ad) f(A)),  f(Ad) ],
                [ f(A),                 -sqrt(I - f(A) f(Ad)) ]]
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .compiler import PhaseSchedule, reduced_model
+from .compiler import PhaseSchedule, reduced_model, step_product
 from .embedding import decompose_subspaces, embed
 from .errors import CapError, InvalidInputError
 from .targets import TargetFunction
@@ -120,7 +127,8 @@ def _phase_diagonal(n: int, m: int, phi: float) -> np.ndarray:
 
 def _protocol_unitary(eig: linalg.HermitianEig, n: int, m: int,
                       phis, times) -> np.ndarray:
-    """Product of conjugated evolutions from a cached eigendecomposition."""
+    """Product of conjugated full-space evolutions from an eigendecomposition
+    of H: the oracle for simulate_protocol."""
     v = eig.eigenvectors
     w = eig.eigenvalues
     u = np.eye(n + m, dtype=complex)
@@ -134,19 +142,26 @@ def _protocol_unitary(eig: linalg.HermitianEig, n: int, m: int,
 def simulate_protocol(a, schedule: PhaseSchedule,
                       noise: ControlNoiseModel | None = None,
                       target: TargetUnitary | None = None) -> ProtocolResult:
-    """Run the full alternating protocol for the embedding of A.
+    """Run the full alternating protocol for the embedding of A, one singular
+    pair at a time (see the module docstring).
 
     With a noise model, each step time t_k becomes t_k * (1 + eta_k) with
     eta_k drawn once per run from the model's seed; eta = 0 reproduces the
     noiseless product bit for bit.
     """
     h = embed(a)
-    n, m = h.n, h.m
-    eig = linalg.hermitian_eig(h.assemble())
+    n = h.n
+    res = linalg.svd(h.a_block)
     times = schedule.times()
     if noise is not None:
         times = times * noise.time_factors(schedule.degree)
-    u = _protocol_unitary(eig, n, m, schedule.phis(), times)
+    d = step_product(schedule.phis(), times, res.singulars) - np.eye(2)
+    r, l = res.right_vectors, res.left_vectors
+    u = np.eye(n + h.m, dtype=complex)
+    u[:n, :n] += (r * d[:, 0, 0]) @ r.conj().T
+    u[:n, n:] += (r * d[:, 0, 1]) @ l.conj().T
+    u[n:, :n] += (l * d[:, 1, 0]) @ r.conj().T
+    u[n:, n:] += (l * d[:, 1, 1]) @ l.conj().T
     achieved = None
     if target is not None:
         achieved = linalg.op_distance(u, target.matrix)
@@ -188,17 +203,23 @@ def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:
 
 
 def reduced_full_gap(result: ProtocolResult) -> float:
-    """Max over subspaces of |restriction - reduced_model(schedule, sigma)|.
+    """Max over subspaces of |restriction - reduced_model(schedule, sigma)|,
+    with the restriction taken of the full-space product _protocol_unitary
+    of result.schedule_used for result.a_block.
 
-    This is the master consistency check between the full-space simulator
-    and the compiler's 2x2 model; it should be at round-off level always.
+    This is the master consistency check between the full-space oracle and
+    the compiler's 2x2 model; it should be at round-off level always.
     """
-    dec = decompose_subspaces(embed(result.a_block))
+    h = embed(result.a_block)
+    schedule = result.schedule_used
+    full = _protocol_unitary(linalg.hermitian_eig(h.assemble()), h.n, h.m,
+                             schedule.phis(), schedule.times())
+    dec = decompose_subspaces(h)
     worst = 0.0
     for j, (sigma, _, _) in enumerate(dec.triples):
         basis = dec.pair_basis(j)
-        got = basis.conj().T @ result.unitary @ basis
-        want = reduced_model(result.schedule_used, sigma)
+        got = basis.conj().T @ full @ basis
+        want = reduced_model(schedule, sigma)
         worst = max(worst, float(np.linalg.norm(got - want, 2)))
     return worst
 

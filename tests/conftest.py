@@ -26,18 +26,46 @@ def conjugated_generator(h, phi):
     return g
 
 
-def noise_sweep_oracle(a, schedule, etas, trials, seed=0):
-    """(mean, max) per eta of full-space distances ||U - U0||_2, as noise_sweep."""
+def same_floats(a, b):
+    """Equal arrays, signed zeros included."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+def loop_svd(a):
+    """linalg.svd with its phase fix written as the per-column loop."""
+    m = linalg.as_complex_matrix(a, "A")
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    v = vh.conj().T
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        nz = np.flatnonzero(np.abs(col) > linalg.RANK_TOL)
+        if nz.size:
+            phase = col[nz[0]] / abs(col[nz[0]])
+            v[:, j] = col / phase
+            u[:, j] = u[:, j] / phase
+    return linalg.SvdResult(singulars=s, left_vectors=u, right_vectors=v)
+
+
+def full_space_unitary(a, phis, times):
+    """The protocol's product on the whole space, from one eigendecomposition
+    of the embedding of A (protocol._protocol_unitary)."""
     h = embedding.embed(a)
     eig = linalg.hermitian_eig(h.assemble())
+    return protocol._protocol_unitary(eig, h.n, h.m, phis, times)
+
+
+def noise_sweep_oracle(a, schedule, etas, trials, seed=0):
+    """(mean, max) per eta of full-space distances ||U - U0||_2, as noise_sweep."""
     phis, times = schedule.phis(), schedule.times()
-    u0 = protocol._protocol_unitary(eig, h.n, h.m, phis, times)
+    u0 = full_space_unitary(a, phis, times)
     rows = []
     for eta in etas:
         dists = []
         for i in range(trials):
             factors = protocol.ControlNoiseModel(eta, seed + i).time_factors(len(phis))
-            u = protocol._protocol_unitary(eig, h.n, h.m, phis, times * factors)
+            u = full_space_unitary(a, phis, times * factors)
             dists.append(np.linalg.norm(u - u0, 2))
         rows.append((np.mean(dists), np.max(dists)))
     return rows

@@ -11,7 +11,7 @@ from hsvt import compiler, targets
 from hsvt.compiler import PhaseSchedule, PhaseStep, SolverOptions
 from hsvt.errors import InvalidInputError, ParseError
 
-from conftest import einsum_residual_jacobian
+from conftest import einsum_residual_jacobian, same_floats
 
 
 def make_schedule(rng, k, variable_t=False):
@@ -340,13 +340,6 @@ def test_folded_jacobian_matches_finite_difference(rng, k, variable_t):
 
 
 # -- objective against the einsum oracle -------------------------------------
-
-def same_floats(a, b):
-    """Equal arrays, signed zeros included."""
-    return (a.shape == b.shape and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
-            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
-
 
 @pytest.mark.parametrize("folded", [False, True])
 @pytest.mark.parametrize("variable_t", [False, True])

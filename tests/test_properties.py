@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import hsvt  # noqa: E402
 from hsvt import cli, compiler, io, linalg, protocol  # noqa: E402
 from hsvt.compiler import PhaseSchedule, SolverOptions  # noqa: E402
 from hsvt.errors import ConfigError, ParseError  # noqa: E402
 
-from conftest import noise_sweep_oracle  # noqa: E402
+from conftest import (full_space_unitary, loop_svd, noise_sweep_oracle,  # noqa: E402
+                      same_floats)
 
 HEADER = "# hsvt-schedule v1 "
 _number = st.one_of(st.floats(), st.integers().map(str), st.text(max_size=8))
@@ -118,6 +119,62 @@ def test_protocol_matches_reduced_model_on_random_inputs(a, schedule):
     ((mean, worst),) = noise_sweep_oracle(a, schedule, [0.1], 2)
     assert abs(row["mean_distance"] - mean) <= 1e-12
     assert abs(row["max_distance"] - worst) <= 1e-12
+
+
+@st.composite
+def panel_blocks(draw):
+    """Square, 3x5 and 5x2 blocks of every rank, zero included, with singular
+    values drawn from [0, 1]."""
+    m, n = draw(st.sampled_from([(1, 1), (3, 3), (4, 4), (3, 5), (5, 2)]))
+    rank = draw(st.integers(0, min(m, n)))
+    s = draw(st.lists(st.floats(0.0, 1.0), min_size=rank, max_size=rank))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    u, _, vh = np.linalg.svd(g, full_matrices=False)
+    return (u[:, :rank] * s) @ vh[:rank]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(panel_blocks(), schedules, st.sampled_from([0.0, 1e-3]), st.integers(0, 2**32 - 1))
+@example(np.zeros((3, 5)), PhaseSchedule(steps=()), 1e-3, 0)
+@example(np.diag([0.7, 0.0]), compiler.schedule_from_arrays([0.3, -1.2], [2.0, 0.5]), 0.0, 0)
+def test_simulate_matches_full_space_oracle(a, schedule, eta, seed):
+    noise = protocol.ControlNoiseModel(eta, seed)
+    u = protocol.simulate_protocol(a, schedule, noise=noise).unitary
+    times = schedule.times() * noise.time_factors(schedule.degree)
+    assert np.linalg.norm(u - full_space_unitary(a, schedule.phis(), times), 2) <= 1e-12
+
+
+@st.composite
+def svd_inputs(draw):
+    """Complex, real, rank-deficient, zero, one-entry and integer matrices."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    kind = draw(st.sampled_from(["complex", "real", "deficient", "zero", "entry", "integer"]))
+    if kind == "real":
+        return a.real.copy()
+    if kind == "deficient":
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        return (u * np.where(np.arange(s.size) % 2, 0.0, s)) @ vh
+    if kind == "zero":
+        return np.zeros((m, n))
+    if kind == "entry":
+        out = np.zeros((m, n), dtype=complex)
+        out[rng.integers(m), rng.integers(n)] = a[0, 0]
+        return out
+    if kind == "integer":
+        return np.round(2 * a)
+    return a
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(svd_inputs())
+def test_svd_phase_fix_equals_the_loop_form_exactly(a):
+    got, want = linalg.svd(a), loop_svd(a)
+    assert np.array_equal(got.singulars, want.singulars)
+    assert same_floats(got.right_vectors, want.right_vectors)
+    assert same_floats(got.left_vectors, want.left_vectors)
 
 
 @st.composite

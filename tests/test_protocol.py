@@ -157,6 +157,23 @@ def test_reduced_matches_full_restriction(rng):
         assert protocol.reduced_full_gap(res) < 1e-12
 
 
+def test_simulate_takes_one_svd_and_no_eigendecomposition(rng, monkeypatch):
+    calls = {"svd": 0, "hermitian_eig": 0}
+    for name in calls:
+        real = getattr(linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, counted)
+    for shape in ((3, 3), (2, 4)):
+        sch = make_schedule(rng, 7, variable_t=True)
+        protocol.simulate_protocol(random_contraction(rng, *shape), sch,
+                                   noise=protocol.ControlNoiseModel(1e-3))
+    assert calls == {"svd": 2, "hermitian_eig": 0}
+
+
 def test_noise_sweep_zero_eta_row(rng):
     a = random_contraction(rng, 2)
     sch = make_schedule(rng, 4)
