@@ -7,7 +7,9 @@ Everything here runs in one of two backends:
 
 Each call builds its block unitary once: the protocol backend simulates
 the schedule's steps once per call, and a cascade of n steps then applies
-that one matrix n times.
+that one matrix n times.  Each call decomposes A once: the domain check
+takes the SVD and hands A's embedding, which carries it, to the target
+and the simulator.
 
 States are plain 1-D complex arrays; norms are reported, never forced.
 Register phases: each application of the block unitary multiplies both
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import compiler, linalg, protocol, targets
+from . import compiler, embedding, linalg, protocol, targets
 from .compiler import PhaseSchedule, SolverOptions
 from .errors import (ConvergenceError, GeneratorError, InvalidInputError,
                      PreconditionError, SingularInversionError,
@@ -82,14 +84,18 @@ def _compile_memoized(f: TargetFunction, eps: float,
     return schedule
 
 
-def _check_sigma_in_domain(a, lo: float, hi: float) -> np.ndarray:
-    s = linalg.svd(a).singulars
+def _embed_in_domain(a, lo: float, hi: float) -> embedding.BlockHamiltonian:
+    """A's embedding from one SVD; singular values outside [lo, hi] raise
+    PreconditionError before the embedding's own checks."""
+    a = linalg.as_complex_matrix(a, "A")
+    res = linalg.svd(a)
+    s = res.singulars
     if np.any(s < lo - 1e-9) or np.any(s > hi + 1e-9):
         raise PreconditionError(
             f"singular values span [{s.min():.6g}, {s.max():.6g}], outside "
             f"the synthesis domain [{lo:.6g}, {hi:.6g}]"
         )
-    return s
+    return embedding.BlockHamiltonian(a_block=a, svd=res)
 
 
 def inverse_block_encode(a, eps: float, domain=DEFAULT_DOMAIN,
@@ -107,11 +113,11 @@ def inverse_block_encode(a, eps: float, domain=DEFAULT_DOMAIN,
             "anti-Hermitian target never does"
         )
     lo, hi = domain
-    _check_sigma_in_domain(a, lo, hi)
+    h = _embed_in_domain(a, lo, hi)
     f = targets.identity(lo, hi)
     schedule = compiled_schedule(f, eps, opts)
-    target = protocol.build_target_unitary(a, f)
-    result = protocol.simulate_protocol(a, schedule, target=target)
+    target = protocol.build_target_unitary(h, f)
+    result = protocol.simulate_protocol(h, schedule, target=target)
     return schedule, result, target
 
 
@@ -132,9 +138,9 @@ def _block_unitary(a, f: TargetFunction, backend: str, eps: float,
     if backend == "exact":
         return protocol.build_target_unitary(a, f).matrix
     if backend == "protocol":
-        _check_sigma_in_domain(a, f.sigma_lo, f.sigma_hi)
+        h = _embed_in_domain(a, f.sigma_lo, f.sigma_hi)
         schedule = compiled_schedule(f, eps, opts)
-        return protocol.simulate_protocol(a, schedule).unitary
+        return protocol.simulate_protocol(h, schedule).unitary
     raise InvalidInputError(f"unknown backend {backend!r}")
 
 

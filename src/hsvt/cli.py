@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from . import applications, compiler, io, protocol, targets
+from . import applications, compiler, embedding, io, protocol, targets
 from .compiler import SolverOptions
 from .errors import (ConfigError, ConvergenceError, HsvtError,
                      InvalidInputError, ParseError, PreconditionError)
@@ -183,8 +183,9 @@ def cmd_simulate(cfg: dict):
     noise = None
     if cfg.get("eta"):
         noise = protocol.ControlNoiseModel(cfg["eta"], cfg.get("seed", 0))
-    target = protocol.build_target_unitary(a, f)
-    result = protocol.simulate_protocol(a, schedule, noise=noise)
+    h = embedding.embed(a)
+    target = protocol.build_target_unitary(h, f)
+    result = protocol.simulate_protocol(h, schedule, noise=noise)
     return EXIT_OK, {"verification": protocol.verify(result, target, cfg.get("eps", 1e-3))}
 
 

@@ -8,6 +8,10 @@ Layout convention: the assembled Hamiltonian is
 
 so the first n coordinates span the right space H_R and the last m span the
 left space H_L.  Z is +I on H_R and -I on H_L.
+
+An embedding carries the one SVD of A that embed takes: the normalization
+check, the invariant pairs, the simulator and the closed-form target all
+read it, so a caller that passes the embedding on decomposes A once.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormalizationError
-from .linalg import as_complex_matrix, svd
+from . import linalg
+from .errors import InvalidInputError, NormalizationError
 
 SIGMA_MAX_SLACK = 1e-10
 
@@ -25,6 +29,16 @@ SIGMA_MAX_SLACK = 1e-10
 @dataclass(frozen=True)
 class BlockHamiltonian:
     a_block: np.ndarray                 # m x n, maps H_R -> H_L
+    svd: linalg.SvdResult               # of a_block
+
+    def __post_init__(self):
+        if self.a_block.size == 0:
+            raise InvalidInputError(
+                f"A must have at least one row and one column, got shape "
+                f"{self.a_block.shape}")
+        smax = float(self.svd.singulars[0])
+        if smax > 1.0 + SIGMA_MAX_SLACK:
+            raise NormalizationError(smax)
 
     @property
     def n(self) -> int:
@@ -45,13 +59,14 @@ class BlockHamiltonian:
 def embed(a) -> BlockHamiltonian:
     """Place A in the lower-left block of a zero-diagonal Hermitian matrix.
 
-    Requires sigma_max(A) <= 1 (the A^dag A <= I sub-normalization).
+    Takes the SVD of A once and keeps it.  Requires a nonempty A with
+    sigma_max(A) <= 1 (the A^dag A <= I sub-normalization).  An embedding
+    is returned unchanged.
     """
-    a = as_complex_matrix(a, "A")
-    smax = float(np.linalg.norm(a, 2))
-    if smax > 1.0 + SIGMA_MAX_SLACK:
-        raise NormalizationError(smax)
-    return BlockHamiltonian(a_block=a)
+    if isinstance(a, BlockHamiltonian):
+        return a
+    a = linalg.as_complex_matrix(a, "A")
+    return BlockHamiltonian(a_block=a, svd=linalg.svd(a))
 
 
 @dataclass(frozen=True)
@@ -78,7 +93,7 @@ class SubspaceDecomposition:
 
 def decompose_subspaces(h: BlockHamiltonian) -> SubspaceDecomposition:
     """One pair per singular triple of A, in linalg.svd's phase convention."""
-    res = svd(h.a_block)
+    res = h.svd
     triples = [(float(s), res.right_vectors[:, j], res.left_vectors[:, j])
                for j, s in enumerate(res.singulars)]
     return SubspaceDecomposition(triples=triples, n=h.n, m=h.m)

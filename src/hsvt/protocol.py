@@ -10,7 +10,7 @@ accuracy of each pulse's time integral).  Every step preserves the plane
 of each singular pair (r_j, l_j) of A and is the identity on
 ker A (+) ker A^dag, so the product is I + B (P - I) B^dag, with
 B = [r_j (+) 0, 0 (+) l_j] and P_j the compiler's 2x2 step product at
-sigma_j: one SVD, the 2x2 products, then four rank-r updates.
+sigma_j: the embedding's SVD, the 2x2 products, then four rank-r updates.
 _protocol_unitary, the product of full-space evolutions from an
 eigendecomposition of H, is kept as the oracle that reduced_full_gap and
 the tests compare against.  build_target_unitary assembles the closed-form
@@ -93,12 +93,13 @@ def build_target_unitary(a, f: TargetFunction) -> TargetUnitary:
     f is evaluated analytically, also for singular values outside the
     synthesis domain (the schedule's accuracy guarantee does not cover
     those; verify reports them separately).  Values |f(sigma)| > 1 leave
-    no real complementary square root and raise a cap error.
+    no real complementary square root and raise a cap error.  A may be
+    given as its embedding, whose SVD is then reused.
     """
     h = embed(a)                       # validates sigma_max <= 1
     a = h.a_block
     m, n = a.shape
-    res = linalg.svd(a)
+    res = h.svd
     fs = np.asarray(f.eval_analytic(res.singulars), dtype=float)
     if np.any(np.abs(fs) > 1.0 + 1e-12):
         raise CapError(
@@ -147,11 +148,12 @@ def simulate_protocol(a, schedule: PhaseSchedule,
 
     With a noise model, each step time t_k becomes t_k * (1 + eta_k) with
     eta_k drawn once per run from the model's seed; eta = 0 reproduces the
-    noiseless product bit for bit.
+    noiseless product bit for bit.  A may be given as its embedding, whose
+    SVD is then reused.
     """
     h = embed(a)
     n = h.n
-    res = linalg.svd(h.a_block)
+    res = h.svd
     times = schedule.times()
     if noise is not None:
         times = times * noise.time_factors(schedule.degree)
@@ -252,7 +254,7 @@ def noise_sweep(a, schedule: PhaseSchedule, etas, trials: int,
         raise InvalidInputError("trials must be >= 1")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    sigmas = linalg.svd(embed(a).a_block).singulars     # embed validates sigma_max <= 1
+    sigmas = embed(a).svd.singulars     # embed validates sigma_max <= 1
     phis = schedule.phis()
     base_times = schedule.times()
     a0, b0 = _reduced_corners(sigmas, phis, base_times)

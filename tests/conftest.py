@@ -33,6 +33,21 @@ def same_floats(a, b):
             and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
 
 
+def count_calls(monkeypatch, module, names):
+    """Count the calls of each module.<name> for the rest of the test;
+    returns the {name: count} dict, which the counters keep up to date."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def loop_svd(a):
     """linalg.svd with its phase fix written as the per-column loop."""
     m = linalg.as_complex_matrix(a, "A")

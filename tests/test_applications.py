@@ -6,10 +6,10 @@ import pytest
 from hsvt import applications, linalg, protocol, targets
 from hsvt.compiler import PhaseSchedule, SolverOptions
 from hsvt.errors import (ConvergenceError, GeneratorError, InvalidInputError,
-                         PreconditionError, SingularInversionError,
-                         ZeroProbabilitySignal)
+                         NormalizationError, PreconditionError,
+                         SingularInversionError, ZeroProbabilitySignal)
 
-from conftest import random_contraction, random_state
+from conftest import count_calls, random_contraction, random_state, same_floats
 
 
 # -- apply_matrix ------------------------------------------------------------
@@ -289,3 +289,56 @@ def test_compiled_schedule_does_not_memoize_failure(monkeypatch):
         applications.compiled_schedule(f, 0.07)
     report.converged = True
     assert applications.compiled_schedule(f, 0.07) is schedule
+
+
+# -- one decomposition of A per call -----------------------------------------
+
+DOMAIN = (0.4, 0.8)
+ONE_SVD_CALLS = {
+    # the target's two sqrt_psd calls each take one hermitian_eig
+    "inverse_block_encode": (
+        lambda a, psi: applications.inverse_block_encode(a, 1e-2, domain=DOMAIN), 2),
+    "power_cascade": (
+        lambda a, psi: applications.power_cascade(a, psi, 3, backend="protocol",
+                                                  eps=1e-2, domain=DOMAIN), 0),
+    "apply_matrix": (
+        lambda a, psi: applications.apply_matrix(a, psi, backend="protocol",
+                                                 eps=1e-2, domain=DOMAIN), 0),
+    "noise_sweep": (
+        lambda a, psi: protocol.noise_sweep(
+            a, applications.compiled_schedule(targets.identity(*DOMAIN), 1e-2),
+            [1e-3, 2e-3], 3), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SVD_CALLS))
+def test_application_call_decomposes_a_once(rng, monkeypatch, name):
+    call, eigs = ONE_SVD_CALLS[name]
+    a = random_contraction(rng, 3, lo=0.45, hi=0.75)
+    psi = random_state(rng, 3)
+    call(a, psi)                # compiles the schedule outside the count
+    calls = count_calls(monkeypatch, linalg, ("svd", "hermitian_eig"))
+    call(a, psi)
+    assert calls == {"svd": 1, "hermitian_eig": eigs}
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_inverse_block_encode_equals_a_standalone_simulation(rng, d):
+    a = random_contraction(rng, d, lo=0.45, hi=0.75)
+    schedule, result, target = applications.inverse_block_encode(a, 1e-2,
+                                                                  domain=DOMAIN)
+    want_target = protocol.build_target_unitary(a, targets.identity(*DOMAIN))
+    want = protocol.simulate_protocol(a, schedule, target=want_target)
+    assert same_floats(result.unitary, want.unitary)
+    assert same_floats(target.matrix, want_target.matrix)
+    assert result.achieved_eps == want.achieved_eps
+
+
+def test_domain_refusal_comes_before_the_normalization_check():
+    a = np.diag([0.5, 1.5])
+    with pytest.raises(PreconditionError):
+        applications.inverse_block_encode(a, 1e-2)
+    with pytest.raises(PreconditionError):
+        applications.power_cascade(a, [1.0, 0.0], 2, backend="protocol")
+    with pytest.raises(NormalizationError):
+        applications.power_cascade(a, [1.0, 0.0], 2)

@@ -6,7 +6,8 @@ from hsvt import compiler, embedding, linalg, protocol, targets
 from hsvt.compiler import PhaseSchedule
 from hsvt.errors import CapError, InvalidInputError
 
-from conftest import conjugated_generator, noise_sweep_oracle, random_contraction
+from conftest import (conjugated_generator, count_calls, noise_sweep_oracle,
+                      random_contraction)
 
 
 def make_schedule(rng, k, variable_t=False):
@@ -158,15 +159,7 @@ def test_reduced_matches_full_restriction(rng):
 
 
 def test_simulate_takes_one_svd_and_no_eigendecomposition(rng, monkeypatch):
-    calls = {"svd": 0, "hermitian_eig": 0}
-    for name in calls:
-        real = getattr(linalg, name)
-
-        def counted(*args, _name=name, _real=real, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, name, counted)
+    calls = count_calls(monkeypatch, linalg, ("svd", "hermitian_eig"))
     for shape in ((3, 3), (2, 4)):
         sch = make_schedule(rng, 7, variable_t=True)
         protocol.simulate_protocol(random_contraction(rng, *shape), sch,
@@ -211,3 +204,34 @@ def test_noise_rejects_negative_seed(rng):
     with pytest.raises(InvalidInputError):
         protocol.noise_sweep(random_contraction(rng, 2), make_schedule(rng, 2),
                              [1e-3], trials=2, seed=-1)
+
+
+ZERO_SIZE_ENTRIES = {
+    "embed": embedding.embed,
+    "build_target_unitary":
+        lambda a: protocol.build_target_unitary(a, targets.identity(0.1, 0.9)),
+    "simulate_protocol":
+        lambda a: protocol.simulate_protocol(a, PhaseSchedule(steps=())),
+    "noise_sweep":
+        lambda a: protocol.noise_sweep(a, PhaseSchedule(steps=()), [1e-3], 2),
+}
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 2), (2, 0)])
+@pytest.mark.parametrize("entry", sorted(ZERO_SIZE_ENTRIES))
+def test_zero_size_block_is_refused(entry, shape):
+    with pytest.raises(InvalidInputError, match="at least one row and one column"):
+        ZERO_SIZE_ENTRIES[entry](np.zeros(shape))
+
+
+def test_embedding_passed_on_is_not_decomposed_again(rng, monkeypatch):
+    a = random_contraction(rng, 3, 2)
+    f = targets.identity(0.1, 0.9)
+    sch = make_schedule(rng, 5, variable_t=True)
+    calls = count_calls(monkeypatch, linalg, ("svd",))
+    h = embedding.embed(a)
+    assert embedding.embed(h) is h
+    target = protocol.build_target_unitary(h, f)
+    protocol.simulate_protocol(h, sch, target=target)
+    protocol.noise_sweep(h, sch, [1e-3], 2)
+    assert calls == {"svd": 1}
