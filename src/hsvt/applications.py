@@ -85,10 +85,14 @@ def _compile_memoized(f: TargetFunction, eps: float,
 
 
 def _embed_in_domain(a, lo: float, hi: float) -> embedding.BlockHamiltonian:
-    """A's embedding from one SVD; singular values outside [lo, hi] raise
-    PreconditionError before the embedding's own checks."""
-    a = linalg.as_complex_matrix(a, "A")
-    res = linalg.svd(a)
+    """A's embedding from one SVD, or from the one an embedding of A
+    carries; singular values outside [lo, hi] raise PreconditionError
+    before the embedding's own checks."""
+    if isinstance(a, embedding.BlockHamiltonian):
+        a, res = a.a_block, a.svd
+    else:
+        a = linalg.as_complex_matrix(a, "A")
+        res = linalg.svd(a)
     s = res.singulars
     if np.any(s < lo - 1e-9) or np.any(s > hi + 1e-9):
         raise PreconditionError(
@@ -196,8 +200,10 @@ def power_cascade(a, psi, n: int, backend: str = "exact", eps: float = 1e-3,
                   domain=DEFAULT_DOMAIN, opts: SolverOptions | None = None):
     """Sequential block application over register pairs; returns the n+1
     blocks and the probability of finding the last register occupied.
+    A may be given as its embedding, whose SVD both backends then reuse.
     """
-    a = linalg.as_complex_matrix(a, "A")
+    h = a if isinstance(a, embedding.BlockHamiltonian) else None
+    a = linalg.as_complex_matrix(a, "A") if h is None else h.a_block
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError("power cascade needs a square matrix")
     if n < 1:
@@ -207,7 +213,7 @@ def power_cascade(a, psi, n: int, backend: str = "exact", eps: float = 1e-3,
         raise InvalidInputError("state dimension does not match A")
     f = targets.identity(*domain) if backend == "protocol" else \
         targets.identity(1e-6, 1.0 - 1e-9, cap=1.0)
-    u = _block_unitary(a, f, backend, eps, opts)
+    u = _block_unitary(a if h is None else h, f, backend, eps, opts)
     blocks = []
     carried = psi
     for _ in range(n):
@@ -248,14 +254,17 @@ def ode_solve(problem: OdeProblem, backend: str = "exact", eps: float = 1e-3,
 
     The final register holds (I + B dt)^steps psi0; its squared norm is the
     probability of projecting onto the solution at time T = steps * dt.
+    The one SVD of A gives sigma_max and the cascade's embedding.
     """
     a = problem.euler_matrix()
-    sigma_max = float(np.linalg.norm(a, 2))
+    res = linalg.svd(a)
+    sigma_max = float(res.singulars[0])
     if sigma_max > 1.0 + 1e-10:
         sym = problem.b + problem.b.conj().T
         worst = float(np.max(np.linalg.eigvalsh(sym)))
         raise GeneratorError(sigma_max=sigma_max, worst_eig=worst)
-    cascade, _ = power_cascade(a, problem.psi0, problem.steps, backend=backend,
+    h = embedding.BlockHamiltonian(a_block=a, svd=res)
+    cascade, _ = power_cascade(h, problem.psi0, problem.steps, backend=backend,
                                eps=eps, domain=domain, opts=opts)
     return cascade, cascade.block(problem.steps)
 
@@ -278,7 +287,8 @@ def history_state(a, psi, n: int, eps: float = 1e-3, backend: str = "exact",
     last block by the same c yields c times the history state.  The squared
     norm of that vector is the reported success probability; it is
     Omega(1 / kappa_tilde^2), and the amplification bookkeeping recovers
-    the O(kappa_tilde) round count.
+    the O(kappa_tilde) round count.  The one SVD of A gives sigma_max and
+    the cascade's embedding.
     """
     a = linalg.as_complex_matrix(a, "A")
     if a.shape[0] != a.shape[1]:
@@ -286,7 +296,10 @@ def history_state(a, psi, n: int, eps: float = 1e-3, backend: str = "exact",
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     psi = _as_state(psi)
-    sigma_max = float(np.linalg.norm(a, 2))
+    if psi.size != a.shape[1]:
+        raise InvalidInputError("state dimension does not match A")
+    res = linalg.svd(a)
+    sigma_max = float(res.singulars[0])
     if sigma_max > 1.0 - 1e-6:
         raise SingularInversionError(
             f"sigma_max(A) = {sigma_max:.8g} leaves sqrt(I - Ad A) "
@@ -296,7 +309,8 @@ def history_state(a, psi, n: int, eps: float = 1e-3, backend: str = "exact",
     s_eigs = np.linalg.eigvalsh(s_mat)
     s_min, s_max = float(s_eigs[0]), float(s_eigs[-1])
     kappa = s_max / s_min
-    cascade, _ = power_cascade(a, psi, n, backend=backend, eps=eps, opts=opts)
+    h = embedding.BlockHamiltonian(a_block=a, svd=res)
+    cascade, _ = power_cascade(h, psi, n, backend=backend, eps=eps, opts=opts)
 
     if backend == "exact":
         c = s_min

@@ -75,8 +75,12 @@ class ControlNoiseModel:
 
     def time_factors(self, count: int) -> np.ndarray:
         """Per-step multiplicative factors 1 + eta * N(0, 1), in step order."""
-        rng = np.random.default_rng(self.seed)
-        return 1.0 + self.eta * rng.standard_normal(count)
+        return 1.0 + self.eta * _standard_normals(self.seed, count)
+
+
+def _standard_normals(seed: int, count: int) -> np.ndarray:
+    """The noise law's draws: count N(0, 1) values from one seeded generator."""
+    return np.random.default_rng(seed).standard_normal(count)
 
 
 @dataclass(frozen=True)
@@ -246,26 +250,29 @@ def noise_sweep(a, schedule: PhaseSchedule, etas, trials: int,
                 seed: int = 0) -> list[dict]:
     """Mean/max distance of noisy runs from the noiseless protocol.
 
-    Trial i uses seed + i for every eta (common random numbers), so rows are
-    directly comparable across etas and the whole table is deterministic.
-    Distances are computed per singular pair (see the module docstring).
+    Trial i uses seed + i for every eta (common random numbers): its
+    standard normals are drawn once and every eta's row scales them, so
+    rows are directly comparable across etas, a sweep builds trials
+    generators, and the whole table is deterministic.  Distances are
+    computed per singular pair (see the module docstring).
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     sigmas = embed(a).svd.singulars     # embed validates sigma_max <= 1
+    etas = [float(eta) for eta in etas]
+    if not all(eta >= 0.0 for eta in etas):
+        raise InvalidInputError("eta must be >= 0")
+    if not etas:
+        return []
     phis = schedule.phis()
     base_times = schedule.times()
     a0, b0 = _reduced_corners(sigmas, phis, base_times)
+    z = np.stack([_standard_normals(seed + i, len(phis)) for i in range(trials)])
     table = []
     for eta in etas:
-        eta = float(eta)
-        if eta < 0:
-            raise InvalidInputError("eta must be >= 0")
-        factors = np.stack([ControlNoiseModel(eta, seed + i).time_factors(len(phis))
-                            for i in range(trials)])
-        an, bn = _reduced_corners(sigmas, phis, base_times * factors)
+        an, bn = _reduced_corners(sigmas, phis, base_times * (1.0 + eta * z))
         dists = np.sqrt(np.abs(an - a0) ** 2 + np.abs(bn - b0) ** 2).max(axis=1)
         table.append({
             "eta": eta,

@@ -167,6 +167,30 @@ def test_ode_matches_euler_iteration(rng):
     assert np.linalg.norm(final - want) < 1e-10
 
 
+def count_decompositions(monkeypatch):
+    """Count the SVDs numpy takes, a spectral norm's included."""
+    calls = count_calls(monkeypatch, np.linalg, ("svd",))
+    norm = np.linalg.norm
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        calls["svd"] += np.ndim(x) == 2 and ord in (2, -2)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return calls
+
+
+def test_exact_ode_and_history_decompose_a_once(rng, monkeypatch):
+    b = rng.normal(size=(3, 3)); b = b - b.T - 2.0 * np.eye(3)
+    a = random_contraction(rng, 3, lo=0.3, hi=0.7)
+    psi = random_state(rng, 3)
+    calls = count_decompositions(monkeypatch)
+    applications.ode_solve(applications.OdeProblem(b=b, dt=0.01, steps=10, psi0=psi))
+    assert calls == {"svd": 1}
+    applications.history_state(a, psi, 3)
+    assert calls == {"svd": 2}
+
+
 def test_ode_builds_one_unitary(rng, monkeypatch):
     b = rng.normal(size=(3, 3)); b = b - b.T - 2.0 * np.eye(3)
     psi = random_state(rng, 3)

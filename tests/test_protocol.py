@@ -198,6 +198,49 @@ def test_noise_sweep_matches_full_space_oracle(rng):
             assert row["max_distance"] == pytest.approx(worst, abs=1e-12)
 
 
+def loop_noise_sweep(a, schedule, etas, trials, seed=0):
+    """noise_sweep's table with one noise model, and so one generator, per
+    (eta, trial) pair: the reference for the shared draws."""
+    sigmas = embedding.embed(a).svd.singulars
+    phis, times = schedule.phis(), schedule.times()
+    a0, b0 = protocol._reduced_corners(sigmas, phis, times)
+    table = []
+    for eta in etas:
+        factors = np.stack([protocol.ControlNoiseModel(eta, seed + i).time_factors(len(phis))
+                            for i in range(trials)])
+        an, bn = protocol._reduced_corners(sigmas, phis, times * factors)
+        dists = np.sqrt(np.abs(an - a0) ** 2 + np.abs(bn - b0) ** 2).max(axis=1)
+        table.append({"eta": float(eta), "mean_distance": float(np.mean(dists)),
+                      "max_distance": float(np.max(dists)), "trials": trials})
+    return table
+
+
+@pytest.mark.parametrize("trials", [1, 5])
+def test_noise_sweep_equals_the_per_trial_loop(rng, trials):
+    u, _, vh = np.linalg.svd(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    rank_deficient = (u * [0.7, 0.3, 0.0]) @ vh
+    etas = [0.0, 1e-3, 1e-3, 0.1]
+    for a in (random_contraction(rng, 3), random_contraction(rng, 3, 5),
+              random_contraction(rng, 5, 2), rank_deficient, [[0.6]]):
+        sch = make_schedule(rng, 6, variable_t=True)
+        table = protocol.noise_sweep(a, sch, etas, trials=trials, seed=4)
+        assert table == loop_noise_sweep(a, sch, etas, trials, seed=4)
+        assert table[1] == table[2]
+
+
+def test_noise_sweep_builds_one_generator_per_trial(rng, monkeypatch):
+    a = random_contraction(rng, 3)
+    sch = make_schedule(rng, 5)
+    calls = count_calls(monkeypatch, np.random, ("default_rng",))
+    assert len(protocol.noise_sweep(a, sch, [1e-3, 2e-3, 4e-3], trials=4)) == 3
+    assert calls == {"default_rng": 4}
+    assert protocol.noise_sweep(a, sch, [], trials=4) == []
+    assert calls == {"default_rng": 4}
+    with pytest.raises(InvalidInputError):
+        protocol.noise_sweep(a, sch, [1e-3, -1.0], trials=4)
+    assert calls == {"default_rng": 4}
+
+
 def test_noise_rejects_negative_seed(rng):
     with pytest.raises(InvalidInputError):
         protocol.ControlNoiseModel(1e-3, seed=-1)
