@@ -9,7 +9,7 @@ from .applications import (apply_matrix, history_state, inverse_block_encode,
 from .compiler import (PhaseSchedule, PhaseStep, SolverOptions,
                        reduced_model, schedule_cost, synthesize_schedule,
                        synthesize_to_accuracy, verify_pq_constraint)
-from .embedding import decompose_subspaces, embed
+from .embedding import embed
 from .protocol import (ControlNoiseModel, build_target_unitary, noise_sweep,
                        simulate_protocol, verify)
 from .targets import TargetFunction, degree_for_accuracy
@@ -24,7 +24,7 @@ __all__ = [
     "PhaseSchedule", "PhaseStep", "SolverOptions", "reduced_model",
     "schedule_cost", "synthesize_schedule", "synthesize_to_accuracy",
     "verify_pq_constraint",
-    "decompose_subspaces", "embed",
+    "embed",
     "ControlNoiseModel", "build_target_unitary", "noise_sweep",
     "simulate_protocol", "verify",
     "TargetFunction", "degree_for_accuracy",

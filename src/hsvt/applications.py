@@ -259,7 +259,7 @@ def ode_solve(problem: OdeProblem, backend: str = "exact", eps: float = 1e-3,
     a = problem.euler_matrix()
     res = linalg.svd(a)
     sigma_max = float(res.singulars[0])
-    if sigma_max > 1.0 + 1e-10:
+    if sigma_max > 1.0 + embedding.SIGMA_MAX_SLACK:
         sym = problem.b + problem.b.conj().T
         worst = float(np.max(np.linalg.eigvalsh(sym)))
         raise GeneratorError(sigma_max=sigma_max, worst_eig=worst)
@@ -287,8 +287,9 @@ def history_state(a, psi, n: int, eps: float = 1e-3, backend: str = "exact",
     last block by the same c yields c times the history state.  The squared
     norm of that vector is the reported success probability; it is
     Omega(1 / kappa_tilde^2), and the amplification bookkeeping recovers
-    the O(kappa_tilde) round count.  The one SVD of A gives sigma_max and
-    the cascade's embedding.
+    the O(kappa_tilde) round count.  The one SVD of A gives sigma_max, the
+    cascade's embedding and S = R diag(s) R^dag with s = sqrt(1 - sigma^2):
+    S's spectrum, exact inverse and protocol-backend SVD are s and R.
     """
     a = linalg.as_complex_matrix(a, "A")
     if a.shape[0] != a.shape[1]:
@@ -305,16 +306,17 @@ def history_state(a, psi, n: int, eps: float = 1e-3, backend: str = "exact",
             f"sigma_max(A) = {sigma_max:.8g} leaves sqrt(I - Ad A) "
             "numerically singular (kappa_tilde -> inf)"
         )
-    s_mat = linalg.sqrt_psd(np.eye(a.shape[0]) - a.conj().T @ a)
-    s_eigs = np.linalg.eigvalsh(s_mat)
-    s_min, s_max = float(s_eigs[0]), float(s_eigs[-1])
+    # descending s, with R's columns in the same order
+    s = np.sqrt(1.0 - res.singulars[::-1] ** 2)
+    r = res.right_vectors[:, ::-1]
+    s_max, s_min = float(s[0]), float(s[-1])
     kappa = s_max / s_min
     h = embedding.BlockHamiltonian(a_block=a, svd=res)
     cascade, _ = power_cascade(h, psi, n, backend=backend, eps=eps, opts=opts)
 
     if backend == "exact":
         c = s_min
-        inv = c * np.linalg.inv(s_mat)
+        inv = (r * (c / s)) @ r.conj().T
         raw = [inv @ cascade.block(k) for k in range(n)]
     elif backend == "protocol":
         # S is Hermitian PSD, so embedding S itself and applying c/s to its
@@ -325,7 +327,9 @@ def history_state(a, psi, n: int, eps: float = 1e-3, backend: str = "exact",
         # target approaches 1 and the complementary sqrt(1 - f^2) approaches 0
         c = HISTORY_SCALE * lo
         f_inv = targets.scaled_power(-1.0, c, lo, hi)
-        u = _block_unitary(s_mat, f_inv, "protocol", eps, opts)
+        s_h = embedding.BlockHamiltonian(
+            a_block=(r * s) @ r.conj().T, svd=linalg.SvdResult(s, r, r))
+        u = _block_unitary(s_h, f_inv, "protocol", eps, opts)
         raw = [_apply_block(u, cascade.block(k))[1] for k in range(n)]
     else:
         raise InvalidInputError(f"unknown backend {backend!r}")

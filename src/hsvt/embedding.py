@@ -10,8 +10,9 @@ so the first n coordinates span the right space H_R and the last m span the
 left space H_L.  Z is +I on H_R and -I on H_L.
 
 An embedding carries the one SVD of A that embed takes: the normalization
-check, the invariant pairs, the simulator and the closed-form target all
-read it, so a caller that passes the embedding on decomposes A once.
+check, the invariant pairs (pair_basis), the simulator, the closed-form
+target and the verification all read it, so a caller that passes the
+embedding on decomposes A once.
 """
 
 from __future__ import annotations
@@ -55,6 +56,20 @@ class BlockHamiltonian:
         h[:n, n:] = self.a_block.conj().T
         return h
 
+    def pair_basis(self) -> np.ndarray:
+        """(n+m) x 2r isometry [R (+) 0, 0 (+) L].
+
+        Columns j and r + j span pair j, the plane on which H acts as
+        sigma_j X: (r_j (+) l_j)/sqrt(2) and (r_j (-) l_j)/sqrt(2) are
+        eigenvectors with eigenvalues +sigma_j and -sigma_j.
+        """
+        res = self.svd
+        r = res.singulars.size
+        b = np.zeros((self.n + self.m, 2 * r), dtype=complex)
+        b[:self.n, :r] = res.right_vectors
+        b[self.n:, r:] = res.left_vectors
+        return b
+
 
 def embed(a) -> BlockHamiltonian:
     """Place A in the lower-left block of a zero-diagonal Hermitian matrix.
@@ -67,33 +82,3 @@ def embed(a) -> BlockHamiltonian:
         return a
     a = linalg.as_complex_matrix(a, "A")
     return BlockHamiltonian(a_block=a, svd=linalg.svd(a))
-
-
-@dataclass(frozen=True)
-class SubspaceDecomposition:
-    """Per-pair invariant subspaces of a block Hamiltonian.
-
-    Each triple (sigma, r, l) spans a 2-D subspace on which H acts as
-    sigma * X; (r (+) l)/sqrt(2) and (r (-) l)/sqrt(2) are eigenvectors with
-    eigenvalues +sigma and -sigma.
-    """
-
-    triples: list       # (sigma, r_vec, l_vec)
-    n: int
-    m: int
-
-    def pair_basis(self, j: int) -> np.ndarray:
-        """(n+m) x 2 isometry [r_j (+) 0, 0 (+) l_j]."""
-        sigma, r, l = self.triples[j]
-        v = np.zeros((self.n + self.m, 2), dtype=complex)
-        v[: self.n, 0] = r
-        v[self.n:, 1] = l
-        return v
-
-
-def decompose_subspaces(h: BlockHamiltonian) -> SubspaceDecomposition:
-    """One pair per singular triple of A, in linalg.svd's phase convention."""
-    res = h.svd
-    triples = [(float(s), res.right_vectors[:, j], res.left_vectors[:, j])
-               for j, s in enumerate(res.singulars)]
-    return SubspaceDecomposition(triples=triples, n=h.n, m=h.m)

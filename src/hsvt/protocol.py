@@ -39,7 +39,7 @@ import numpy as np
 
 from . import linalg
 from .compiler import PhaseSchedule, reduced_model, step_product
-from .embedding import decompose_subspaces, embed
+from .embedding import BlockHamiltonian, embed
 from .errors import CapError, InvalidInputError
 from .targets import TargetFunction
 
@@ -47,7 +47,7 @@ from .targets import TargetFunction
 @dataclass(frozen=True)
 class TargetUnitary:
     matrix: np.ndarray
-    a_block: np.ndarray
+    embedding: BlockHamiltonian
     f: TargetFunction
 
     @property
@@ -86,7 +86,7 @@ def _standard_normals(seed: int, count: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ProtocolResult:
     unitary: np.ndarray
-    a_block: np.ndarray
+    embedding: BlockHamiltonian
     schedule_used: PhaseSchedule
     achieved_eps: float | None = None
 
@@ -101,8 +101,7 @@ def build_target_unitary(a, f: TargetFunction) -> TargetUnitary:
     given as its embedding, whose SVD is then reused.
     """
     h = embed(a)                       # validates sigma_max <= 1
-    a = h.a_block
-    m, n = a.shape
+    n, m = h.n, h.m
     res = h.svd
     fs = np.asarray(f.eval_analytic(res.singulars), dtype=float)
     if np.any(np.abs(fs) > 1.0 + 1e-12):
@@ -119,7 +118,7 @@ def build_target_unitary(a, f: TargetFunction) -> TargetUnitary:
     u[:n, n:] = 1j * f_a.conj().T
     u[n:, :n] = 1j * f_a
     u[n:, n:] = -1j * lower
-    return TargetUnitary(matrix=u, a_block=a, f=f)
+    return TargetUnitary(matrix=u, embedding=h, f=f)
 
 
 def _phase_diagonal(n: int, m: int, phi: float) -> np.ndarray:
@@ -171,7 +170,7 @@ def simulate_protocol(a, schedule: PhaseSchedule,
     achieved = None
     if target is not None:
         achieved = linalg.op_distance(u, target.matrix)
-    return ProtocolResult(unitary=u, a_block=h.a_block, schedule_used=schedule,
+    return ProtocolResult(unitary=u, embedding=h, schedule_used=schedule,
                           achieved_eps=achieved)
 
 
@@ -180,7 +179,9 @@ def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:
 
     Each singular pair (sigma_j, r_j, l_j) spans a 2-D subspace preserved by
     both operators; the record lists the restricted distances, flagging
-    subspaces whose sigma lies outside the target's synthesis domain.
+    subspaces whose sigma lies outside the target's synthesis domain.  The
+    pairs are read off the SVD that result.embedding carries; verify takes
+    no decomposition of A.
     """
     u_sim = result.unitary
     u_tgt = target.matrix
@@ -188,10 +189,11 @@ def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:
         raise InvalidInputError(
             f"shape mismatch: {u_sim.shape} vs {u_tgt.shape}")
     distance = linalg.op_distance(u_sim, u_tgt)
-    dec = decompose_subspaces(embed(result.a_block))
+    sigmas = result.embedding.svd.singulars
+    b, r = result.embedding.pair_basis(), sigmas.size
     per_subspace = []
-    for j, (sigma, _, _) in enumerate(dec.triples):
-        basis = dec.pair_basis(j)
+    for j, sigma in enumerate(sigmas):
+        basis = b[:, [j, r + j]]
         diff = basis.conj().T @ (u_sim - u_tgt) @ basis
         in_domain = (target.f.sigma_lo - 1e-12 <= sigma
                      <= target.f.sigma_hi + 1e-12)
@@ -211,19 +213,20 @@ def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:
 def reduced_full_gap(result: ProtocolResult) -> float:
     """Max over subspaces of |restriction - reduced_model(schedule, sigma)|,
     with the restriction taken of the full-space product _protocol_unitary
-    of result.schedule_used for result.a_block.
+    of result.schedule_used for result.embedding, whose SVD gives the pairs.
 
     This is the master consistency check between the full-space oracle and
     the compiler's 2x2 model; it should be at round-off level always.
     """
-    h = embed(result.a_block)
+    h = result.embedding
     schedule = result.schedule_used
     full = _protocol_unitary(linalg.hermitian_eig(h.assemble()), h.n, h.m,
                              schedule.phis(), schedule.times())
-    dec = decompose_subspaces(h)
+    sigmas = h.svd.singulars
+    b, r = h.pair_basis(), sigmas.size
     worst = 0.0
-    for j, (sigma, _, _) in enumerate(dec.triples):
-        basis = dec.pair_basis(j)
+    for j, sigma in enumerate(sigmas):
+        basis = b[:, [j, r + j]]
         got = basis.conj().T @ full @ basis
         want = reduced_model(schedule, sigma)
         worst = max(worst, float(np.linalg.norm(got - want, 2)))

@@ -191,6 +191,24 @@ def test_exact_ode_and_history_decompose_a_once(rng, monkeypatch):
     assert calls == {"svd": 2}
 
 
+def test_exact_history_reads_s_off_the_svd(rng, monkeypatch):
+    # the two eigendecompositions left are the target's complementary roots
+    a = random_contraction(rng, 3, lo=0.3, hi=0.7)
+    psi = random_state(rng, 3)
+    calls = count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "inv"))
+    applications.history_state(a, psi, 3)
+    assert calls == {"eigh": 2, "eigvalsh": 0, "inv": 0}
+
+
+def test_protocol_history_takes_one_svd(rng, monkeypatch):
+    a = random_contraction(rng, 2, lo=0.4, hi=0.6)
+    psi = random_state(rng, 2)
+    applications.history_state(a, psi, 2, backend="protocol", eps=1e-2)
+    calls = count_calls(monkeypatch, linalg, ("svd",))
+    applications.history_state(a, psi, 2, backend="protocol", eps=1e-2)
+    assert calls == {"svd": 1}
+
+
 def test_ode_builds_one_unitary(rng, monkeypatch):
     b = rng.normal(size=(3, 3)); b = b - b.T - 2.0 * np.eye(3)
     psi = random_state(rng, 3)

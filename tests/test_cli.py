@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from hsvt import cli, io
-from hsvt.compiler import CONVENTION, PhaseSchedule, SolverOptions
+from hsvt import cli, io, linalg
+from hsvt.compiler import (CONVENTION, PhaseSchedule, SolverOptions,
+                           schedule_from_arrays)
+
+from conftest import count_calls
 
 
 def run(argv):
@@ -258,6 +261,18 @@ def test_synthesize_then_simulate_pipeline(tmp_path):
     record = io.read_report(rep)["verification"]
     assert record["passed"]
     assert all(s["in_domain"] for s in record["per_subspace"])
+
+
+@pytest.mark.parametrize("eta", [[], ["--eta", "1e-3"]])
+def test_simulate_takes_one_svd_of_a(tmp_path, monkeypatch, eta):
+    m, sched = tmp_path / "m.json", tmp_path / "s.txt"
+    io.write_matrix(m, np.array([[0.5, 0.1, 0.0], [0.0, 0.3, 0.2]]))
+    io.write_schedule(sched, schedule_from_arrays([0.3, -1.1, 2.0],
+                                                  [0.7, 1.2, 0.4]))
+    calls = count_calls(monkeypatch, linalg, ("svd",))
+    assert run(["simulate", "--matrix", str(m), "--schedule", str(sched),
+                "--report-out", str(tmp_path / "rep.json")] + eta) == 0
+    assert calls == {"svd": 1}
 
 
 def test_synthesize_report_says_why_the_solver_stopped(tmp_path):

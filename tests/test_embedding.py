@@ -52,36 +52,33 @@ def test_conjugated_generator_matches_explicit_conjugation(rng):
 
 def test_decompose_diagonal_example():
     h = embedding.embed(np.diag([0.8, 0.3]))
-    dec = embedding.decompose_subspaces(h)
-    sigmas = sorted(t[0] for t in dec.triples)
-    assert sigmas == pytest.approx([0.3, 0.8])
+    assert sorted(h.svd.singulars) == pytest.approx([0.3, 0.8])
 
 
 def test_decompose_zero_scalar():
-    dec = embedding.decompose_subspaces(embedding.embed([[0.0]]))
-    assert len(dec.triples) == 1
-    assert dec.triples[0][0] == 0.0
+    h = embedding.embed([[0.0]])
+    assert h.svd.singulars.tolist() == [0.0]
+    assert h.pair_basis().shape == (2, 2)
 
 
 def test_decompose_eigen_relation(rng):
     a = random_contraction(rng, 4)
     h = embedding.embed(a)
     hm = h.assemble()
-    dec = embedding.decompose_subspaces(h)
-    for sigma, r, l in dec.triples:
-        plus = np.concatenate([r, l]) / np.sqrt(2)
-        minus = np.concatenate([r, -l]) / np.sqrt(2)
+    b, r = h.pair_basis(), h.svd.singulars.size
+    for j, sigma in enumerate(h.svd.singulars):
+        plus = (b[:, j] + b[:, r + j]) / np.sqrt(2)
+        minus = (b[:, j] - b[:, r + j]) / np.sqrt(2)
         assert np.linalg.norm(hm @ plus - sigma * plus) < 1e-10
         assert np.linalg.norm(hm @ minus + sigma * minus) < 1e-10
 
 
 def test_decompose_pairs_orthogonal(rng):
-    a = random_contraction(rng, 3, 5)
-    dec = embedding.decompose_subspaces(embedding.embed(a))
-    bases = [dec.pair_basis(j) for j in range(len(dec.triples))]
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            assert np.linalg.norm(bases[i].conj().T @ bases[j]) < 1e-10
+    for shape in ((3, 5), (5, 2), (4, 4)):
+        h = embedding.embed(random_contraction(rng, *shape))
+        b = h.pair_basis()
+        assert b.shape == (sum(shape), 2 * min(shape))
+        assert np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1])) < 1e-10
 
 
 def test_subspace_invariance_of_conjugated_evolution(rng):
@@ -89,10 +86,10 @@ def test_subspace_invariance_of_conjugated_evolution(rng):
     h = embedding.embed(a)
     g = conjugated_generator(h, 0.7)
     u = sla.expm(-1.3j * g)
-    dec = embedding.decompose_subspaces(h)
-    for j in range(len(dec.triples)):
-        b = dec.pair_basis(j)
-        mapped = u @ b
+    b, r = h.pair_basis(), h.svd.singulars.size
+    for j in range(r):
+        pair = b[:, [j, r + j]]
+        mapped = u @ pair
         # projection back onto the pair recovers everything
-        proj = b @ (b.conj().T @ mapped)
+        proj = pair @ (pair.conj().T @ mapped)
         assert np.linalg.norm(mapped - proj) < 1e-10

@@ -117,7 +117,7 @@ def test_noise_model_rejects_negative_eta():
 def test_verify_perfect_match(rng):
     a = random_contraction(rng, 2)
     t = protocol.build_target_unitary(a, targets.identity(0.1, 0.9))
-    fake = protocol.ProtocolResult(unitary=t.matrix.copy(), a_block=t.a_block,
+    fake = protocol.ProtocolResult(unitary=t.matrix.copy(), embedding=t.embedding,
                                    schedule_used=PhaseSchedule(steps=()))
     rec = protocol.verify(fake, t, 1e-3)
     assert rec["passed"]
@@ -131,7 +131,7 @@ def test_verify_detects_perturbation(rng):
     t = protocol.build_target_unitary(a, targets.identity(0.1, 0.9))
     u = t.matrix.copy()
     u[0, 0] += 1e-2
-    fake = protocol.ProtocolResult(unitary=u, a_block=t.a_block,
+    fake = protocol.ProtocolResult(unitary=u, embedding=t.embedding,
                                    schedule_used=PhaseSchedule(steps=()))
     rec = protocol.verify(fake, t, 1e-3)
     assert not rec["passed"]
@@ -141,7 +141,7 @@ def test_verify_detects_perturbation(rng):
 def test_verify_flags_out_of_domain_sigma():
     a = np.diag([0.5, 0.95])
     t = protocol.build_target_unitary(a, targets.identity(0.3, 0.8))
-    fake = protocol.ProtocolResult(unitary=t.matrix, a_block=t.a_block,
+    fake = protocol.ProtocolResult(unitary=t.matrix, embedding=t.embedding,
                                    schedule_used=PhaseSchedule(steps=()))
     rec = protocol.verify(fake, t, 1e-3)
     flags = {round(s["sigma"], 6): s["in_domain"] for s in rec["per_subspace"]}
@@ -156,6 +156,50 @@ def test_reduced_matches_full_restriction(rng):
         sch = make_schedule(rng, 7, variable_t=True)
         res = protocol.simulate_protocol(a, sch)
         assert protocol.reduced_full_gap(res) < 1e-12
+
+
+VERIFY_INPUTS = {
+    "square": lambda rng: random_contraction(rng, 3),
+    "wide": lambda rng: random_contraction(rng, 5, 3),          # 3 x 5
+    "tall": lambda rng: random_contraction(rng, 2, 5),          # 5 x 2
+    "rank-deficient": lambda rng: random_contraction(rng, 4) @ np.diag(
+        [1.0, 1.0, 0.0, 0.0]),
+    "scalar": lambda rng: np.array([[0.5]]),
+    "zero": lambda rng: np.zeros((2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_INPUTS))
+def test_verify_pairs_equal_a_per_pair_loop(rng, name):
+    a = VERIFY_INPUTS[name](rng)
+    sch = make_schedule(rng, 6, variable_t=True)
+    target = protocol.build_target_unitary(a, targets.identity(0.1, 0.9))
+    result = protocol.simulate_protocol(a, sch)
+    res = linalg.svd(a)
+    m, n = a.shape
+    want = []
+    for j, sigma in enumerate(res.singulars):
+        basis = np.zeros((n + m, 2), dtype=complex)
+        basis[:n, 0] = res.right_vectors[:, j]
+        basis[n:, 1] = res.left_vectors[:, j]
+        diff = basis.conj().T @ (result.unitary - target.matrix) @ basis
+        want.append({"sigma": float(sigma),
+                     "residual": float(np.linalg.norm(diff, 2)),
+                     "in_domain": bool(0.1 - 1e-12 <= sigma <= 0.9 + 1e-12)})
+    assert protocol.verify(result, target, 1e-3)["per_subspace"] == want
+
+
+def test_verify_and_gap_take_no_decomposition_of_a(rng, monkeypatch):
+    runs = []
+    for shape in ((3, 3), (2, 4)):
+        a = random_contraction(rng, *shape)
+        runs.append((protocol.simulate_protocol(a, make_schedule(rng, 5, True)),
+                     protocol.build_target_unitary(a, targets.identity(0.1, 0.9))))
+    calls = count_calls(monkeypatch, linalg, ("svd",))
+    for result, target in runs:
+        protocol.verify(result, target, 1e-3)
+        protocol.reduced_full_gap(result)
+    assert calls == {"svd": 0}
 
 
 def test_simulate_takes_one_svd_and_no_eigendecomposition(rng, monkeypatch):
