@@ -39,6 +39,8 @@ HISTORY_SCALE = 0.75
 ZERO_PROB_TOL = 1e-14
 STATE_NORM_TOL = 1e-10
 SCHEDULE_MEMO_SIZE = 32         # compiled schedules kept per process
+# the exact backend's stand-in target: f(A) = A for every contraction A
+EXACT_TARGET = targets.identity(1e-6, 1.0 - 1e-9, cap=1.0)
 
 
 def _as_state(psi) -> np.ndarray:
@@ -137,7 +139,7 @@ class ApplyResult:
 
 
 def _block_unitary(a, f: TargetFunction, backend: str, eps: float,
-                   opts: SolverOptions | None) -> np.ndarray:
+                   opts: SolverOptions | None = None) -> np.ndarray:
     """The block unitary that carries f(A), in the chosen backend."""
     if backend == "exact":
         return protocol.build_target_unitary(a, f).matrix
@@ -157,8 +159,7 @@ def _apply_block(u: np.ndarray, x: np.ndarray):
 
 
 def apply_matrix(a, psi, backend: str = "exact", eps: float = 1e-3,
-                 domain=DEFAULT_DOMAIN,
-                 opts: SolverOptions | None = None) -> ApplyResult:
+                 domain=DEFAULT_DOMAIN) -> ApplyResult:
     a = linalg.as_complex_matrix(a, "A")
     psi = _as_state(psi)
     if abs(np.linalg.norm(psi) - 1.0) > STATE_NORM_TOL:
@@ -166,9 +167,8 @@ def apply_matrix(a, psi, backend: str = "exact", eps: float = 1e-3,
     if psi.size != a.shape[1]:
         raise InvalidInputError(
             f"state dimension {psi.size} does not match A columns {a.shape[1]}")
-    f = targets.identity(*domain) if backend == "protocol" else \
-        targets.identity(1e-6, 1.0 - 1e-9, cap=1.0)
-    _, lower = _apply_block(_block_unitary(a, f, backend, eps, opts), psi)
+    f = targets.identity(*domain) if backend == "protocol" else EXACT_TARGET
+    _, lower = _apply_block(_block_unitary(a, f, backend, eps), psi)
     p = float(np.real(np.vdot(lower, lower)))
     if p < ZERO_PROB_TOL:
         raise ZeroProbabilitySignal("A annihilates the input state")
@@ -211,8 +211,7 @@ def power_cascade(a, psi, n: int, backend: str = "exact", eps: float = 1e-3,
     psi = _as_state(psi)
     if psi.size != a.shape[1]:
         raise InvalidInputError("state dimension does not match A")
-    f = targets.identity(*domain) if backend == "protocol" else \
-        targets.identity(1e-6, 1.0 - 1e-9, cap=1.0)
+    f = targets.identity(*domain) if backend == "protocol" else EXACT_TARGET
     u = _block_unitary(a if h is None else h, f, backend, eps, opts)
     blocks = []
     carried = psi
@@ -249,7 +248,7 @@ class OdeProblem:
 
 
 def ode_solve(problem: OdeProblem, backend: str = "exact", eps: float = 1e-3,
-              domain=DEFAULT_DOMAIN, opts: SolverOptions | None = None):
+              domain=DEFAULT_DOMAIN):
     """Forward-Euler evolution as a power cascade of A = I + B dt.
 
     The final register holds (I + B dt)^steps psi0; its squared norm is the
@@ -265,7 +264,7 @@ def ode_solve(problem: OdeProblem, backend: str = "exact", eps: float = 1e-3,
         raise GeneratorError(sigma_max=sigma_max, worst_eig=worst)
     h = embedding.BlockHamiltonian(a_block=a, svd=res)
     cascade, _ = power_cascade(h, problem.psi0, problem.steps, backend=backend,
-                               eps=eps, domain=domain, opts=opts)
+                               eps=eps, domain=domain)
     return cascade, cascade.block(problem.steps)
 
 
@@ -277,8 +276,8 @@ class HistoryResult:
     amplification: int
 
 
-def history_state(a, psi, n: int, eps: float = 1e-3, backend: str = "exact",
-                  opts: SolverOptions | None = None) -> HistoryResult:
+def history_state(a, psi, n: int, eps: float = 1e-3,
+                  backend: str = "exact") -> HistoryResult:
     """Normalized sum_k A^k psi |k> via singular-value inversion.
 
     The cascade leaves sqrt(I - Ad A) A^k psi in blocks 0..n-1; applying
@@ -312,13 +311,13 @@ def history_state(a, psi, n: int, eps: float = 1e-3, backend: str = "exact",
     s_max, s_min = float(s[0]), float(s[-1])
     kappa = s_max / s_min
     h = embedding.BlockHamiltonian(a_block=a, svd=res)
-    cascade, _ = power_cascade(h, psi, n, backend=backend, eps=eps, opts=opts)
+    cascade, _ = power_cascade(h, psi, n, backend=backend, eps=eps)
 
     if backend == "exact":
         c = s_min
         inv = (r * (c / s)) @ r.conj().T
         raw = [inv @ cascade.block(k) for k in range(n)]
-    elif backend == "protocol":
+    else:       # "protocol"; the cascade refused any other backend
         # S is Hermitian PSD, so embedding S itself and applying c/s to its
         # singular values inverts it without a residual polar rotation.
         lo = max(1e-3, 0.98 * s_min)
@@ -329,10 +328,8 @@ def history_state(a, psi, n: int, eps: float = 1e-3, backend: str = "exact",
         f_inv = targets.scaled_power(-1.0, c, lo, hi)
         s_h = embedding.BlockHamiltonian(
             a_block=(r * s) @ r.conj().T, svd=linalg.SvdResult(s, r, r))
-        u = _block_unitary(s_h, f_inv, "protocol", eps, opts)
+        u = _block_unitary(s_h, f_inv, "protocol", eps)
         raw = [_apply_block(u, cascade.block(k))[1] for k in range(n)]
-    else:
-        raise InvalidInputError(f"unknown backend {backend!r}")
 
     raw.append(c * cascade.block(n))
     vec = np.concatenate(raw)

@@ -64,27 +64,65 @@ def _number_list(cast):
     return parse
 
 
-def _cast_config_value(action: argparse.Action, value):
+# Every flag by dest, with its add_argument keywords; the flag string is
+# "--" + dest.replace("_", "-").  _merge_config casts and checks config-file
+# values by the same keywords.
+_FLAGS = {
+    "eps": {"type": float},
+    "report_out": {},
+    "kind": {"choices": targets.KINDS},
+    "sigma_lo": {"type": float},
+    "sigma_hi": {"type": float},
+    "cap": {"type": float},
+    "power": {"type": float},
+    "coeff": {"type": float},
+    "seed": {"type": int},
+    "k": {"type": int},
+    "grid_size": {"type": int},
+    "max_nfev": {"type": int},
+    "metric": {"choices": ["full", "corner"]},
+    "variable_t": {"action": "store_const", "const": True},
+    "schedule_out": {},
+    "matrix": {},
+    "schedule": {},
+    "eta": {"type": float},
+    "mode": {"choices": ["degree", "noise"]},
+    "ks": {"type": _number_list(int)},
+    "etas": {"type": _number_list(float)},
+    "trials": {"type": int},
+    "csv_out": {},
+    "state": {},
+    "backend": {"choices": ["exact", "protocol"]},
+    "state_out": {},
+    "generator": {},
+    "dt": {"type": float},
+    "steps": {"type": int},
+    "n": {"type": int},
+}
+_REPORT = ("eps", "report_out")     # flags of the commands that write a report
+_TARGET = ("kind", "sigma_lo", "sigma_hi", "cap", "power", "coeff")
+
+
+def _cast_config_value(spec: dict, value):
     """A config-file value as its flag would parse it from the command line."""
-    if action.type in (int, float):
-        return _number(action.type, value)
-    if action.type is not None:
-        return action.type(value)
-    want = bool if action.const is not None else str     # --variable-t takes true/false
+    cast = spec.get("type")
+    if cast in (int, float):
+        return _number(cast, value)
+    if cast is not None:
+        return cast(value)
+    want = bool if "const" in spec else str     # --variable-t takes true/false
     if not isinstance(value, want):
         raise TypeError(f"expected {want.__name__}, got {value!r}")
     return value
 
 
-def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+def _merge_config(args: argparse.Namespace) -> dict:
     """File values first, command-line overrides second.
 
     Each file value is cast by the type of the command's flag of that name
     and checked against the flag's choices.
     """
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in sub.choices[args.command]._actions
-             if a.dest not in ("help", "config")}
+    flags = {name: _FLAGS[name] for name in _COMMANDS[args.command][2]}
     merged = {}
     if args.config:
         cfg = _load_config(args.config)
@@ -92,14 +130,14 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             norm = key.replace("-", "_")
             if norm not in flags:
                 raise ConfigError(f"unknown config key {key!r}")
-            action = flags[norm]
+            spec = flags[norm]
             try:
-                value = _cast_config_value(action, value)
+                value = _cast_config_value(spec, value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for config key {key!r}: {exc}") from exc
-            if action.choices is not None and value not in action.choices:
+            if "choices" in spec and value not in spec["choices"]:
                 raise ConfigError(f"config key {key!r} must be one of "
-                                  f"{', '.join(action.choices)}, got {value!r}")
+                                  f"{', '.join(spec['choices'])}, got {value!r}")
             merged[norm] = value
     for key in flags:
         value = getattr(args, key)
@@ -259,31 +297,24 @@ def cmd_history(cfg: dict):
                      "amplification": result.amplification}
 
 
+# command -> (function, help, flags in --help order); every command also
+# takes --config
 _COMMANDS = {
-    "synthesize": cmd_synthesize,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "apply": cmd_apply,
-    "ode": cmd_ode,
-    "history": cmd_history,
+    "synthesize": (cmd_synthesize, "compile a phase schedule",
+                   _REPORT + _TARGET + ("seed", "k", "grid_size", "max_nfev",
+                                        "metric", "variable_t", "schedule_out")),
+    "simulate": (cmd_simulate, "run a schedule against a matrix",
+                 _REPORT + _TARGET + ("seed", "matrix", "schedule", "eta")),
+    "sweep": (cmd_sweep, "degree or noise sweep to CSV",
+              _TARGET + ("seed", "mode", "ks", "etas", "trials", "matrix",
+                         "schedule", "max_nfev", "csv_out")),
+    "apply": (cmd_apply, "apply A to a state",
+              _REPORT + ("matrix", "state", "backend", "state_out")),
+    "ode": (cmd_ode, "forward-Euler evolution cascade",
+            _REPORT + ("generator", "state", "dt", "steps", "backend", "state_out")),
+    "history": (cmd_history, "history state via inversion",
+                _REPORT + ("matrix", "state", "n", "backend", "state_out")),
 }
-
-
-def _add_common(sp, report=True):
-    """--config; --eps and --report-out for the commands that write a report."""
-    sp.add_argument("--config", help="JSON config file; flags override it")
-    if report:
-        sp.add_argument("--eps", type=float)
-        sp.add_argument("--report-out", dest="report_out")
-
-
-def _add_target_flags(sp):
-    sp.add_argument("--kind", choices=targets.KINDS)
-    sp.add_argument("--sigma-lo", dest="sigma_lo", type=float)
-    sp.add_argument("--sigma-hi", dest="sigma_hi", type=float)
-    sp.add_argument("--cap", type=float)
-    sp.add_argument("--power", type=float)
-    sp.add_argument("--coeff", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,64 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phase-schedule synthesis and simulation for "
                     "singular-value transformations of block Hamiltonians.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("synthesize", help="compile a phase schedule")
-    _add_common(sp)
-    _add_target_flags(sp)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--grid-size", dest="grid_size", type=int)
-    sp.add_argument("--max-nfev", dest="max_nfev", type=int)
-    sp.add_argument("--metric", choices=["full", "corner"])
-    sp.add_argument("--variable-t", dest="variable_t", action="store_const",
-                    const=True)
-    sp.add_argument("--schedule-out", dest="schedule_out")
-
-    sp = sub.add_parser("simulate", help="run a schedule against a matrix")
-    _add_common(sp)
-    _add_target_flags(sp)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--matrix")
-    sp.add_argument("--schedule")
-    sp.add_argument("--eta", type=float)
-
-    sp = sub.add_parser("sweep", help="degree or noise sweep to CSV")
-    _add_common(sp, report=False)
-    _add_target_flags(sp)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--mode", choices=["degree", "noise"])
-    sp.add_argument("--ks", type=_number_list(int))
-    sp.add_argument("--etas", type=_number_list(float))
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--matrix")
-    sp.add_argument("--schedule")
-    sp.add_argument("--max-nfev", dest="max_nfev", type=int)
-    sp.add_argument("--csv-out", dest="csv_out")
-
-    sp = sub.add_parser("apply", help="apply A to a state")
-    _add_common(sp)
-    sp.add_argument("--matrix")
-    sp.add_argument("--state")
-    sp.add_argument("--backend", choices=["exact", "protocol"])
-    sp.add_argument("--state-out", dest="state_out")
-
-    sp = sub.add_parser("ode", help="forward-Euler evolution cascade")
-    _add_common(sp)
-    sp.add_argument("--generator")
-    sp.add_argument("--state")
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--backend", choices=["exact", "protocol"])
-    sp.add_argument("--state-out", dest="state_out")
-
-    sp = sub.add_parser("history", help="history state via inversion")
-    _add_common(sp)
-    sp.add_argument("--matrix")
-    sp.add_argument("--state")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--backend", choices=["exact", "protocol"])
-    sp.add_argument("--state-out", dest="state_out")
-
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", help="JSON config file; flags override it")
+        for flag in flags:
+            sp.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
     return parser
 
 
@@ -370,9 +348,9 @@ def main(argv=None) -> int:
         # argparse uses status 2 for usage errors, which matches invalid-config
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        cfg = _merge_config(parser, args)
+        cfg = _merge_config(args)
         t0 = time.time()
-        status, fields = _COMMANDS[args.command](cfg)
+        status, fields = _COMMANDS[args.command][0](cfg)
         if fields is not None:
             _emit_report(cfg, {**_base_report(cfg, t0), **fields})
         return status

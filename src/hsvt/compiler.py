@@ -212,8 +212,13 @@ def _chain(m, planes=None, reverse=False):
 
 
 def step_product(phis, times, sigmas) -> np.ndarray:
-    """(N, 2, 2) products of the steps (phis, times) at each of the N sigmas:
-    the one 2x2 kernel of the compiler and the simulator."""
+    """(N, 2, 2) products of the steps (phis, times) at each of the N sigmas.
+
+    The dense 2x2 kernel of one run, behind reduced_product and
+    simulate_protocol; the objective runs the same _step_matrices/_chain.
+    noise_sweep runs protocol._reduced_corners instead, the same product on
+    (a, b) pairs batched over trials: dense is faster for one run, pairs
+    for a batch of runs."""
     return _chain(_step_matrices(phis, times, sigmas))
 
 

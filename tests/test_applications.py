@@ -285,6 +285,23 @@ def test_history_protocol_cascade_runs_on_the_default_domain():
                                    backend="protocol")
 
 
+_PSI = np.array([1.0, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda backend: applications.apply_matrix(np.diag([0.5, 0.6]), _PSI, backend=backend),
+    lambda backend: applications.power_cascade(np.diag([0.5, 0.6]), _PSI, 2,
+                                               backend=backend),
+    lambda backend: applications.ode_solve(
+        applications.OdeProblem(b=-np.eye(2), dt=0.1, steps=2, psi0=_PSI), backend=backend),
+    lambda backend: applications.history_state(np.diag([0.5, 0.6]), _PSI, 2,
+                                               backend=backend),
+], ids=["apply_matrix", "power_cascade", "ode_solve", "history_state"])
+def test_unknown_backend_raises_invalid_input(call):
+    with pytest.raises(InvalidInputError, match="unknown backend 'gpu'"):
+        call("gpu")
+
+
 # -- inverse block encoding pipeline -----------------------------------------
 
 def test_inverse_block_encode_scalar():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ def run(argv):
 
 def merged_config(path, command="synthesize"):
     """The config main() hands to a command, from a config file alone."""
-    parser = cli.build_parser()
-    return cli._merge_config(parser, parser.parse_args([command, "--config", str(path)]))
+    args = cli.build_parser().parse_args([command, "--config", str(path)])
+    return cli._merge_config(args)
 
 
 # -- exit codes --------------------------------------------------------------
@@ -223,6 +224,38 @@ def test_unknown_sweep_mode_exits_2(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"mode": "bogus"}))
     assert run(["sweep", "--config", str(cfg), "--ks", ""]) == 2
+
+
+# -- flags -------------------------------------------------------------------
+
+_TARGET_FLAGS = {"--kind", "--sigma-lo", "--sigma-hi", "--cap", "--power", "--coeff"}
+_REPORT_FLAGS = {"--config", "--eps", "--report-out"}
+_COMMAND_FLAGS = {
+    "synthesize": _REPORT_FLAGS | _TARGET_FLAGS | {
+        "--seed", "--k", "--grid-size", "--max-nfev", "--metric", "--variable-t",
+        "--schedule-out"},
+    "simulate": _REPORT_FLAGS | _TARGET_FLAGS | {
+        "--seed", "--matrix", "--schedule", "--eta"},
+    "sweep": {"--config"} | _TARGET_FLAGS | {
+        "--seed", "--mode", "--ks", "--etas", "--trials", "--matrix", "--schedule",
+        "--max-nfev", "--csv-out"},
+    "apply": _REPORT_FLAGS | {"--matrix", "--state", "--backend", "--state-out"},
+    "ode": _REPORT_FLAGS | {"--generator", "--state", "--dt", "--steps", "--backend",
+                            "--state-out"},
+    "history": _REPORT_FLAGS | {"--matrix", "--state", "--n", "--backend", "--state-out"},
+}
+
+
+def test_each_command_takes_exactly_its_flags(capsys):
+    counts = {}
+    for command, want in _COMMAND_FLAGS.items():
+        assert run([command, "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        got = set(re.findall(r"\[(--[a-z-]+)", usage))
+        assert got == want, command
+        counts[command] = len(got)
+    assert counts == {"synthesize": 16, "simulate": 13, "sweep": 16, "apply": 7,
+                      "ode": 9, "history": 8}
 
 
 # -- synthesize --------------------------------------------------------------

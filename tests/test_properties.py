@@ -81,7 +81,7 @@ def test_solver_options_raise_only_config_error(tmp_path_factory, cfg):
     path.write_text(json.dumps(cfg))
     args = _PARSER.parse_args(["synthesize", "--config", str(path)])
     try:
-        opts = cli._solver_options(cli._merge_config(_PARSER, args))
+        opts = cli._solver_options(cli._merge_config(args))
     except ConfigError:
         return
     assert isinstance(opts, SolverOptions)
