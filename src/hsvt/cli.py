@@ -6,14 +6,15 @@ of synthesize, simulate (--eta) and sweep flows from their --seed value; the
 protocol-backend compile of apply, ode and history always uses seed 0, as
 applications.compiled_schedule does.  Every command but sweep writes a JSON
 report.  Exit statuses: 0 success, 2 invalid config (an output path that
-cannot be written included), 3 parse error, 4 precondition violation,
-5 non-convergence.
+cannot be written, a NaN or infinite float and a negative eps included),
+3 parse error, 4 precondition violation, 5 non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -44,12 +45,25 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _number(cast, value):
-    """cast(value) for a number or a numeric string; refuses bools and fractional ints."""
-    if isinstance(value, bool) or (cast is int and isinstance(value, float)
-                                   and not value.is_integer()):
-        raise ValueError(f"expected {cast.__name__}, got {value!r}")
-    return cast(value)
+def _number(cast, minimum=None):
+    """argparse type casting a number or a numeric string by int or float;
+    config-file values are cast by it too.  Refuses bools, fractional ints,
+    NaN and +-inf, and values below minimum: a report must stay valid JSON."""
+    def parse(value):
+        if isinstance(value, bool) or (cast is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError(f"expected {cast.__name__}, got {value!r}")
+        number = cast(value)
+        if cast is float and not math.isfinite(number):
+            raise ValueError(f"expected a finite float, got {value!r}")
+        if minimum is not None and number < minimum:
+            raise ValueError(f"expected {cast.__name__} >= {minimum}, got {value!r}")
+        return number
+    parse.__name__ = cast.__name__      # argparse names the type in its errors
+    return parse
+
+
+_INT, _FLOAT = _number(int), _number(float)
 
 
 def _number_list(cast):
@@ -59,8 +73,8 @@ def _number_list(cast):
             raw = [tok for tok in raw.split(",") if tok.strip()]
         elif not isinstance(raw, list):
             raise TypeError(f"expected a list or a comma-separated string, got {raw!r}")
-        return [_number(cast, v) for v in raw]
-    parse.__name__ = f"{cast.__name__} list"    # argparse names the type in its errors
+        return [cast(v) for v in raw]
+    parse.__name__ = f"{cast.__name__} list"
     return parse
 
 
@@ -68,36 +82,36 @@ def _number_list(cast):
 # "--" + dest.replace("_", "-").  _merge_config casts and checks config-file
 # values by the same keywords.
 _FLAGS = {
-    "eps": {"type": float},
+    "eps": {"type": _number(float, minimum=0.0)},
     "report_out": {},
     "kind": {"choices": targets.KINDS},
-    "sigma_lo": {"type": float},
-    "sigma_hi": {"type": float},
-    "cap": {"type": float},
-    "power": {"type": float},
-    "coeff": {"type": float},
-    "seed": {"type": int},
-    "k": {"type": int},
-    "grid_size": {"type": int},
-    "max_nfev": {"type": int},
+    "sigma_lo": {"type": _FLOAT},
+    "sigma_hi": {"type": _FLOAT},
+    "cap": {"type": _FLOAT},
+    "power": {"type": _FLOAT},
+    "coeff": {"type": _FLOAT},
+    "seed": {"type": _INT},
+    "k": {"type": _INT},
+    "grid_size": {"type": _INT},
+    "max_nfev": {"type": _INT},
     "metric": {"choices": ["full", "corner"]},
     "variable_t": {"action": "store_const", "const": True},
     "schedule_out": {},
     "matrix": {},
     "schedule": {},
-    "eta": {"type": float},
+    "eta": {"type": _FLOAT},
     "mode": {"choices": ["degree", "noise"]},
-    "ks": {"type": _number_list(int)},
-    "etas": {"type": _number_list(float)},
-    "trials": {"type": int},
+    "ks": {"type": _number_list(_INT)},
+    "etas": {"type": _number_list(_FLOAT)},
+    "trials": {"type": _INT},
     "csv_out": {},
     "state": {},
     "backend": {"choices": ["exact", "protocol"]},
     "state_out": {},
     "generator": {},
-    "dt": {"type": float},
-    "steps": {"type": int},
-    "n": {"type": int},
+    "dt": {"type": _FLOAT},
+    "steps": {"type": _INT},
+    "n": {"type": _INT},
 }
 _REPORT = ("eps", "report_out")     # flags of the commands that write a report
 _TARGET = ("kind", "sigma_lo", "sigma_hi", "cap", "power", "coeff")
@@ -105,11 +119,8 @@ _TARGET = ("kind", "sigma_lo", "sigma_hi", "cap", "power", "coeff")
 
 def _cast_config_value(spec: dict, value):
     """A config-file value as its flag would parse it from the command line."""
-    cast = spec.get("type")
-    if cast in (int, float):
-        return _number(cast, value)
-    if cast is not None:
-        return cast(value)
+    if "type" in spec:
+        return spec["type"](value)
     want = bool if "const" in spec else str     # --variable-t takes true/false
     if not isinstance(value, want):
         raise TypeError(f"expected {want.__name__}, got {value!r}")

@@ -13,8 +13,9 @@ finds phases (and optionally times) whose product approximates the target
      [ i f,              -i sqrt(1 - f^2) ]]
 
 on a Chebyshev grid of sigma nodes, by damped least squares with analytic
-Jacobians and degree continuation (a converged degree-k solution extends to
-k+2 exactly, by inserting the canceling pair (phi, phi + pi)).
+Jacobians and degree continuation.  Continuation grows a solution to a
+higher degree with the same product: a fixed-t schedule appends canceling
+pairs (phi, phi + pi), a variable-t one splits its longest step in two.
 """
 
 from __future__ import annotations
@@ -346,15 +347,36 @@ def _max_node_residual(res, metric) -> float:
     return float(np.max(_node_residuals(diff)))
 
 
-def _target_on(f: TargetFunction, nodes) -> np.ndarray:
-    return reduced_target(np.asarray(f(nodes), dtype=float))
+def _grid(f: TargetFunction, n: int):
+    """(nodes, target): n Chebyshev nodes on f's domain, f's reduced target there."""
+    nodes = chebyshev_grid(f.sigma_lo, f.sigma_hi, n)
+    fvals = np.asarray(f(nodes), dtype=float)
+    if np.any(np.abs(fvals) > f.cap + 1e-12):
+        raise CapError("target exceeds its cap on the synthesis grid")
+    return nodes, reduced_target(fvals)
 
 
-def _to_schedule(x, variable_t) -> PhaseSchedule:
-    """Full parameter vector (phases, then times if variable-t) -> schedule."""
-    if variable_t:
-        return schedule_from_arrays(*np.split(x, 2))
-    return schedule_from_arrays(x)
+def _residuals(schedule: PhaseSchedule, sigmas, target, metric) -> np.ndarray:
+    """Per-node residuals of the schedule against target under the metric."""
+    return _node_residuals(_metric_diff(reduced_product(schedule, sigmas), target, metric))
+
+
+def _starts(rng, n_phi, n_t, count, t_range):
+    """Zero phases with unit times, then count random starts: phases uniform
+    on (-pi, pi), times uniform on t_range."""
+    starts = [np.concatenate([np.zeros(n_phi), np.ones(n_t)])]
+    starts += [np.concatenate([rng.uniform(-np.pi, np.pi, n_phi),
+                               rng.uniform(*t_range, n_t)]) for _ in range(count)]
+    return starts
+
+
+def _cancel_pairs(phases, count):
+    """phases followed by count canceling pairs (phi, phi + pi), each on the
+    last phase: a fixed-t schedule's product does not change."""
+    ph = list(phases)
+    for _ in range(count):
+        ph.extend([ph[-1], ph[-1] + np.pi])
+    return np.asarray(ph)
 
 
 class _CachedObjective:
@@ -471,10 +493,6 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
 # ---------------------------------------------------------------------------
 
 
-def _sym_sizes(k):
-    return k // 2, (k % 2 == 1)
-
-
 def _sym_fold(k, variable_t):
     """Constant +-1 matrix S taking a half-space vector y to full parameters S @ y.
 
@@ -482,7 +500,7 @@ def _sym_fold(k, variable_t):
     and, for odd k, the middle time.  S mirrors the phases negated around a
     zero middle phase and the times unchanged.
     """
-    m, mid = _sym_sizes(k)
+    m, mid = divmod(k, 2)
     j = np.arange(m)
     if not variable_t:
         s = np.zeros((k, m))
@@ -505,7 +523,7 @@ def _sym_grow(y, k, grow_by, variable_t):
     the time); fixed-t half vectors append grow_by // 2 canceling
     (phi, phi + pi) pairs, so grow_by must be even there.
     """
-    m = _sym_sizes(k)[0]
+    m = k // 2
     if variable_t:
         ph, tau = list(y[:m]), list(y[m:2 * m])
         for _ in range(grow_by):
@@ -515,27 +533,24 @@ def _sym_grow(y, k, grow_by, variable_t):
             tau[j] = half
             tau.insert(j + 1, half)
         return np.concatenate([ph, tau, y[2 * m:]]), k + 2 * grow_by
-    ph = list(y[:m])
-    for _ in range(grow_by // 2):
-        ph.extend([ph[-1], ph[-1] + np.pi])
-    return np.asarray(ph), k + 2 * grow_by
+    return _cancel_pairs(y[:m], grow_by // 2), k + 2 * grow_by
 
 
 def _stage_solve(k, f, opts, inits, max_nfev):
     """Solve one continuation stage on its own (coarser) Chebyshev grid."""
-    sigmas = chebyshev_grid(f.sigma_lo, f.sigma_hi, max(2 * k, 16))
-    return _solve_fixed_degree(k, sigmas, _target_on(f, sigmas), opts, inits,
-                               max_nfev, fold=_sym_fold(k, opts.variable_t))
+    sigmas, target = _grid(f, max(2 * k, 16))
+    return _solve_fixed_degree(k, sigmas, target, opts, inits, max_nfev,
+                               fold=_sym_fold(k, opts.variable_t))
 
 
 def _sym_continuation(f, k, opts, rng, eps_stop=None):
     """Grow a symmetric solution from low degree up to k.
 
-    Returns (residual, half_vector, degree_reached, nfev).  The degree
-    reached is k, unless eps_stop is given and an earlier stage residual
-    meets it.
+    Returns (x, degree reached, nfev), with x the full parameter vector.
+    The degree reached is k, unless eps_stop is given and an earlier stage
+    residual meets it.
     """
-    m, mid = _sym_sizes(k)
+    m, mid = divmod(k, 2)
     variable_t = opts.variable_t
     if variable_t:
         m0 = min(m, 4)
@@ -544,28 +559,23 @@ def _sym_continuation(f, k, opts, rng, eps_stop=None):
         # the starting half-size to match the parity of the final one, so
         # every fixed-t stage grows by exactly one pair
         m0 = min(m, 2 + (m % 2))
-    k0 = 2 * m0 + mid
-    n_t = m0 + mid if variable_t else 0
-    inits = [np.concatenate([np.zeros(m0), np.ones(n_t)])]
-    inits += [np.concatenate([rng.uniform(-np.pi, np.pi, m0),
-                              rng.uniform(0.5, 2.5, n_t)]) for _ in range(2)]
+    inits = _starts(rng, m0, m0 + mid if variable_t else 0, 2, (0.5, 2.5))
     stage_nfev = min(opts.max_nfev, 400)
-    kc = k0
+    kc = 2 * m0 + mid
     mx, y, nfev, _ = _stage_solve(kc, f, opts, inits, stage_nfev)
     while kc < k:
         if eps_stop is not None and mx <= eps_stop:
             break
-        y, kc = _sym_grow(y, kc, min(2, m - _sym_sizes(kc)[0]), variable_t)
+        y, kc = _sym_grow(y, kc, min(2, m - kc // 2), variable_t)
         mx, y, nf, _ = _stage_solve(kc, f, opts, [y], stage_nfev)
         nfev += nf
-    return mx, y, kc, nfev
+    return _sym_fold(kc, variable_t) @ y, kc, nfev
 
 
 def _report(x, sigmas, target, opts: SolverOptions, nfev, stop_reason):
     """(schedule, report) for a full parameter vector on the given grid."""
-    schedule = _to_schedule(x, opts.variable_t)
-    u = reduced_product(schedule, sigmas)
-    residuals = _node_residuals(_metric_diff(u, target, opts.metric))
+    schedule = schedule_from_arrays(*(np.split(x, 2) if opts.variable_t else [x]))
+    residuals = _residuals(schedule, sigmas, target, opts.metric)
     max_residual = float(np.max(residuals))
     report = SynthesisReport(
         grid=sigmas,
@@ -599,28 +609,19 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
         grid_size = 4 * k
     if grid_size < 2 * k:
         raise InvalidInputError(f"grid_size must be >= 2k = {2 * k}")
-    sigmas = chebyshev_grid(f.sigma_lo, f.sigma_hi, grid_size)
-    fvals = np.asarray(f(sigmas), dtype=float)
-    if np.any(np.abs(fvals) > f.cap + 1e-12):
-        raise CapError("target exceeds its cap on the synthesis grid")
-    target = reduced_target(fvals)
+    sigmas, target = _grid(f, grid_size)
     rng = np.random.default_rng(opts.seed)
     nfev_total = 0
     solve_opts = replace(opts, target_eps=0.0)
 
-    mx, x, reason = np.inf, None, None
+    x = None
     if k >= 6:
-        _, y, _, nfev_total = _sym_continuation(f, k, solve_opts, rng)
-        warm = _sym_fold(k, opts.variable_t) @ y
+        warm, _, nfev_total = _sym_continuation(f, k, solve_opts, rng)
         mx, x, nf, reason = _solve_fixed_degree(k, sigmas, target, solve_opts,
                                                 [warm], opts.max_nfev)
         nfev_total += nf
-    if mx > opts.target_eps:
-        n_t = k if opts.variable_t else 0
-        fallback = [np.concatenate([np.zeros(k), np.ones(n_t)])]
-        fallback += [np.concatenate([rng.uniform(-np.pi, np.pi, k),
-                                     rng.uniform(0.3, 2.0, n_t)])
-                     for _ in range(RESTARTS)]
+    if x is None or mx > opts.target_eps:
+        fallback = _starts(rng, k, k if opts.variable_t else 0, RESTARTS, (0.3, 2.0))
         mx2, x2, nf, reason2 = _solve_fixed_degree(k, sigmas, target, solve_opts,
                                                    fallback, opts.max_nfev)
         nfev_total += nf
@@ -643,10 +644,8 @@ def synthesize_to_accuracy(f: TargetFunction, eps: float,
     k_max = max(3 * degree_for_accuracy(f.x_gap(), eps).k, 16)
     opts = replace(opts or SolverOptions(), target_eps=eps)
     rng = np.random.default_rng(opts.seed)
-    _, y, kc, nfev = _sym_continuation(f, k_max, opts, rng, eps_stop=MARGIN * eps)
-    grid = chebyshev_grid(f.sigma_lo, f.sigma_hi, 4 * kc)
-    target = _target_on(f, grid)
-    warm = _sym_fold(kc, opts.variable_t) @ y
+    warm, kc, nfev = _sym_continuation(f, k_max, opts, rng, eps_stop=MARGIN * eps)
+    grid, target = _grid(f, 4 * kc)
     _, x, nf, reason = _solve_fixed_degree(kc, grid, target, opts, [warm],
                                            opts.max_nfev)
     return _report(x, grid, target, opts, nfev + nf, reason)
@@ -664,18 +663,15 @@ def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
         raise InvalidInputError(f"every degree must be >= 1, got {ks}")
-    opts = opts or SolverOptions(target_eps=0.0)
-    opts = replace(opts, target_eps=0.0)    # never stop a sweep point early
+    opts = replace(opts or SolverOptions(), target_eps=0.0)  # never stop a point early
     if opts.variable_t:
         raise InvalidInputError("degree_sweep runs in fixed-t mode")
-    sigmas = chebyshev_grid(f.sigma_lo, f.sigma_hi, max(2 * max(ks, default=0), 64))
-    target = _target_on(f, sigmas)
-    eval_grid = chebyshev_grid(f.sigma_lo, f.sigma_hi, 201)
-    eval_target = _target_on(f, eval_grid)
+    sigmas, target = _grid(f, max(2 * max(ks, default=0), 64))
+    eval_grid, eval_target = _grid(f, 201)
 
     def eval_res(x):
-        u = reduced_product(schedule_from_arrays(x), eval_grid)
-        return float(np.max(_node_residuals(_metric_diff(u, eval_target, opts.metric))))
+        return float(np.max(_residuals(schedule_from_arrays(x), eval_grid,
+                                       eval_target, opts.metric)))
 
     rng = np.random.default_rng(opts.seed)
     out = []
@@ -684,14 +680,9 @@ def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):
     for k in ks:
         inits = []
         if x is not None and len(x) <= k and (k - len(x)) % 2 == 0:
-            pad = list(x)
-            while len(pad) < k:
-                anchor = pad[-1]
-                pad.extend([anchor, anchor + np.pi])
-            inits.append(np.asarray(pad))
-        _, y, _, _ = _sym_continuation(f, k, opts,
-                                       np.random.default_rng(opts.seed + 1))
-        inits.append(_sym_fold(k, False) @ y)
+            inits.append(_cancel_pairs(x, (k - len(x)) // 2))
+        inits.append(_sym_continuation(f, k, opts,
+                                       np.random.default_rng(opts.seed + 1))[0])
         _, x, _, _ = _solve_fixed_degree(k, sigmas, target, opts, inits,
                                          min(opts.max_nfev, 700))
         r = eval_res(x)
@@ -712,10 +703,7 @@ def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):
 
 def validate_residual(schedule: PhaseSchedule, f: TargetFunction, grid_size: int) -> float:
     """Max full-metric residual on an independent Chebyshev grid of the given size."""
-    sigmas = chebyshev_grid(f.sigma_lo, f.sigma_hi, grid_size)
-    u = reduced_product(schedule, sigmas)
-    diff = _metric_diff(u, _target_on(f, sigmas), "full")
-    return float(np.max(_node_residuals(diff)))
+    return float(np.max(_residuals(schedule, *_grid(f, grid_size), "full")))
 
 
 def verify_pq_constraint(schedule: PhaseSchedule, grid) -> float:

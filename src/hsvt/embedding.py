@@ -70,6 +70,12 @@ class BlockHamiltonian:
         b[self.n:, r:] = res.left_vectors
         return b
 
+    def pair_blocks(self, op) -> list:
+        """Per pair j, the 2x2 restriction basis^dag op basis of an (n+m) x (n+m)
+        operator, with basis = columns j and r + j of pair_basis()."""
+        b, r = self.pair_basis(), self.svd.singulars.size
+        return [b[:, [j, r + j]].conj().T @ op @ b[:, [j, r + j]] for j in range(r)]
+
 
 def embed(a) -> BlockHamiltonian:
     """Place A in the lower-left block of a zero-diagonal Hermitian matrix.

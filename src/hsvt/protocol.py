@@ -189,12 +189,9 @@ def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:
         raise InvalidInputError(
             f"shape mismatch: {u_sim.shape} vs {u_tgt.shape}")
     distance = linalg.op_distance(u_sim, u_tgt)
-    sigmas = result.embedding.svd.singulars
-    b, r = result.embedding.pair_basis(), sigmas.size
+    h = result.embedding
     per_subspace = []
-    for j, sigma in enumerate(sigmas):
-        basis = b[:, [j, r + j]]
-        diff = basis.conj().T @ (u_sim - u_tgt) @ basis
+    for sigma, diff in zip(h.svd.singulars, h.pair_blocks(u_sim - u_tgt)):
         in_domain = (target.f.sigma_lo - 1e-12 <= sigma
                      <= target.f.sigma_hi + 1e-12)
         per_subspace.append({
@@ -222,12 +219,8 @@ def reduced_full_gap(result: ProtocolResult) -> float:
     schedule = result.schedule_used
     full = _protocol_unitary(linalg.hermitian_eig(h.assemble()), h.n, h.m,
                              schedule.phis(), schedule.times())
-    sigmas = h.svd.singulars
-    b, r = h.pair_basis(), sigmas.size
     worst = 0.0
-    for j, sigma in enumerate(sigmas):
-        basis = b[:, [j, r + j]]
-        got = basis.conj().T @ full @ basis
+    for sigma, got in zip(h.svd.singulars, h.pair_blocks(full)):
         want = reduced_model(schedule, sigma)
         worst = max(worst, float(np.linalg.norm(got - want, 2)))
     return worst

@@ -226,6 +226,55 @@ def test_unknown_sweep_mode_exits_2(tmp_path):
     assert run(["sweep", "--config", str(cfg), "--ks", ""]) == 2
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "eps", "nan"), ("simulate", "eps", "inf"), ("simulate", "eps", "-1"),
+    ("simulate", "cap", "nan"), ("simulate", "cap", "inf"),
+    ("apply", "eps", "nan"), ("apply", "eps", "1e400"), ("history", "eps", "nan"),
+    ("synthesize", "cap", "nan"), ("sweep", "etas", "1e-3,nan"),
+])
+def test_non_finite_floats_and_negative_eps_exit_2(tmp_path, capsys, source, command,
+                                                    key, value):
+    # a report must stay valid JSON, which has no NaN or Infinity
+    m = tmp_path / "m.json"
+    io.write_matrix(m, np.diag([0.5, 0.6]))
+    v = tmp_path / "v.json"
+    io.write_state(v, [1.0, 0.0])
+    sch = tmp_path / "s.txt"
+    sch.write_text("# hsvt-schedule v1 k=1\n0.3,1\n")
+    rest = {"simulate": ["--matrix", str(m), "--schedule", str(sch)],
+            "apply": ["--matrix", str(m), "--state", str(v)],
+            "history": ["--matrix", str(m), "--state", str(v)],
+            "synthesize": ["--k", "1"],
+            "sweep": ["--mode", "noise", "--matrix", str(m), "--schedule", str(sch),
+                      "--trials", "2"]}[command]
+    if source == "flag":
+        argv = [command, f"--{key}={value}"]
+    else:
+        number = [float(x) for x in value.split(",")] if key == "etas" else float(value)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: number}))   # json writes and reads NaN, Infinity
+        argv = [command, "--config", str(cfg)]
+    assert run(argv + rest) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and key in err
+
+
+def test_every_float_flag_refuses_non_finite_values():
+    floats = [dest for dest, spec in cli._FLAGS.items()
+              if getattr(spec.get("type"), "__name__", "").startswith("float")]
+    assert sorted(floats) == ["cap", "coeff", "dt", "eps", "eta", "etas", "power",
+                              "sigma_hi", "sigma_lo"]
+    for dest in floats:
+        cast = cli._FLAGS[dest]["type"]
+        assert cast("0.5") == ([0.5] if dest == "etas" else 0.5)
+        for value in ("nan", "inf", "-inf", "1e400", "1,nan", True):
+            with pytest.raises((TypeError, ValueError)):
+                cast(value)
+    with pytest.raises(ValueError):
+        cli._FLAGS["eps"]["type"](-1e-300)
+
+
 # -- flags -------------------------------------------------------------------
 
 _TARGET_FLAGS = {"--kind", "--sigma-lo", "--sigma-hi", "--cap", "--power", "--coeff"}

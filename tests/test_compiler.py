@@ -164,6 +164,14 @@ def test_synthesize_random_starts_rescue_a_missed_warm_start():
     assert rep.converged
 
 
+def test_explicit_low_degree_compile_with_infinite_eps():
+    # no warm start below k = 6, so the fallback starts are solved for every eps
+    f = targets.identity(0.4, 0.8)
+    sch, rep = compiler.synthesize_schedule(f, 2, opts=SolverOptions(target_eps=math.inf))
+    assert sch.degree == 2
+    assert rep.converged
+
+
 def test_synthesize_report_consistency():
     f = targets.identity(0.3, 0.8)
     _, rep = compiler.synthesize_schedule(f, 8, opts=SolverOptions(seed=3))
@@ -339,6 +347,30 @@ def test_folded_jacobian_matches_finite_difference(rng, k, variable_t):
     np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-9)
 
 
+@pytest.mark.parametrize("variable_t", [False, True])
+@pytest.mark.parametrize("k", [7, 8])
+def test_continuation_growth_preserves_the_product(rng, k, variable_t):
+    sigmas = compiler.chebyshev_grid(0.1, 0.9, 16)
+
+    def product(x, degree):
+        times = x[degree:] if variable_t else None
+        return compiler.reduced_product(
+            compiler.schedule_from_arrays(x[:degree], times), sigmas)
+
+    fold = compiler._sym_fold(k, variable_t)
+    y = rng.uniform(0.3, 2.0, fold.shape[1])
+    y[:k // 2] = rng.uniform(-np.pi, np.pi, k // 2)
+    x = fold @ y
+    y2, k2 = compiler._sym_grow(y, k, 2, variable_t)
+    assert k2 == k + 4
+    grown = [(compiler._sym_fold(k2, variable_t) @ y2, k2)]
+    if not variable_t:
+        grown.append((compiler._cancel_pairs(x, 2), k + 4))
+    for x2, degree in grown:
+        assert len(x2) == (2 * degree if variable_t else degree)
+        np.testing.assert_allclose(product(x2, degree), product(x, k), rtol=0, atol=1e-12)
+
+
 # -- objective against the einsum oracle -------------------------------------
 
 @pytest.mark.parametrize("folded", [False, True])
@@ -391,8 +423,7 @@ def test_jacobian_built_only_when_the_solver_asks(monkeypatch):
 
     monkeypatch.setattr(compiler, "_residual_jacobian", counted_objective)
     monkeypatch.setattr(compiler, "least_squares", recorded_solver)
-    sigmas = compiler.chebyshev_grid(0.4, 0.8, 24)
-    target = compiler._target_on(targets.identity(0.4, 0.8), sigmas)
+    sigmas, target = compiler._grid(targets.identity(0.4, 0.8), 24)
     opts = SolverOptions(target_eps=0.0, variable_t=True)
     x0 = np.concatenate([np.zeros(6), np.ones(6)])
     compiler._solve_fixed_degree(6, sigmas, target, opts, [x0], 200)

@@ -293,6 +293,10 @@ def cli_files(tmp_path_factory):
     return root
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(run=cli_runs())
 def test_cli_exits_with_a_documented_status(cli_files, run):
@@ -302,9 +306,13 @@ def test_cli_exits_with_a_documented_status(cli_files, run):
     (cli_files / "hostile.txt").write_text(schedule_text)
     cwd = os.getcwd()
     os.chdir(cli_files)         # the drawn paths are relative to it
+    out = StringIO()
     try:
-        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(StringIO()):
             status = cli.main(argv)
     finally:
         os.chdir(cwd)
     assert status in (0, 2, 3, 4, 5), (argv, config)
+    if status == 0 and argv[0] != "sweep" and out.getvalue():
+        # a report is strict JSON: no NaN or Infinity
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
