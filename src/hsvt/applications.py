@@ -86,9 +86,9 @@ def _compile_memoized(f: TargetFunction, eps: float,
     return schedule
 
 
-def _embed_in_domain(a, lo: float, hi: float) -> embedding.BlockHamiltonian:
+def _embed_in_domain(a, f: TargetFunction) -> embedding.BlockHamiltonian:
     """A's embedding from one SVD, or from the one an embedding of A
-    carries; singular values outside [lo, hi] raise PreconditionError
+    carries; singular values outside f's domain raise PreconditionError
     before the embedding's own checks."""
     if isinstance(a, embedding.BlockHamiltonian):
         a, res = a.a_block, a.svd
@@ -96,10 +96,10 @@ def _embed_in_domain(a, lo: float, hi: float) -> embedding.BlockHamiltonian:
         a = linalg.as_complex_matrix(a, "A")
         res = linalg.svd(a)
     s = res.singulars
-    if np.any(s < lo - 1e-9) or np.any(s > hi + 1e-9):
+    if not np.all(f.in_domain(s)):
         raise PreconditionError(
             f"singular values span [{s.min():.6g}, {s.max():.6g}], outside "
-            f"the synthesis domain [{lo:.6g}, {hi:.6g}]"
+            f"the synthesis domain [{f.sigma_lo:.6g}, {f.sigma_hi:.6g}]"
         )
     return embedding.BlockHamiltonian(a_block=a, svd=res)
 
@@ -118,9 +118,8 @@ def inverse_block_encode(a, eps: float, domain=DEFAULT_DOMAIN,
             "as the identity on unpaired singular directions, which the "
             "anti-Hermitian target never does"
         )
-    lo, hi = domain
-    h = _embed_in_domain(a, lo, hi)
-    f = targets.identity(lo, hi)
+    f = targets.identity(*domain)
+    h = _embed_in_domain(a, f)
     schedule = compiled_schedule(f, eps, opts)
     target = protocol.build_target_unitary(h, f)
     result = protocol.simulate_protocol(h, schedule, target=target)
@@ -144,7 +143,7 @@ def _block_unitary(a, f: TargetFunction, backend: str, eps: float,
     if backend == "exact":
         return protocol.build_target_unitary(a, f).matrix
     if backend == "protocol":
-        h = _embed_in_domain(a, f.sigma_lo, f.sigma_hi)
+        h = _embed_in_domain(a, f)
         schedule = compiled_schedule(f, eps, opts)
         return protocol.simulate_protocol(h, schedule).unitary
     raise InvalidInputError(f"unknown backend {backend!r}")

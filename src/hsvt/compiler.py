@@ -56,6 +56,9 @@ class PhaseStep:
     t: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.phi) and math.isfinite(self.t)):
+            raise InvalidInputError(
+                f"phase and time must be finite, got ({self.phi}, {self.t})")
         if not (self.t > 0.0):
             raise InvalidInputError(f"step time must be positive, got {self.t}")
         object.__setattr__(self, "phi", _wrap_phase(self.phi))
@@ -657,7 +660,9 @@ def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):
     Residuals are measured on one shared dense evaluation grid so the sweep
     is comparable across degrees.  Each degree is seeded both by the previous
     solution (extended with canceling pairs, which preserves the product) and
-    by a fresh symmetric continuation; stalls trigger jittered re-solves.
+    by a fresh symmetric continuation.  A degree above the previous one
+    whose residual does not beat the previous residual is re-solved from
+    jittered starts.
     Returns a list of (k, max_residual, schedule) sorted as given, [] for no ks.
     """
     ks = [int(k) for k in ks]
@@ -678,6 +683,7 @@ def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):
     x = None
     prev_res = None
     for k in ks:
+        grew = x is not None and k > len(x)
         inits = []
         if x is not None and len(x) <= k and (k - len(x)) % 2 == 0:
             inits.append(_cancel_pairs(x, (k - len(x)) // 2))
@@ -687,7 +693,7 @@ def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):
                                          min(opts.max_nfev, 700))
         r = eval_res(x)
         tries = 0
-        while prev_res is not None and r >= prev_res and tries < 4:
+        while grew and r >= prev_res and tries < 4:
             jitter = [inits[0] + rng.normal(0.0, 0.1 * (tries + 1), k)
                       for _ in range(2)]
             _, x2, _, _ = _solve_fixed_degree(k, sigmas, target, opts, jitter,

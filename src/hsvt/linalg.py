@@ -14,7 +14,6 @@ from .errors import InvalidInputError, NotPSDError
 
 HERMITICITY_TOL = 1e-10
 PSD_EIG_FLOOR = -1e-8
-RANK_TOL = 1e-12
 
 
 def as_complex_matrix(a, name="matrix") -> np.ndarray:
@@ -38,52 +37,32 @@ def is_hermitian(m: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """SVD A = sum_j sigma_j |l_j><r_j| with a fixed per-pair phase convention."""
+    """SVD A = sum_j sigma_j |l_j><r_j| as numpy returns it: each pair's phase
+    is LAPACK's, and callers read a pair only through products such as
+    |l_j><r_j| that a common phase cancels."""
 
     singulars: np.ndarray       # descending, >= 0
     left_vectors: np.ndarray    # columns |l_j>
     right_vectors: np.ndarray   # columns |r_j>
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    eigenvalues: np.ndarray     # real, ascending
-    eigenvectors: np.ndarray    # orthonormal columns
-
-
 def svd(a) -> SvdResult:
-    """Economy SVD with deterministic phases.
-
-    The phase of each pair is fixed by making the first nonzero component of
-    the right vector real positive; the left vector absorbs the conjugate
-    phase so the reconstruction is unchanged.
-    """
-    m = as_complex_matrix(a, "A")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    v = vh.conj().T
-    big = np.abs(v) > RANK_TOL
-    fix = np.flatnonzero(big.any(axis=0))
-    if fix.size:
-        lead = v[big[:, fix].argmax(axis=0), fix]
-        # np.hypot rounds as the scalar abs does; array np.abs does not
-        phase = lead / np.hypot(lead.real, lead.imag)
-        v[:, fix] /= phase
-        u[:, fix] /= phase
-    return SvdResult(singulars=s, left_vectors=u, right_vectors=v)
+    """Economy SVD of a validated A."""
+    u, s, vh = np.linalg.svd(as_complex_matrix(a, "A"), full_matrices=False)
+    return SvdResult(singulars=s, left_vectors=u, right_vectors=vh.conj().T)
 
 
-def hermitian_eig(h, name="H") -> HermitianEig:
+def hermitian_eig(h, name="H") -> tuple[np.ndarray, np.ndarray]:
+    """(ascending eigenvalues, orthonormal eigenvector columns) of a Hermitian H."""
     m = as_complex_matrix(h, name)
     if not is_hermitian(m):
         raise InvalidInputError("matrix is not Hermitian")
-    w, v = np.linalg.eigh(m)
-    return HermitianEig(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh(m)
 
 
 def sqrt_psd(m) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-1e-10, 0) are clamped to 0."""
-    eig = hermitian_eig(m, "M")
-    w, v = eig.eigenvalues, eig.eigenvectors
+    """Hermitian PSD square root; eigenvalues in [PSD_EIG_FLOOR, 0) are clamped to 0."""
+    w, v = hermitian_eig(m, "M")
     if np.any(w < PSD_EIG_FLOOR):
         raise NotPSDError(f"eigenvalue {w.min():.6g} below PSD floor {PSD_EIG_FLOOR:g}")
     w = np.clip(w, 0.0, None)

@@ -33,6 +33,7 @@ max_j sqrt(|da_j|^2 + |db_j|^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +69,20 @@ class ControlNoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.eta >= 0.0):
-            raise InvalidInputError(f"eta must be >= 0, got {self.eta}")
+        _checked_eta(self.eta)
         if self.seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
     def time_factors(self, count: int) -> np.ndarray:
         """Per-step multiplicative factors 1 + eta * N(0, 1), in step order."""
         return 1.0 + self.eta * _standard_normals(self.seed, count)
+
+
+def _checked_eta(eta) -> float:
+    eta = float(eta)
+    if not (0.0 <= eta < math.inf):
+        raise InvalidInputError(f"eta must be finite and >= 0, got {eta}")
+    return eta
 
 
 def _standard_normals(seed: int, count: int) -> np.ndarray:
@@ -129,12 +136,10 @@ def _phase_diagonal(n: int, m: int, phi: float) -> np.ndarray:
     return d
 
 
-def _protocol_unitary(eig: linalg.HermitianEig, n: int, m: int,
-                      phis, times) -> np.ndarray:
+def _protocol_unitary(eig, n: int, m: int, phis, times) -> np.ndarray:
     """Product of conjugated full-space evolutions from an eigendecomposition
-    of H: the oracle for simulate_protocol."""
-    v = eig.eigenvectors
-    w = eig.eigenvalues
+    (w, v) of H: the oracle for simulate_protocol."""
+    w, v = eig
     u = np.eye(n + m, dtype=complex)
     for phi, t in zip(phis, times):
         d = _phase_diagonal(n, m, phi)
@@ -185,19 +190,16 @@ def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:
     """
     u_sim = result.unitary
     u_tgt = target.matrix
-    if u_sim.shape != u_tgt.shape:
-        raise InvalidInputError(
-            f"shape mismatch: {u_sim.shape} vs {u_tgt.shape}")
     distance = linalg.op_distance(u_sim, u_tgt)
     h = result.embedding
     per_subspace = []
-    for sigma, diff in zip(h.svd.singulars, h.pair_blocks(u_sim - u_tgt)):
-        in_domain = (target.f.sigma_lo - 1e-12 <= sigma
-                     <= target.f.sigma_hi + 1e-12)
+    sigmas = h.svd.singulars
+    for sigma, inside, diff in zip(sigmas, target.f.in_domain(sigmas),
+                                   h.pair_blocks(u_sim - u_tgt)):
         per_subspace.append({
             "sigma": float(sigma),
             "residual": float(np.linalg.norm(diff, 2)),
-            "in_domain": bool(in_domain),
+            "in_domain": bool(inside),
         })
     return {
         "op_distance": float(distance),
@@ -257,9 +259,7 @@ def noise_sweep(a, schedule: PhaseSchedule, etas, trials: int,
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     sigmas = embed(a).svd.singulars     # embed validates sigma_max <= 1
-    etas = [float(eta) for eta in etas]
-    if not all(eta >= 0.0 for eta in etas):
-        raise InvalidInputError("eta must be >= 0")
+    etas = [_checked_eta(eta) for eta in etas]
     if not etas:
         return []
     phis = schedule.phis()

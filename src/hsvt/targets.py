@@ -20,6 +20,9 @@ DEFAULT_SIGMA_LO = 0.05
 DEFAULT_SIGMA_HI = 0.95
 DEFAULT_CAP = 1.0 - 1e-3
 CAP_CHECK_POINTS = 512
+# how far a singular value may lie outside [sigma_lo, sigma_hi] and still
+# count as inside: round-off of an SVD of a matrix built with that sigma
+DOMAIN_SLACK = 1e-9
 
 # Error-law prefactor for the arccos family.  Plain Chebyshev fits of
 # g(x) = f(arccos x) / sqrt(1 - x^2) on the x-interval beat the exp(-sqrt(2 delta) k) law (rescaling to the subinterval
@@ -54,6 +57,8 @@ class TargetFunction:
                 f"domain must satisfy 0 < sigma_lo < sigma_hi < 1, "
                 f"got [{self.sigma_lo}, {self.sigma_hi}]"
             )
+        if not math.isfinite(self.cap):
+            raise InvalidInputError(f"cap must be finite, got {self.cap}")
         grid = np.linspace(self.sigma_lo, self.sigma_hi, CAP_CHECK_POINTS)
         vals = self.eval_analytic(grid)
         if not np.all(np.isfinite(vals)):
@@ -79,9 +84,13 @@ class TargetFunction:
                 out = self.coeff / np.sqrt(1.0 - s**2)
         return out if np.ndim(sigma) else float(out)
 
-    def __call__(self, sigma):
+    def in_domain(self, sigma):
+        """Whether sigma lies in [sigma_lo, sigma_hi], up to DOMAIN_SLACK."""
         s = np.asarray(sigma, dtype=float)
-        if np.any(s < self.sigma_lo - 1e-12) or np.any(s > self.sigma_hi + 1e-12):
+        return (self.sigma_lo - DOMAIN_SLACK <= s) & (s <= self.sigma_hi + DOMAIN_SLACK)
+
+    def __call__(self, sigma):
+        if not np.all(self.in_domain(sigma)):
             raise DomainError(
                 f"sigma outside admissible domain [{self.sigma_lo}, {self.sigma_hi}]"
             )

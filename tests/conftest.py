@@ -48,21 +48,6 @@ def count_calls(monkeypatch, module, names):
     return calls
 
 
-def loop_svd(a):
-    """linalg.svd with its phase fix written as the per-column loop."""
-    m = linalg.as_complex_matrix(a, "A")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    v = vh.conj().T
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > linalg.RANK_TOL)
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            v[:, j] = col / phase
-            u[:, j] = u[:, j] / phase
-    return linalg.SvdResult(singulars=s, left_vectors=u, right_vectors=v)
-
-
 def full_space_unitary(a, phis, times):
     """The protocol's product on the whole space, from one eigendecomposition
     of the embedding of A (protocol._protocol_unitary)."""

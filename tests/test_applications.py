@@ -327,6 +327,14 @@ def test_inverse_block_encode_rejects_out_of_domain():
         applications.inverse_block_encode(np.zeros((2, 2)), 1e-2)
 
 
+def test_inverse_block_encode_and_verify_share_one_domain_slack():
+    # 5e-10 above the domain: inside the slack for the encode and for verify
+    a = np.diag([0.8 + 5e-10, 0.5])
+    _, result, target = applications.inverse_block_encode(a, 1e-2, domain=(0.4, 0.8))
+    record = protocol.verify(result, target, 1e-2)
+    assert [row["in_domain"] for row in record["per_subspace"]] == [True, True]
+
+
 # -- compiled_schedule -------------------------------------------------------
 
 def test_compiled_schedule_memo_keys_on_all_options():

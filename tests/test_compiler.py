@@ -11,7 +11,7 @@ from hsvt import compiler, targets
 from hsvt.compiler import PhaseSchedule, PhaseStep, SolverOptions
 from hsvt.errors import InvalidInputError, ParseError
 
-from conftest import einsum_residual_jacobian, same_floats
+from conftest import count_calls, einsum_residual_jacobian, same_floats
 
 
 def make_schedule(rng, k, variable_t=False):
@@ -30,6 +30,14 @@ def test_phase_step_wraps_phase():
 def test_phase_step_rejects_nonpositive_time():
     with pytest.raises(InvalidInputError):
         PhaseStep(phi=0.0, t=0.0)
+
+
+@pytest.mark.parametrize("phis, times", [([math.nan], None), ([math.inf], None),
+                                         ([0.1], [math.inf]), ([0.1], [math.nan]),
+                                         ([-math.inf], [1.0])])
+def test_schedule_refuses_non_finite_steps(phis, times):
+    with pytest.raises(InvalidInputError, match="finite"):
+        compiler.schedule_from_arrays(phis, times)
 
 
 def test_schedule_text_roundtrip(rng):
@@ -299,6 +307,19 @@ def test_max_node_residual_from_stacked_residual(rng, metric):
 
 def test_degree_sweep_of_no_degrees_is_empty():
     assert compiler.degree_sweep(targets.identity(0.4, 0.8), []) == []
+
+
+def test_degree_sweep_retries_only_a_grown_degree(monkeypatch):
+    # the 8 after a 12 does not grow the degree, so it is solved as in a
+    # sweep of its own: no jittered re-solves chasing the residual at 12
+    f = targets.identity(0.4, 0.8)
+    calls = count_calls(monkeypatch, compiler, ("_solve_fixed_degree",))
+    alone = compiler.degree_sweep(f, [12]) + compiler.degree_sweep(f, [8])
+    solves_alone = calls["_solve_fixed_degree"]
+    rows = compiler.degree_sweep(f, [12, 8])
+    assert calls["_solve_fixed_degree"] == 2 * solves_alone
+    assert [(k, r, s.to_text()) for k, r, s in rows] == \
+        [(k, r, s.to_text()) for k, r, s in alone]
 
 
 def test_degree_sweep_decreasing():

@@ -14,10 +14,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 import hsvt  # noqa: E402
 from hsvt import cli, compiler, io, linalg, protocol  # noqa: E402
 from hsvt.compiler import PhaseSchedule, SolverOptions  # noqa: E402
-from hsvt.errors import ConfigError, ParseError  # noqa: E402
+from hsvt.errors import ConfigError, InvalidInputError, ParseError  # noqa: E402
 
-from conftest import (full_space_unitary, loop_svd, noise_sweep_oracle,  # noqa: E402
-                      same_floats)
+from conftest import full_space_unitary, noise_sweep_oracle  # noqa: E402
 
 HEADER = "# hsvt-schedule v1 "
 _number = st.one_of(st.floats(), st.integers().map(str), st.text(max_size=8))
@@ -29,6 +28,19 @@ schedule_texts = st.one_of(
               st.one_of(st.integers(-2, 4).map(str), st.text(max_size=4)),
               st.lists(st.one_of(_row, st.text(max_size=12)), max_size=4)),
 )
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(st.floats(), st.floats()), max_size=4))
+def test_every_constructed_schedule_reads_back(tmp_path_factory, steps):
+    try:
+        schedule = compiler.schedule_from_arrays([p for p, _ in steps],
+                                                 [t for _, t in steps])
+    except InvalidInputError:
+        return
+    path = tmp_path_factory.getbasetemp() / "roundtrip.sched"
+    io.write_schedule(path, schedule)
+    assert io.read_schedule(path).to_text() == schedule.to_text()
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -170,11 +182,14 @@ def svd_inputs(draw):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(svd_inputs())
-def test_svd_phase_fix_equals_the_loop_form_exactly(a):
-    got, want = linalg.svd(a), loop_svd(a)
-    assert np.array_equal(got.singulars, want.singulars)
-    assert same_floats(got.right_vectors, want.right_vectors)
-    assert same_floats(got.left_vectors, want.left_vectors)
+def test_svd_factors_rebuild_a_with_orthonormal_columns(a):
+    res = linalg.svd(a)
+    s, left, right = res.singulars, res.left_vectors, res.right_vectors
+    rebuilt = (left * s) @ right.conj().T
+    assert np.linalg.norm(rebuilt - a, 2) <= 1e-12 * max(1.0, np.linalg.norm(a, 2))
+    assert np.all(s >= 0.0) and np.all(np.diff(s) <= 0.0)
+    for q in (left, right):
+        assert np.linalg.norm(q.conj().T @ q - np.eye(s.size), 2) <= 1e-12
 
 
 @st.composite

@@ -112,6 +112,19 @@ def test_noise_model_rejects_negative_eta():
         protocol.ControlNoiseModel(-0.1)
 
 
+@pytest.mark.parametrize("eta", [np.inf, np.nan])
+def test_noise_model_rejects_non_finite_eta(eta):
+    with pytest.raises(InvalidInputError, match="finite"):
+        protocol.ControlNoiseModel(eta)
+
+
+@pytest.mark.parametrize("eta", [np.inf, np.nan])
+def test_noise_sweep_rejects_non_finite_eta(rng, eta):
+    a = random_contraction(rng, 2)
+    with pytest.raises(InvalidInputError, match="finite"):
+        protocol.noise_sweep(a, make_schedule(rng, 3), [1e-3, eta], trials=2)
+
+
 # -- verification and consistency --------------------------------------------
 
 def test_verify_perfect_match(rng):
@@ -185,7 +198,8 @@ def test_verify_pairs_equal_a_per_pair_loop(rng, name):
         diff = basis.conj().T @ (result.unitary - target.matrix) @ basis
         want.append({"sigma": float(sigma),
                      "residual": float(np.linalg.norm(diff, 2)),
-                     "in_domain": bool(0.1 - 1e-12 <= sigma <= 0.9 + 1e-12)})
+                     "in_domain": bool(0.1 - targets.DOMAIN_SLACK <= sigma
+                                       <= 0.9 + targets.DOMAIN_SLACK)})
     assert protocol.verify(result, target, 1e-3)["per_subspace"] == want
 
 

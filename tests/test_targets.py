@@ -84,3 +84,20 @@ def test_degree_for_accuracy_rejects_bad_args():
         targets.degree_for_accuracy(0.0, 1e-3)
     with pytest.raises(InvalidInputError):
         targets.degree_for_accuracy(0.1, 2.0)
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+def test_non_finite_cap_rejected(cap):
+    with pytest.raises(InvalidInputError, match="cap must be finite"):
+        targets.identity(0.2, 0.8, cap=cap)
+
+
+def test_domain_slack_is_one_constant():
+    f = targets.identity(0.2, 0.8)
+    inside = 0.8 + 0.5 * targets.DOMAIN_SLACK
+    outside = 0.8 + 2 * targets.DOMAIN_SLACK
+    assert f(inside) == inside
+    assert list(f.in_domain([0.2 - 0.5 * targets.DOMAIN_SLACK, inside, outside])) == \
+        [True, True, False]
+    with pytest.raises(DomainError):
+        f(outside)
