@@ -68,20 +68,19 @@ def compiled_schedule(f: TargetFunction, eps: float,
     compiler.synthesize_to_accuracy); a schedule that misses eps raises
     ConvergenceError.  The memo is keyed on all solver options.
     """
-    opts = opts or SolverOptions(target_eps=eps, variable_t=True)
-    return _compile_memoized(f, float(eps), replace(opts, target_eps=eps))
+    opts = opts or SolverOptions(variable_t=True)
+    return _compile_memoized(f, replace(opts, target_eps=float(eps)))
 
 
 @functools.lru_cache(maxsize=SCHEDULE_MEMO_SIZE)
-def _compile_memoized(f: TargetFunction, eps: float,
-                      opts: SolverOptions) -> PhaseSchedule:
+def _compile_memoized(f: TargetFunction, opts: SolverOptions) -> PhaseSchedule:
     # lru_cache stores no result for a call that raises, so a
     # ConvergenceError is raised again on every retry
-    schedule, report = compiler.synthesize_to_accuracy(f, eps, opts=opts)
+    schedule, report = compiler.synthesize_to_accuracy(f, opts.target_eps, opts=opts)
     if not report.converged:
         raise ConvergenceError(
-            f"synthesis reached residual {report.max_residual:.3e} > {eps:.3e} "
-            f"at degree {schedule.degree}"
+            f"synthesis reached residual {report.max_residual:.3e} > "
+            f"{opts.target_eps:.3e} at degree {schedule.degree}"
         )
     return schedule
 
@@ -137,15 +136,16 @@ class ApplyResult:
     amplification: int           # ceil(pi / (4 sqrt(p)))
 
 
-def _block_unitary(a, f: TargetFunction, backend: str, eps: float,
+def _block_unitary(a, backend: str, eps: float, domain,
                    opts: SolverOptions | None = None) -> np.ndarray:
-    """The block unitary that carries f(A), in the chosen backend."""
+    """The block unitary that carries A, in the chosen backend: the closed
+    form, or the schedule compiled for the identity on domain, simulated."""
     if backend == "exact":
-        return protocol.build_target_unitary(a, f).matrix
+        return protocol.build_target_unitary(a, EXACT_TARGET).matrix
     if backend == "protocol":
+        f = targets.identity(*domain)
         h = _embed_in_domain(a, f)
-        schedule = compiled_schedule(f, eps, opts)
-        return protocol.simulate_protocol(h, schedule).unitary
+        return protocol.simulate_protocol(h, compiled_schedule(f, eps, opts)).unitary
     raise InvalidInputError(f"unknown backend {backend!r}")
 
 
@@ -166,8 +166,7 @@ def apply_matrix(a, psi, backend: str = "exact", eps: float = 1e-3,
     if psi.size != a.shape[1]:
         raise InvalidInputError(
             f"state dimension {psi.size} does not match A columns {a.shape[1]}")
-    f = targets.identity(*domain) if backend == "protocol" else EXACT_TARGET
-    _, lower = _apply_block(_block_unitary(a, f, backend, eps), psi)
+    _, lower = _apply_block(_block_unitary(a, backend, eps, domain), psi)
     p = float(np.real(np.vdot(lower, lower)))
     if p < ZERO_PROB_TOL:
         raise ZeroProbabilitySignal("A annihilates the input state")
@@ -210,8 +209,7 @@ def power_cascade(a, psi, n: int, backend: str = "exact", eps: float = 1e-3,
     psi = _as_state(psi)
     if psi.size != a.shape[1]:
         raise InvalidInputError("state dimension does not match A")
-    f = targets.identity(*domain) if backend == "protocol" else EXACT_TARGET
-    u = _block_unitary(a if h is None else h, f, backend, eps, opts)
+    u = _block_unitary(a if h is None else h, backend, eps, domain, opts)
     blocks = []
     carried = psi
     for _ in range(n):
@@ -327,7 +325,8 @@ def history_state(a, psi, n: int, eps: float = 1e-3,
         f_inv = targets.scaled_power(-1.0, c, lo, hi)
         s_h = embedding.BlockHamiltonian(
             a_block=(r * s) @ r.conj().T, svd=linalg.SvdResult(s, r, r))
-        u = _block_unitary(s_h, f_inv, "protocol", eps)
+        u = protocol.simulate_protocol(_embed_in_domain(s_h, f_inv),
+                                       compiled_schedule(f_inv, eps)).unitary
         raw = [_apply_block(u, cascade.block(k))[1] for k in range(n)]
 
     raw.append(c * cascade.block(n))

@@ -163,11 +163,14 @@ def _require(cfg: dict, what: str, *keys) -> None:
             raise ConfigError(f"{what} needs '{key}'")
 
 
+def _given(cfg: dict, *keys) -> dict:
+    """The keys of cfg that were set, so the library's defaults fill the rest."""
+    return {key: cfg[key] for key in keys if key in cfg}
+
+
 def _target_from_config(cfg: dict) -> targets.TargetFunction:
-    return targets.TargetFunction(
-        cfg.get("kind", "identity"), cfg.get("sigma_lo", targets.DEFAULT_SIGMA_LO),
-        cfg.get("sigma_hi", targets.DEFAULT_SIGMA_HI), cfg.get("cap", targets.DEFAULT_CAP),
-        power=cfg.get("power"), coeff=cfg.get("coeff"))
+    return targets.TargetFunction(cfg.get("kind", "identity"), **_given(
+        cfg, "sigma_lo", "sigma_hi", "cap", "power", "coeff"))
 
 
 # config key -> SolverOptions field; absent keys keep the field's default
@@ -197,13 +200,12 @@ def _base_report(cfg: dict, t0: float) -> dict:
     }
 
 
-def _emit_report(cfg: dict, report: dict) -> None:
-    """Write the report to report_out, or as JSON to stdout."""
-    if cfg.get("report_out"):
-        io.write_report(cfg["report_out"], report)
+def _emit(path, text: str) -> None:
+    """Write text to the file at path, or to stdout when no path is set."""
+    if path:
+        io.write_text(path, text)
     else:
-        json.dump(report, sys.stdout, indent=1, sort_keys=True)
-        print()
+        sys.stdout.write(text)
 
 
 # Each command returns (exit status, report fields); main adds the common
@@ -214,7 +216,7 @@ def cmd_synthesize(cfg: dict):
     opts = _solver_options(cfg)
     if "k" in cfg:
         schedule, rep = compiler.synthesize_schedule(
-            f, cfg["k"], grid_size=cfg.get("grid_size"), opts=opts)
+            f, cfg["k"], opts=opts, **_given(cfg, "grid_size"))
     else:
         schedule, rep = compiler.synthesize_to_accuracy(f, opts.target_eps, opts=opts)
     if cfg.get("schedule_out"):
@@ -231,7 +233,7 @@ def cmd_simulate(cfg: dict):
     f = _target_from_config(cfg)
     noise = None
     if cfg.get("eta"):
-        noise = protocol.ControlNoiseModel(cfg["eta"], cfg.get("seed", 0))
+        noise = protocol.ControlNoiseModel(cfg["eta"], **_given(cfg, "seed"))
     h = embedding.embed(a)
     target = protocol.build_target_unitary(h, f)
     result = protocol.simulate_protocol(h, schedule, noise=noise)
@@ -252,18 +254,13 @@ def cmd_sweep(cfg: dict):
         a = io.read_matrix(cfg["matrix"])
         schedule = io.read_schedule(cfg["schedule"])
         table = protocol.noise_sweep(a, schedule, cfg.get("etas", []),
-                                     cfg.get("trials", 100), seed=cfg.get("seed", 0))
+                                     cfg.get("trials", 100), **_given(cfg, "seed"))
         total_t, steps = compiler.schedule_cost(schedule)
         for row in table:
             rows.append([row["eta"], f"{row['mean_distance']:.12e}",
                          f"{total_t:.12e}", steps])
         header = ["eta", "mean_distance", "total_time", "steps"]
-    if cfg.get("csv_out"):
-        io.write_csv(cfg["csv_out"], header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(c) for c in row))
+    _emit(cfg.get("csv_out"), io.csv_text(header, rows))
     return EXIT_OK, None
 
 
@@ -271,8 +268,7 @@ def cmd_apply(cfg: dict):
     _require(cfg, "apply", "matrix", "state")
     a = io.read_matrix(cfg["matrix"])
     psi = io.read_state(cfg["state"])
-    result = applications.apply_matrix(
-        a, psi, backend=cfg.get("backend", "exact"), eps=cfg.get("eps", 1e-3))
+    result = applications.apply_matrix(a, psi, **_given(cfg, "backend", "eps"))
     if cfg.get("state_out"):
         io.write_state(cfg["state_out"], result.state)
     return EXIT_OK, {"success_prob": result.success_prob,
@@ -285,8 +281,7 @@ def cmd_ode(cfg: dict):
     psi0 = io.read_state(cfg["state"])
     problem = applications.OdeProblem(
         b=b, dt=cfg.get("dt", 0.01), steps=cfg.get("steps", 100), psi0=psi0)
-    cascade, final = applications.ode_solve(
-        problem, backend=cfg.get("backend", "exact"), eps=cfg.get("eps", 1e-3))
+    cascade, final = applications.ode_solve(problem, **_given(cfg, "backend", "eps"))
     if cfg.get("state_out"):
         io.write_state(cfg["state_out"], final)
     return EXIT_OK, {"final_norm": float(np.linalg.norm(final)),
@@ -298,9 +293,8 @@ def cmd_history(cfg: dict):
     _require(cfg, "history", "matrix", "state")
     a = io.read_matrix(cfg["matrix"])
     psi = io.read_state(cfg["state"])
-    result = applications.history_state(
-        a, psi, n=cfg.get("n", 4), eps=cfg.get("eps", 1e-3),
-        backend=cfg.get("backend", "exact"))
+    result = applications.history_state(a, psi, n=cfg.get("n", 4),
+                                        **_given(cfg, "eps", "backend"))
     if cfg.get("state_out"):
         io.write_state(cfg["state_out"], result.history)
     return EXIT_OK, {"success_prob": result.success_prob,
@@ -363,7 +357,8 @@ def main(argv=None) -> int:
         t0 = time.time()
         status, fields = _COMMANDS[args.command][0](cfg)
         if fields is not None:
-            _emit_report(cfg, {**_base_report(cfg, t0), **fields})
+            _emit(cfg.get("report_out"),
+                  io.report_text({**_base_report(cfg, t0), **fields}))
         return status
     except (HsvtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -353,10 +353,7 @@ def _max_node_residual(res, metric) -> float:
 def _grid(f: TargetFunction, n: int):
     """(nodes, target): n Chebyshev nodes on f's domain, f's reduced target there."""
     nodes = chebyshev_grid(f.sigma_lo, f.sigma_hi, n)
-    fvals = np.asarray(f(nodes), dtype=float)
-    if np.any(np.abs(fvals) > f.cap + 1e-12):
-        raise CapError("target exceeds its cap on the synthesis grid")
-    return nodes, reduced_target(fvals)
+    return nodes, reduced_target(f(nodes))
 
 
 def _residuals(schedule: PhaseSchedule, sigmas, target, metric) -> np.ndarray:
@@ -546,12 +543,12 @@ def _stage_solve(k, f, opts, inits, max_nfev):
                                fold=_sym_fold(k, opts.variable_t))
 
 
-def _sym_continuation(f, k, opts, rng, eps_stop=None):
+def _sym_continuation(f, k, opts, rng):
     """Grow a symmetric solution from low degree up to k.
 
     Returns (x, degree reached, nfev), with x the full parameter vector.
-    The degree reached is k, unless eps_stop is given and an earlier stage
-    residual meets it.
+    The degree reached is k, unless opts.target_eps > 0 and an earlier stage
+    residual meets MARGIN * target_eps.
     """
     m, mid = divmod(k, 2)
     variable_t = opts.variable_t
@@ -564,10 +561,11 @@ def _sym_continuation(f, k, opts, rng, eps_stop=None):
         m0 = min(m, 2 + (m % 2))
     inits = _starts(rng, m0, m0 + mid if variable_t else 0, 2, (0.5, 2.5))
     stage_nfev = min(opts.max_nfev, 400)
+    stop = MARGIN * opts.target_eps
     kc = 2 * m0 + mid
     mx, y, nfev, _ = _stage_solve(kc, f, opts, inits, stage_nfev)
     while kc < k:
-        if eps_stop is not None and mx <= eps_stop:
+        if stop > 0.0 and mx <= stop:
             break
         y, kc = _sym_grow(y, kc, min(2, m - kc // 2), variable_t)
         mx, y, nf, _ = _stage_solve(kc, f, opts, [y], stage_nfev)
@@ -647,7 +645,7 @@ def synthesize_to_accuracy(f: TargetFunction, eps: float,
     k_max = max(3 * degree_for_accuracy(f.x_gap(), eps).k, 16)
     opts = replace(opts or SolverOptions(), target_eps=eps)
     rng = np.random.default_rng(opts.seed)
-    warm, kc, nfev = _sym_continuation(f, k_max, opts, rng, eps_stop=MARGIN * eps)
+    warm, kc, nfev = _sym_continuation(f, k_max, opts, rng)
     grid, target = _grid(f, 4 * kc)
     _, x, nf, reason = _solve_fixed_degree(kc, grid, target, opts, [warm],
                                            opts.max_nfev)

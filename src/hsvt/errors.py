@@ -51,9 +51,6 @@ class GeneratorError(PreconditionError):
 class SingularInversionError(PreconditionError):
     """sqrt(I - A^dag A) is singular (some sigma too close to 1)."""
 
-    def __init__(self, message="sqrt(I - A^dag A) is singular; kappa_tilde = inf"):
-        super().__init__(message)
-
 
 class ZeroProbabilitySignal(HsvtError):
     """A annihilates the input state: success probability below threshold."""

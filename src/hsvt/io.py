@@ -11,8 +11,6 @@ directory, then rename).
 
 from __future__ import annotations
 
-import csv
-import io as _io
 import json
 import os
 import tempfile
@@ -23,7 +21,7 @@ from .compiler import PhaseSchedule
 from .errors import ParseError
 
 
-def _atomic_write_text(path, text: str) -> None:
+def write_text(path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hsvt-tmp-")
     try:
@@ -83,7 +81,7 @@ def matrix_from_dict(d: dict, path=None) -> np.ndarray:
 
 
 def write_matrix(path, m: np.ndarray) -> None:
-    _atomic_write_text(path, json.dumps(matrix_to_dict(m), indent=1) + "\n")
+    write_text(path, json.dumps(matrix_to_dict(m), indent=1) + "\n")
 
 
 def read_matrix(path) -> np.ndarray:
@@ -100,7 +98,7 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_schedule(path, schedule: PhaseSchedule) -> None:
-    _atomic_write_text(path, schedule.to_text())
+    write_text(path, schedule.to_text())
 
 
 def read_schedule(path) -> PhaseSchedule:
@@ -124,8 +122,12 @@ def read_state(path) -> np.ndarray:
     return m.reshape(-1)
 
 
+def report_text(report: dict) -> str:
+    return json.dumps(report, indent=1, sort_keys=True) + "\n"
+
+
 def write_report(path, report: dict) -> None:
-    _atomic_write_text(path, json.dumps(report, indent=1, sort_keys=True) + "\n")
+    write_text(path, report_text(report))
 
 
 def read_report(path) -> dict:
@@ -133,10 +135,10 @@ def read_report(path) -> dict:
         return json.load(fh)
 
 
+def csv_text(header: list[str], rows: list[list]) -> str:
+    """One comma-separated line per row, header first; no cell holds a comma."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
 def write_csv(path, header: list[str], rows: list[list]) -> None:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    _atomic_write_text(path, buf.getvalue())
+    write_text(path, csv_text(header, rows))

@@ -19,8 +19,6 @@ PSD_EIG_FLOOR = -1e-8
 def as_complex_matrix(a, name="matrix") -> np.ndarray:
     """Validate and convert input to a finite 2-D complex array."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim == 1:
-        m = m.reshape(-1, 1)
     if m.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hsvt import cli, io, linalg
+from hsvt import applications, cli, io, linalg
 from hsvt.compiler import (CONVENTION, PhaseSchedule, SolverOptions,
                            schedule_from_arrays)
 
@@ -408,6 +408,21 @@ def test_empty_degree_sweep_header_only(tmp_path):
     assert out.read_text() == "k,max_residual,total_time,steps\n"
 
 
+def test_degree_sweep_prints_the_csv_it_writes(tmp_path, capsys):
+    argv = ["sweep", "--mode", "degree", "--kind", "identity", "--sigma-lo", "0.3",
+            "--sigma-hi", "0.8", "--ks", "4,5"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    header, row4, row5 = printed.splitlines()
+    assert header == "k,max_residual,total_time,steps"
+    assert row4 == "4,1.056668112081e+00,4.000000000000e+00,4"
+    assert row5.startswith("5,") and row5.endswith(",5.000000000000e+00,5")
+    out = tmp_path / "t.csv"
+    assert run(argv + ["--csv-out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
 def test_noise_sweep_csv(tmp_path):
     m = tmp_path / "m.json"
     io.write_matrix(m, np.diag([0.5]))
@@ -459,6 +474,26 @@ def test_ode_report_scalar(tmp_path):
     report = io.read_report(rep)
     assert report["final_norm"] == pytest.approx(0.99 ** 100, abs=1e-12)
     assert report["total_norm_sq"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["ode", "history"])
+def test_state_out_holds_the_library_result(tmp_path, command):
+    m, v, out = tmp_path / "m.json", tmp_path / "v.json", tmp_path / "out.json"
+    psi = np.array([0.6, 0.8j])
+    io.write_state(v, psi)
+    if command == "ode":
+        b = np.array([[-1.0, 0.5], [-0.5, -2.0]])
+        io.write_matrix(m, b)
+        argv = ["ode", "--generator", str(m), "--dt", "0.1", "--steps", "3"]
+        want = applications.ode_solve(applications.OdeProblem(b, 0.1, 3, psi))[1]
+    else:
+        a = np.array([[0.5, 0.1], [0.0, 0.3]])
+        io.write_matrix(m, a)
+        argv = ["history", "--matrix", str(m), "--n", "2"]
+        want = applications.history_state(a, psi, n=2).history
+    assert run(argv + ["--state", str(v), "--state-out", str(out),
+                       "--report-out", str(tmp_path / "rep.json")]) == 0
+    assert np.array_equal(io.read_state(out), want)
 
 
 def test_report_excluding_timing_reproducible(tmp_path):

@@ -322,6 +322,26 @@ def test_degree_sweep_retries_only_a_grown_degree(monkeypatch):
         [(k, r, s.to_text()) for k, r, s in alone]
 
 
+def test_degree_sweep_re_solves_a_grown_degree_that_does_not_improve(monkeypatch):
+    # k = 5 solved alone does worse than k = 4, so the sweep re-solves it
+    # from two jittered starts, and the better of the two solves is kept
+    f = targets.identity(0.3, 0.8)
+    r5_alone = compiler.degree_sweep(f, [5], SolverOptions(seed=0))[0][1]
+    real = compiler._solve_fixed_degree
+    unfolded = []
+
+    def recorded(k, sigmas, target, opts, inits, max_nfev, fold=None):
+        if fold is None:
+            unfolded.append((k, len(inits), max_nfev))
+        return real(k, sigmas, target, opts, inits, max_nfev, fold)
+
+    monkeypatch.setattr(compiler, "_solve_fixed_degree", recorded)
+    (_, r4, _), (_, r5, _) = compiler.degree_sweep(f, [4, 5], SolverOptions(seed=0))
+    assert unfolded == [(4, 1, 700), (5, 1, 700), (5, 2, 1200)]
+    assert r5 < r4 < r5_alone
+    assert r4 == pytest.approx(1.056668, abs=1e-6)
+
+
 def test_degree_sweep_decreasing():
     f = targets.identity(0.35, 0.8)
     rows = compiler.degree_sweep(f, [4, 8, 12, 16], opts=SolverOptions(seed=0))

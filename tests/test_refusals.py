@@ -1,0 +1,87 @@
+"""Refusals of the library's entry points: each bad input raises its own
+error class with its own message."""
+
+import re
+
+import numpy as np
+import pytest
+
+from hsvt import applications, compiler, io, linalg, protocol, targets
+from hsvt.compiler import SolverOptions
+from hsvt.errors import CapError, InvalidInputError, ParseError
+
+HALF = 0.5 * np.eye(2)
+SCHEDULE = compiler.schedule_from_arrays([0.3, -0.3])
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+REFUSALS = {
+    "apply-empty-state": (lambda tmp: applications.apply_matrix(HALF, []),
+                          InvalidInputError, "state must be a nonempty finite vector"),
+    "cascade-n-0": (lambda tmp: applications.power_cascade(HALF, [1, 0], 0),
+                    InvalidInputError, "n must be >= 1"),
+    "cascade-state-dim": (lambda tmp: applications.power_cascade(HALF, [1, 0, 0], 1),
+                          InvalidInputError, "state dimension does not match A"),
+    "ode-dt-0": (lambda tmp: applications.OdeProblem(-np.eye(2), 0.0, 1, [1, 0]),
+                 InvalidInputError, "dt must be positive"),
+    "ode-steps-0": (lambda tmp: applications.OdeProblem(-np.eye(2), 0.1, 0, [1, 0]),
+                    InvalidInputError, "steps must be >= 1"),
+    "ode-b-2x3": (lambda tmp: applications.OdeProblem(np.zeros((2, 3)), 0.1, 1, [1, 0]),
+                  InvalidInputError, "B must be square"),
+    "ode-psi0-dim": (lambda tmp: applications.OdeProblem(-np.eye(2), 0.1, 1, [1, 0, 0]),
+                     InvalidInputError, "psi0 dimension does not match B"),
+    "history-a-2x3": (lambda tmp: applications.history_state(np.zeros((2, 3)), [1, 0, 0], 1),
+                      InvalidInputError, "history state needs a square matrix"),
+    "history-n-0": (lambda tmp: applications.history_state(HALF, [1, 0], 0),
+                    InvalidInputError, "n must be >= 1"),
+    "history-state-dim": (lambda tmp: applications.history_state(HALF, [1, 0, 0], 1),
+                          InvalidInputError, "state dimension does not match A"),
+    "target-above-1": (lambda tmp: protocol.build_target_unitary(
+                           np.diag([0.99]), targets.inverse_sqrt_complement(0.3, 0.1, 0.9)),
+                       CapError, "|f(sigma)| reaches 2.12664 > 1; no unitary completion exists"),
+    # a cap above 1 admits the target; its values above 1 on the synthesis
+    # grid are refused when the grid's reduced target is built
+    "synthesis-above-1": (lambda tmp: compiler.synthesize_schedule(
+                              targets.scaled_power(1, 2, 0.05, 0.95, cap=3), 2),
+                          CapError, "|f| reaches 1.88271 > 1"),
+    "reduced-model-negative-sigma": (lambda tmp: compiler.reduced_model(SCHEDULE, -0.1),
+                                     InvalidInputError, "sigma must be >= 0"),
+    "degree-sweep-variable-t": (lambda tmp: compiler.degree_sweep(
+                                    targets.identity(0.3, 0.8), [4],
+                                    SolverOptions(variable_t=True)),
+                                InvalidInputError, "degree_sweep runs in fixed-t mode"),
+    "noise-sweep-trials-0": (lambda tmp: protocol.noise_sweep(HALF, SCHEDULE, [0.1], 0),
+                             InvalidInputError, "trials must be >= 1"),
+    "unknown-kind": (lambda tmp: targets.TargetFunction("cubic"),
+                     InvalidInputError, "unknown target kind 'cubic'"),
+    "infinite-coeff": (lambda tmp: targets.scaled_power(-1, np.inf, 0.1, 0.9),
+                       InvalidInputError, "target function is not finite on its domain"),
+    "matrix-ndim-3": (lambda tmp: linalg.as_complex_matrix(np.zeros((2, 2, 2))),
+                      InvalidInputError, "matrix must be 2-dimensional, got ndim=3"),
+    "matrix-ndim-1": (lambda tmp: linalg.svd(np.array([0.5, 0.1])),
+                      InvalidInputError, "A must be 2-dimensional, got ndim=1"),
+    "svd-nan": (lambda tmp: linalg.svd([[np.nan]]),
+                InvalidInputError, "A contains non-finite entries"),
+    "read-entry-out-of-range": (lambda tmp: io.read_matrix(_write(
+                                    tmp / "m.json",
+                                    '{"rows": 1, "cols": 1, "entries": [[1' + "0" * 400
+                                    + ', 0]]}')),
+                                ParseError, "entry 0 is out of range"),
+    "read-top-level-list": (lambda tmp: io.read_matrix(_write(tmp / "m.json", "[1, 2]")),
+                            ParseError, "top-level JSON value must be an object"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_class_and_message(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as exc:
+        call(tmp_path)
+    assert type(exc.value) is error
+
+
+def test_pq_constraint_of_no_nodes_is_zero():
+    assert compiler.verify_pq_constraint(SCHEDULE, []) == 0.0
