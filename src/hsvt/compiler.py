@@ -182,9 +182,6 @@ class SolverOptions:
 # Reduced-model kernels (vectorized over sigma nodes)
 # ---------------------------------------------------------------------------
 
-_I2 = np.eye(2, dtype=complex)
-
-
 def _step_matrices(phis, times, sigmas):
     """(K, N, 2, 2) array of per-step reduced rotations."""
     angles = np.multiply.outer(times, sigmas)          # (K, N)
@@ -198,32 +195,26 @@ def _step_matrices(phis, times, sigmas):
     return m
 
 
-def _chain(m, planes=None, reverse=False):
-    """The product m[K-1] ... m[0] of (K, N, 2, 2) step matrices, built from
-    m[0] up, or with reverse from m[K-1] down.
-
-    With planes, a (2, 2, 2, K, N) array, planes[:, :, :, k] receives the real
-    and imaginary planes [part, a, b] of the running product step k is
-    multiplied onto: m[k-1] ... m[0], or with reverse m[K-1] ... m[k+1].
-    """
-    u = np.broadcast_to(_I2, m.shape[1:]).copy()
-    at = None if planes is None else planes.transpose(3, 4, 1, 2, 0)
-    for k in reversed(range(len(m))) if reverse else range(len(m)):
-        if at is not None:
-            at[k] = u.view(float).reshape(at.shape[1:])
-        u = u @ m[k] if reverse else m[k] @ u
-    return u
-
-
 def step_product(phis, times, sigmas) -> np.ndarray:
     """(N, 2, 2) products of the steps (phis, times) at each of the N sigmas.
 
     The dense 2x2 kernel of one run, behind reduced_product and
-    simulate_protocol; the objective runs the same _step_matrices/_chain.
-    noise_sweep runs protocol._reduced_corners instead, the same product on
-    (a, b) pairs batched over trials: dense is faster for one run, pairs
-    for a batch of runs."""
-    return _chain(_step_matrices(phis, times, sigmas))
+    simulate_protocol.  The objective and noise_sweep multiply the same
+    steps as (a, b) pairs (_pair_product): dense is faster for one run,
+    pairs for the objective's chains and for a batch of runs."""
+    u = np.broadcast_to(np.eye(2, dtype=complex), (len(sigmas), 2, 2)).copy()
+    for m in _step_matrices(phis, times, sigmas):
+        u = m @ u
+    return u
+
+
+def _pair_product(a1, b1, a2, b2):
+    """(a, b) of [[a1, b1], [-b1*, a1*]] @ [[a2, b2], [-b2*, a2*]].
+
+    Every step, product of steps and step derivative has this form (a real
+    multiple of an SU(2) matrix), so it is held as its first row (a, b).  A
+    step is (cos sigma t, -i sin(sigma t) e^{i phi}), with a real a."""
+    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
 def reduced_product(schedule: PhaseSchedule, sigmas) -> np.ndarray:
@@ -258,13 +249,31 @@ def chebyshev_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * (2 * i + 1) / (2 * n))
 
 
+# Each stacked row of the full metric carries sqrt 2, so that the rows' sum of
+# squares is that of all four entries of U - T; no row exceeds its scale times
+# the residual of its node.
+_ROW_SCALE = {"full": math.sqrt(2.0), "corner": 1.0}
+
+
+def _rows(a, b, metric):
+    """Stacked real rows, along the last axis, of the pairs (a, b) under the
+    metric: the lower-left entry -b* for 'corner'; a and b for 'full'."""
+    if metric == "corner":
+        c = -np.conj(b)
+        return np.concatenate([c.real, c.imag], axis=-1)
+    return _ROW_SCALE[metric] * np.concatenate([a.real, a.imag, b.real, b.imag],
+                                               axis=-1)
+
+
 def _residual_jacobian(params, sigmas, target, variable_t, metric):
     """Stacked real residual vector, and a callable that returns its Jacobian.
 
-    metric 'full' uses all four entries of U - T; 'corner' only the
-    lower-left entry minus i f.  The residual needs only the prefix
-    products; the callable runs the suffix products and the derivative
-    contraction, so a point whose Jacobian is never asked for skips them.
+    The schedule's product U and the target T = i[[g, f], [f, -g]] are both
+    pairs (a, b) (see _pair_product), and so is U - T.  metric 'full' stacks
+    Re and Im of U - T's a and b, 'corner' of its lower-left entry.  The
+    residual needs only the prefix products P_k; the callable runs the
+    suffix products Q_k and the derivatives (Q_{k+1} D_k) P_k, so a point
+    whose Jacobian is never asked for skips them.
     """
     if variable_t:
         K = len(params) // 2
@@ -272,56 +281,34 @@ def _residual_jacobian(params, sigmas, target, variable_t, metric):
     else:
         K = len(params)
         phis, times = params, np.ones(K)
-    m = _step_matrices(phis, times, sigmas)
-    pre = np.empty((2, 2, 2) + m.shape[:2])
-    r_c = _metric_diff(_chain(m, pre), target, metric).reshape(-1)
-    res = np.concatenate([r_c.real, r_c.imag])
+    angles = np.multiply.outer(times, sigmas)
+    st, ct = np.sin(angles), np.cos(angles)
+    e = np.exp(1j * phis)[:, None]
+    w = -1j * st * e
+    pa = np.empty((K + 1, len(sigmas)), dtype=complex)
+    pb = np.empty_like(pa)
+    pa[0], pb[0] = 1.0, 0.0
+    for k in range(K):
+        pa[k + 1], pb[k + 1] = _pair_product(ct[k], w[k], pa[k], pb[k])
+    res = _rows(pa[K] - target[:, 0, 0], pb[K] - target[:, 0, 1], metric)
 
     def jacobian():
-        suf = np.empty_like(pre)
-        _chain(m, suf, reverse=True)
-        angles = np.multiply.outer(times, sigmas)
-        st, ct = np.sin(angles), np.cos(angles)
-        e = np.exp(1j * phis)[:, None]
-        # the nonzero entries (b, c) of each step's derivative
-        blocks = [{(0, 1): st * e, (1, 0): -st * np.conj(e)}]
+        qa, qb = np.empty_like(pa), np.empty_like(pb)
+        qa[K], qb[K] = 1.0, 0.0
+        for k in reversed(range(K)):
+            qa[k], qb[k] = _pair_product(qa[k + 1], qb[k + 1], ct[k], w[k])
+        # each step's derivative by phi, then by t
+        derivs = [(0.0, st * e)]
         if variable_t:
-            sg = sigmas[None, :]
-            diag = (-sg * st).astype(complex)
-            blocks.append({(0, 0): diag, (0, 1): -1j * sg * ct * e,
-                           (1, 0): -1j * sg * ct * np.conj(e), (1, 1): diag})
-        return _chain_jacobian(suf, blocks, pre, metric)
+            derivs.append((-sigmas * st, -1j * sigmas * ct * e))
+        cols = [_pair_product(*_pair_product(qa[1:], qb[1:], da, db), pa[:-1], pb[:-1])
+                for da, db in derivs]
+        a, b = (np.concatenate(part) for part in zip(*cols))
+        # transposed, so Fortran-ordered: the memory order of the Jacobian
+        # changes the solver's round-off, hence its steps
+        return _rows(a, b, metric).T
 
     return res, jacobian
-
-
-def _chain_jacobian(s, blocks, p, metric):
-    """Jacobian of the stacked residual from the suffix and prefix planes s
-    and p of _chain and, per block of parameters, the nonzero entries
-    {(b, c): D[b, c]} of each step's derivative.
-
-    Entry (a, d) is the sum over (b, c), in that order and onto +0.0, of
-    (S[a,b] D[b,c]) P[c,d] with each complex product written out in real
-    arithmetic: the arithmetic of np.einsum("knab,knbc,kncd->knad", S, D, P),
-    so the floats are the einsum's, signed zeros included.  numpy's complex
-    multiply rounds differently and is not used.  The result is Fortran-
-    ordered, as the solver's round-off depends on the memory order.
-    """
-    rows, cols = ((slice(1, 2), slice(0, 1)) if metric == "corner"
-                  else (slice(2), slice(2)))
-    s, p = s[:, rows], p[:, :, cols]         # (2, a, b, K, N), (2, c, d, K, N)
-    n, K, N = s.shape[1], s.shape[-2], s.shape[-1]
-    out = np.zeros((2, n, n, len(blocks) * K, N))
-    for i, entries in enumerate(blocks):
-        o_re, o_im = out[..., i * K:(i + 1) * K, :]
-        for (b, c), d in entries.items():
-            (s_re, s_im), (p_re, p_im) = s[:, :, b, None], p[:, c]
-            sd_re = s_re * d.real - s_im * d.imag
-            sd_im = s_re * d.imag + s_im * d.real
-            o_re += sd_re * p_re - sd_im * p_im
-            o_im += sd_re * p_im + sd_im * p_re
-    # (part, a, d, P, N) -> rows ordered (part, node, a, d), a column per parameter
-    return out.transpose(3, 0, 4, 1, 2).reshape(len(blocks) * K, -1).T
 
 
 def _metric_diff(u, target, metric):
@@ -342,12 +329,11 @@ def _node_residuals(diff):
 
 def _max_node_residual(res, metric) -> float:
     """Max node residual read off the stacked residual vector of
-    _residual_jacobian, without evaluating the objective again."""
-    n = len(res) // 2
-    diff = res[:n] + 1j * res[n:]
-    if metric == "full":
-        diff = diff.reshape(-1, 2, 2)
-    return float(np.max(_node_residuals(diff)))
+    _residual_jacobian, without evaluating the objective again: the norm of
+    a node's rows over their scale.  For 'full' that is sqrt(|da|^2 + |db|^2),
+    the 2x2 spectral norm of U - T."""
+    parts = res.reshape(2 if metric == "corner" else 4, -1)
+    return float(np.max(np.sqrt(np.sum(parts**2, axis=0)))) / _ROW_SCALE[metric]
 
 
 def _grid(f: TargetFunction, n: int):
@@ -449,12 +435,13 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
         bounds = (-np.inf, np.inf)
     early = stop > 0.0
     obj = _CachedObjective(sigmas, target, opts.variable_t, opts.metric, fold)
+    # no component exceeds _ROW_SCALE times its node's residual, so an
+    # iterate with a larger one cannot stop: it skips the per-node norms
+    screen = _ROW_SCALE[opts.metric] * stop * (1 + 1e-9)
 
     def done(intermediate_result):
         fun = intermediate_result.fun
-        # each component bounds its node's residual from below, so an
-        # iterate with a large one cannot stop: skip the per-node norms
-        if np.max(np.abs(fun)) > stop * (1 + 1e-9):
+        if np.max(np.abs(fun)) > screen:
             return
         if _max_node_residual(fun, opts.metric) <= stop:
             raise StopIteration

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .compiler import PhaseSchedule, reduced_model, step_product
+from .compiler import PhaseSchedule, _pair_product, reduced_model, step_product
 from .embedding import BlockHamiltonian, embed
 from .errors import CapError, InvalidInputError
 from .targets import TargetFunction
@@ -239,8 +239,7 @@ def _reduced_corners(sigmas, phis, times):
     b = np.zeros_like(a)
     for k in range(times.shape[1]):
         angles = np.multiply.outer(times[:, k], sigmas)
-        c, w = np.cos(angles), -1j * np.sin(angles) * e[k]
-        a, b = c * a - w * np.conj(b), c * b + w * np.conj(a)
+        a, b = _pair_product(np.cos(angles), -1j * np.sin(angles) * e[k], a, b)
     return a, b
 
 

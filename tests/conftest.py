@@ -72,8 +72,11 @@ def noise_sweep_oracle(a, schedule, etas, trials, seed=0):
 
 
 def einsum_residual_jacobian(params, sigmas, target, variable_t, metric):
-    """(residual, Jacobian) of compiler._residual_jacobian, with each step's
-    derivative contracted by np.einsum over dense (K, N, 2, 2) chains."""
+    """(residual, Jacobian) of the objective in dense form: Re and Im of all
+    four entries of U - T ('full') or of its lower-left entry ('corner'),
+    with each step's derivative contracted by np.einsum over dense
+    (K, N, 2, 2) chains.  compiler._residual_jacobian stacks other rows with
+    the same cost, J^T r and J^T J."""
     if variable_t:
         K = len(params) // 2
         phis, times = params[:K], params[K:]

@@ -11,7 +11,7 @@ from hsvt import compiler, targets
 from hsvt.compiler import PhaseSchedule, PhaseStep, SolverOptions
 from hsvt.errors import InvalidInputError, ParseError
 
-from conftest import count_calls, einsum_residual_jacobian, same_floats
+from conftest import count_calls, einsum_residual_jacobian
 
 
 def make_schedule(rng, k, variable_t=False):
@@ -263,6 +263,25 @@ def test_fixed_t_compile_repeats_across_processes(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_compile_repeats_across_blas_thread_counts():
+    # inverse_block_encode's default compile, in fresh processes at one and
+    # two OpenBLAS threads, gives the same schedule bytes
+    src = os.path.dirname(os.path.dirname(hsvt.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    prog = ("from hsvt import compiler, targets\n"
+            "s, _ = compiler.synthesize_to_accuracy(targets.identity(0.1, 0.9), 1e-3,"
+            " compiler.SolverOptions(variable_t=True))\n"
+            "print(s.to_text(), end='')\n")
+    texts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        texts.append(subprocess.run([sys.executable, "-c", prog], env=env, check=True,
+                                    capture_output=True, text=True).stdout)
+    assert texts[0].startswith("# hsvt-schedule v1 k=")
+    assert texts[0] == texts[1]
+
+
 def test_fixed_t_compile_runs_past_the_accuracy_contract():
     # an explicit degree asks for the best schedule there: its solves run to
     # tolerance or the cap, not to eps
@@ -420,6 +439,11 @@ def test_continuation_growth_preserves_the_product(rng, k, variable_t):
 @pytest.mark.parametrize("start", ["random", "zero-phase"])
 def test_objective_equals_einsum_form_exactly(rng, start, metric, variable_t,
                                               folded):
+    # The pair rows have their own layout and round-off, so the objective
+    # equals the dense einsum form in what the solver reads of it: the cost,
+    # J^T r, J^T J and the max node residual, each to 1e-13 of its scale
+    # (|r|^2, |J| |r| and |J|^2, with J unfolded: a fold can cancel J S to
+    # round-off, as at the zero-phase corner starts).
     k = 9
     fold = compiler._sym_fold(k, variable_t) if folded else None
     n = fold.shape[1] if folded else (2 * k if variable_t else k)
@@ -436,12 +460,40 @@ def test_objective_equals_einsum_form_exactly(rng, start, metric, variable_t,
     obj = compiler._CachedObjective(sigmas, target, variable_t, metric, fold)
     x = y if fold is None else fold @ y
     res, jac = einsum_residual_jacobian(x, sigmas, target, variable_t, metric)
+    r, j = np.linalg.norm(res), np.linalg.norm(jac)
     if fold is not None:
         jac = (fold.T @ jac.T).T
-    got = obj.jacobian(y)
-    assert same_floats(obj.residual(y), res)
-    assert same_floats(got, jac)
+    n_res = len(res) // 2
+    diff = res[:n_res] + 1j * res[n_res:]
+    if metric == "full":
+        diff = diff.reshape(-1, 2, 2)
+    got_res, got = obj.residual(y), obj.jacobian(y)
+    for got_q, want_q, scale in ((got_res @ got_res, res @ res, r * r),
+                                 (got.T @ got_res, jac.T @ res, j * r),
+                                 (got.T @ got, jac.T @ jac, j * j)):
+        assert np.max(np.abs(got_q - want_q)) <= 1e-13 * scale
+    assert compiler._max_node_residual(got_res, metric) == pytest.approx(
+        np.max(compiler._node_residuals(diff)), rel=1e-13)
     assert got.flags.f_contiguous
+
+
+@pytest.mark.parametrize("variable_t", [False, True])
+@pytest.mark.parametrize("metric", ["full", "corner"])
+def test_stacked_residual_components_within_row_scale_of_node_residual(
+        rng, metric, variable_t):
+    # the early-stop screen in _solve_fixed_degree skips the node norms when
+    # one component exceeds this bound times the stop
+    bound = math.sqrt(2.0) if metric == "full" else 1.0
+    k = 12
+    sigmas = compiler.chebyshev_grid(0.1, 0.9, 4 * k)
+    target = compiler.reduced_target(0.8 * sigmas)
+    for _ in range(20):
+        x = rng.uniform(-np.pi, np.pi, k)
+        if variable_t:
+            x = np.concatenate([x, rng.uniform(0.3, 2.0, k)])
+        res = compiler._residual_jacobian(x, sigmas, target, variable_t, metric)[0]
+        assert np.max(np.abs(res)) <= (
+            bound * compiler._max_node_residual(res, metric) * (1 + 1e-12))
 
 
 def test_jacobian_built_only_when_the_solver_asks(monkeypatch):
