@@ -6,10 +6,11 @@ Everything here runs in one of two backends:
 * ``protocol`` - a compiled phase schedule simulated on the full space.
 
 Each call builds its block unitary once: the protocol backend simulates
-the schedule's steps once per call, and a cascade of n steps then applies
-that one matrix n times.  Each call decomposes A once: the domain check
-takes the SVD and hands A's embedding, which carries it, to the target
-and the simulator.
+the schedule's steps once per call.  A cascade of n steps then takes the
+powers of the unitary's lower block by repeated squaring, about 2 log2(n)
+small matrix products, and every register block from one more product.
+Each call decomposes A once: the domain check takes the SVD and hands A's
+embedding, which carries it, to the target and the simulator.
 
 States are plain 1-D complex arrays; norms are reported, never forced.
 Register phases: each application of the block unitary multiplies both
@@ -149,12 +150,12 @@ def _block_unitary(a, backend: str, eps: float, domain,
     raise InvalidInputError(f"unknown backend {backend!r}")
 
 
-def _apply_block(u: np.ndarray, x: np.ndarray):
-    """(sqrt-complement block, f(A) block) of u applied to (x, 0)."""
-    n = x.size
-    y = u[:, :n] @ x
-    # strip the deterministic global factor i of the block unitary
-    return -1j * y[:n], -1j * y[n:]
+def _stripped_blocks(u: np.ndarray, n: int):
+    """(sqrt-complement block, f(A) block) of u's first n columns, the
+    blocks that act on (x, 0) for x of size n, with the block unitary's
+    deterministic global factor i stripped."""
+    column = -1j * u[:, :n]
+    return column[:n], column[n:]
 
 
 def apply_matrix(a, psi, backend: str = "exact", eps: float = 1e-3,
@@ -166,7 +167,8 @@ def apply_matrix(a, psi, backend: str = "exact", eps: float = 1e-3,
     if psi.size != a.shape[1]:
         raise InvalidInputError(
             f"state dimension {psi.size} does not match A columns {a.shape[1]}")
-    _, lower = _apply_block(_block_unitary(a, backend, eps, domain), psi)
+    u = _block_unitary(a, backend, eps, domain)
+    lower = _stripped_blocks(u, psi.size)[1] @ psi
     p = float(np.real(np.vdot(lower, lower)))
     if p < ZERO_PROB_TOL:
         raise ZeroProbabilitySignal("A annihilates the input state")
@@ -196,29 +198,33 @@ class CascadeState:
 
 def power_cascade(a, psi, n: int, backend: str = "exact", eps: float = 1e-3,
                   domain=DEFAULT_DOMAIN, opts: SolverOptions | None = None):
-    """Sequential block application over register pairs; returns the n+1
+    """The block unitary applied along n register pairs; returns the n+1
     blocks and the probability of finding the last register occupied.
-    A may be given as its embedding, whose SVD both backends then reuse.
+    Block k < n is the upper block times lower^k psi, block n is
+    lower^n psi.  A may be given as its embedding, whose SVD both backends
+    then reuse.
     """
     h = a if isinstance(a, embedding.BlockHamiltonian) else None
     a = linalg.as_complex_matrix(a, "A") if h is None else h.a_block
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError("power cascade needs a square matrix")
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
+    n = linalg.as_count(n, "n")
     psi = _as_state(psi)
     if psi.size != a.shape[1]:
         raise InvalidInputError("state dimension does not match A")
     u = _block_unitary(a if h is None else h, backend, eps, domain, opts)
-    blocks = []
-    carried = psi
-    for _ in range(n):
-        fixed, carried = _apply_block(u, carried)
-        blocks.append(fixed)
-    blocks.append(carried)
-    state = CascadeState(blocks=tuple(blocks))
-    final_prob = float(np.real(np.vdot(carried, carried)))
-    return state, final_prob
+    upper, lower = _stripped_blocks(u, psi.size)
+    # rows k = 0..n of carried hold lower^k psi; each pass appends the next
+    # rows times step = (lower^T)^(2^j), doubling the rows it holds
+    carried = psi[None]
+    step = lower.T
+    while len(carried) <= n:
+        carried = np.concatenate((carried, carried[:n + 1 - len(carried)] @ step))
+        if len(carried) <= n:
+            step = step @ step
+    last = carried[n]
+    state = CascadeState(blocks=(*(carried[:n] @ upper.T), last))
+    return state, float(np.real(np.vdot(last, last)))
 
 
 @dataclass(frozen=True)
@@ -233,8 +239,7 @@ class OdeProblem:
         object.__setattr__(self, "psi0", _as_state(self.psi0))
         if not (self.dt > 0.0):
             raise InvalidInputError("dt must be positive")
-        if self.steps < 1:
-            raise InvalidInputError("steps must be >= 1")
+        object.__setattr__(self, "steps", linalg.as_count(self.steps, "steps"))
         if self.b.shape[0] != self.b.shape[1]:
             raise InvalidInputError("B must be square")
         if self.psi0.size != self.b.shape[0]:
@@ -290,8 +295,7 @@ def history_state(a, psi, n: int, eps: float = 1e-3,
     a = linalg.as_complex_matrix(a, "A")
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError("history state needs a square matrix")
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
+    n = linalg.as_count(n, "n")
     psi = _as_state(psi)
     if psi.size != a.shape[1]:
         raise InvalidInputError("state dimension does not match A")
@@ -313,7 +317,6 @@ def history_state(a, psi, n: int, eps: float = 1e-3,
     if backend == "exact":
         c = s_min
         inv = (r * (c / s)) @ r.conj().T
-        raw = [inv @ cascade.block(k) for k in range(n)]
     else:       # "protocol"; the cascade refused any other backend
         # S is Hermitian PSD, so embedding S itself and applying c/s to its
         # singular values inverts it without a residual polar rotation.
@@ -327,10 +330,10 @@ def history_state(a, psi, n: int, eps: float = 1e-3,
             a_block=(r * s) @ r.conj().T, svd=linalg.SvdResult(s, r, r))
         u = protocol.simulate_protocol(_embed_in_domain(s_h, f_inv),
                                        compiled_schedule(f_inv, eps)).unitary
-        raw = [_apply_block(u, cascade.block(k))[1] for k in range(n)]
+        _, inv = _stripped_blocks(u, psi.size)
 
-    raw.append(c * cascade.block(n))
-    vec = np.concatenate(raw)
+    raw = np.stack(cascade.blocks[:n]) @ inv.T
+    vec = np.concatenate((raw.reshape(-1), c * cascade.block(n)))
     p = float(np.real(np.vdot(vec, vec))) / float(np.real(np.vdot(psi, psi)))
     if p < ZERO_PROB_TOL:
         raise ZeroProbabilitySignal("history state has zero weight")

@@ -6,6 +6,7 @@ tolerances below are the package-wide constants.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,16 @@ def as_complex_matrix(a, name="matrix") -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return m
+
+
+def as_count(value, name: str) -> int:
+    """Validate a step or trial count: a whole number >= 1 (numpy integers
+    included; bools and floats, even integral ones, are refused)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidInputError(f"{name} must be >= 1")
+    return int(value)
 
 
 def is_hermitian(m: np.ndarray) -> bool:

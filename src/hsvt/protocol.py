@@ -253,8 +253,7 @@ def noise_sweep(a, schedule: PhaseSchedule, etas, trials: int,
     generators, and the whole table is deterministic.  Distances are
     computed per singular pair (see the module docstring).
     """
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
+    trials = linalg.as_count(trials, "trials")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     sigmas = embed(a).svd.singulars     # embed validates sigma_max <= 1
@@ -273,6 +272,6 @@ def noise_sweep(a, schedule: PhaseSchedule, etas, trials: int,
             "eta": eta,
             "mean_distance": float(np.mean(dists)),
             "max_distance": float(np.max(dists)),
-            "trials": int(trials),
+            "trials": trials,
         })
     return table

@@ -73,12 +73,14 @@ def test_cascade_scalar_block_norms():
     assert state.total_norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_cascade_blocks_carry_powers(rng):
-    a = random_contraction(rng, 3)
-    psi = random_state(rng, 3)
-    n = 4
+# n around powers of two: the cascade's carried powers double per pass
+@pytest.mark.parametrize("d", (1, 3))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 8, 9, 64, 65))
+def test_cascade_blocks_carry_powers(rng, n, d):
+    a = random_contraction(rng, d)
+    psi = random_state(rng, d)
     state, final_prob = applications.power_cascade(a, psi, n)
-    s = linalg.sqrt_psd(np.eye(3) - a.conj().T @ a)
+    s = linalg.sqrt_psd(np.eye(d) - a.conj().T @ a)
     for k in range(n):
         want = s @ np.linalg.matrix_power(a, k) @ psi
         assert np.linalg.norm(state.block(k) - want) < 1e-10
@@ -88,10 +90,11 @@ def test_cascade_blocks_carry_powers(rng):
                                        abs=1e-12)
 
 
-def test_cascade_is_isometry(rng):
+@pytest.mark.parametrize("n", (5, 65))
+def test_cascade_is_isometry(rng, n):
     a = random_contraction(rng, 2)
     psi = random_state(rng, 2)
-    state, _ = applications.power_cascade(a, psi, 5)
+    state, _ = applications.power_cascade(a, psi, n)
     assert state.total_norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 

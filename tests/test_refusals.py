@@ -24,12 +24,19 @@ REFUSALS = {
                           InvalidInputError, "state must be a nonempty finite vector"),
     "cascade-n-0": (lambda tmp: applications.power_cascade(HALF, [1, 0], 0),
                     InvalidInputError, "n must be >= 1"),
+    "cascade-n-fractional": (lambda tmp: applications.power_cascade(HALF, [1, 0], 2.5),
+                             InvalidInputError, "n must be an integer, got 2.5"),
+    "cascade-n-bool": (lambda tmp: applications.power_cascade(HALF, [1, 0], True),
+                       InvalidInputError, "n must be an integer, got True"),
     "cascade-state-dim": (lambda tmp: applications.power_cascade(HALF, [1, 0, 0], 1),
                           InvalidInputError, "state dimension does not match A"),
     "ode-dt-0": (lambda tmp: applications.OdeProblem(-np.eye(2), 0.0, 1, [1, 0]),
                  InvalidInputError, "dt must be positive"),
     "ode-steps-0": (lambda tmp: applications.OdeProblem(-np.eye(2), 0.1, 0, [1, 0]),
                     InvalidInputError, "steps must be >= 1"),
+    "ode-steps-fractional": (lambda tmp: applications.ode_solve(
+                                 applications.OdeProblem(-np.eye(2), 0.1, 2.5, [1, 0])),
+                             InvalidInputError, "steps must be an integer, got 2.5"),
     "ode-b-2x3": (lambda tmp: applications.OdeProblem(np.zeros((2, 3)), 0.1, 1, [1, 0]),
                   InvalidInputError, "B must be square"),
     "ode-psi0-dim": (lambda tmp: applications.OdeProblem(-np.eye(2), 0.1, 1, [1, 0, 0]),
@@ -38,6 +45,8 @@ REFUSALS = {
                       InvalidInputError, "history state needs a square matrix"),
     "history-n-0": (lambda tmp: applications.history_state(HALF, [1, 0], 0),
                     InvalidInputError, "n must be >= 1"),
+    "history-n-fractional": (lambda tmp: applications.history_state(HALF, [1, 0], 2.5),
+                             InvalidInputError, "n must be an integer, got 2.5"),
     "history-state-dim": (lambda tmp: applications.history_state(HALF, [1, 0, 0], 1),
                           InvalidInputError, "state dimension does not match A"),
     "target-above-1": (lambda tmp: protocol.build_target_unitary(
@@ -56,6 +65,9 @@ REFUSALS = {
                                 InvalidInputError, "degree_sweep runs in fixed-t mode"),
     "noise-sweep-trials-0": (lambda tmp: protocol.noise_sweep(HALF, SCHEDULE, [0.1], 0),
                              InvalidInputError, "trials must be >= 1"),
+    "noise-sweep-trials-fractional": (lambda tmp: protocol.noise_sweep(
+                                          HALF, SCHEDULE, [0.1], 2.5),
+                                      InvalidInputError, "trials must be an integer, got 2.5"),
     "unknown-kind": (lambda tmp: targets.TargetFunction("cubic"),
                      InvalidInputError, "unknown target kind 'cubic'"),
     "infinite-coeff": (lambda tmp: targets.scaled_power(-1, np.inf, 0.1, 0.9),
