@@ -237,8 +237,8 @@ class OdeProblem:
     def __post_init__(self):
         object.__setattr__(self, "b", linalg.as_complex_matrix(self.b, "B"))
         object.__setattr__(self, "psi0", _as_state(self.psi0))
-        if not (self.dt > 0.0):
-            raise InvalidInputError("dt must be positive")
+        if not (0.0 < self.dt < math.inf):
+            raise InvalidInputError(f"dt must be positive and finite, got {self.dt}")
         object.__setattr__(self, "steps", linalg.as_count(self.steps, "steps"))
         if self.b.shape[0] != self.b.shape[1]:
             raise InvalidInputError("B must be square")

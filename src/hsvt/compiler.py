@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import least_squares
 
+from . import linalg
 from .errors import CapError, InvalidInputError, ParseError
 from .targets import TargetFunction, degree_for_accuracy
 
@@ -168,9 +169,9 @@ class SolverOptions:
     max_nfev: int = 1200
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", linalg.as_count(self.seed, "seed", least=0))
         for name, ok, want in (
                 ("target_eps", self.target_eps >= 0, ">= 0"),
-                ("seed", self.seed >= 0, ">= 0"),
                 ("metric", self.metric in ("full", "corner"), "'full' or 'corner'"),
                 ("max_nfev", self.max_nfev >= 1, ">= 1")):
             if not ok:
@@ -182,32 +183,6 @@ class SolverOptions:
 # Reduced-model kernels (vectorized over sigma nodes)
 # ---------------------------------------------------------------------------
 
-def _step_matrices(phis, times, sigmas):
-    """(K, N, 2, 2) array of per-step reduced rotations."""
-    angles = np.multiply.outer(times, sigmas)          # (K, N)
-    st, ct = np.sin(angles), np.cos(angles)
-    e = np.exp(1j * phis)
-    m = np.zeros(angles.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = ct
-    m[..., 1, 1] = ct
-    m[..., 0, 1] = -1j * st * e[:, None]
-    m[..., 1, 0] = -1j * st * np.conj(e)[:, None]
-    return m
-
-
-def step_product(phis, times, sigmas) -> np.ndarray:
-    """(N, 2, 2) products of the steps (phis, times) at each of the N sigmas.
-
-    The dense 2x2 kernel of one run, behind reduced_product and
-    simulate_protocol.  The objective and noise_sweep multiply the same
-    steps as (a, b) pairs (_pair_product): dense is faster for one run,
-    pairs for the objective's chains and for a batch of runs."""
-    u = np.broadcast_to(np.eye(2, dtype=complex), (len(sigmas), 2, 2)).copy()
-    for m in _step_matrices(phis, times, sigmas):
-        u = m @ u
-    return u
-
-
 def _pair_product(a1, b1, a2, b2):
     """(a, b) of [[a1, b1], [-b1*, a1*]] @ [[a2, b2], [-b2*, a2*]].
 
@@ -215,6 +190,42 @@ def _pair_product(a1, b1, a2, b2):
     multiple of an SU(2) matrix), so it is held as its first row (a, b).  A
     step is (cos sigma t, -i sin(sigma t) e^{i phi}), with a real a."""
     return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+
+
+def _step_pairs(phis, times, sigmas):
+    """(a, b), each (N,), of the product of the steps (phis, times) at each
+    of the N sigmas, multiplied as a balanced tree: each level is one
+    _pair_product of all neighbouring pairs, the later step on the left,
+    and an odd last entry is carried to the next level."""
+    angles = np.multiply.outer(times, sigmas)          # (K, N)
+    if not len(angles):
+        return np.ones(len(sigmas), complex), np.zeros(len(sigmas), complex)
+    a = np.cos(angles)
+    b = -1j * np.sin(angles) * np.exp(1j * np.asarray(phis))[:, None]
+    while len(a) > 1:
+        even = len(a) - len(a) % 2
+        pa, pb = _pair_product(a[1:even:2], b[1:even:2], a[:even:2], b[:even:2])
+        if even < len(a):
+            pa, pb = np.concatenate([pa, a[even:]]), np.concatenate([pb, b[even:]])
+        a, b = pa, pb
+    return a[0], b[0]
+
+
+def step_product(phis, times, sigmas) -> np.ndarray:
+    """(N, 2, 2) products of the steps (phis, times) at each of the N sigmas:
+    the pairs (a, b) of _step_pairs as matrices [[a, b], [-b*, a*]].
+
+    One run multiplies its K step pairs as a tree, in ceil(log2 K)
+    vectorized levels where a chain takes K small products.  The objective
+    multiplies the same pairs one step at a time, since it needs every
+    prefix and its round-off sets the schedules; so does noise_sweep over a
+    batch of runs (protocol._reduced_corners), where a tree's levels cost
+    more in temporaries than they save."""
+    a, b = _step_pairs(phis, times, sigmas)
+    u = np.empty((len(a), 2, 2), dtype=complex)
+    u[:, 0, 0], u[:, 0, 1] = a, b
+    u[:, 1, 0], u[:, 1, 1] = -np.conj(b), np.conj(a)
+    return u
 
 
 def reduced_product(schedule: PhaseSchedule, sigmas) -> np.ndarray:

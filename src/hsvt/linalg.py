@@ -27,13 +27,14 @@ def as_complex_matrix(a, name="matrix") -> np.ndarray:
     return m
 
 
-def as_count(value, name: str) -> int:
-    """Validate a step or trial count: a whole number >= 1 (numpy integers
-    included; bools and floats, even integral ones, are refused)."""
+def as_count(value, name: str, least: int = 1) -> int:
+    """Validate a step or trial count (least 1) or a seed (least 0): a whole
+    number >= least (numpy integers included; bools and floats, even
+    integral ones, are refused)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidInputError(f"{name} must be >= 1")
+    if value < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 

@@ -10,7 +10,8 @@ accuracy of each pulse's time integral).  Every step preserves the plane
 of each singular pair (r_j, l_j) of A and is the identity on
 ker A (+) ker A^dag, so the product is I + B (P - I) B^dag, with
 B = [r_j (+) 0, 0 (+) l_j] and P_j the compiler's 2x2 step product at
-sigma_j: the embedding's SVD, the 2x2 products, then four rank-r updates.
+sigma_j: the embedding's SVD, the 2x2 products (multiplied as a balanced
+tree of SU(2) pairs, compiler._step_pairs), then four rank-r updates.
 _protocol_unitary, the product of full-space evolutions from an
 eigendecomposition of H, is kept as the oracle that reduced_full_gap and
 the tests compare against.  build_target_unitary assembles the closed-form
@@ -28,7 +29,9 @@ singular value sigma_j every step is the SU(2) rotation [[c, w], [-w*, c]]
 (c = cos sigma t, w = -i sin(sigma t) e^{i phi}), so a whole run is a pair
 (a_j, b_j) in [[a, b], [-b*, a*]], and kernel directions carry the identity.
 The distance of two runs is therefore exactly
-max_j sqrt(|da_j|^2 + |db_j|^2).
+max_j sqrt(|da_j|^2 + |db_j|^2).  The sweep multiplies the pairs of all
+trials step by step (_reduced_corners): over a batch of runs a chain is
+faster than a tree, whose levels allocate the whole batch again.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .compiler import PhaseSchedule, _pair_product, reduced_model, step_product
+from .compiler import PhaseSchedule, _pair_product, _step_pairs, reduced_model
 from .embedding import BlockHamiltonian, embed
 from .errors import CapError, InvalidInputError
 from .targets import TargetFunction
@@ -70,8 +73,7 @@ class ControlNoiseModel:
 
     def __post_init__(self):
         _checked_eta(self.eta)
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", linalg.as_count(self.seed, "seed", least=0))
 
     def time_factors(self, count: int) -> np.ndarray:
         """Per-step multiplicative factors 1 + eta * N(0, 1), in step order."""
@@ -165,13 +167,13 @@ def simulate_protocol(a, schedule: PhaseSchedule,
     times = schedule.times()
     if noise is not None:
         times = times * noise.time_factors(schedule.degree)
-    d = step_product(schedule.phis(), times, res.singulars) - np.eye(2)
+    pa, pb = _step_pairs(schedule.phis(), times, res.singulars)
     r, l = res.right_vectors, res.left_vectors
     u = np.eye(n + h.m, dtype=complex)
-    u[:n, :n] += (r * d[:, 0, 0]) @ r.conj().T
-    u[:n, n:] += (r * d[:, 0, 1]) @ l.conj().T
-    u[n:, :n] += (l * d[:, 1, 0]) @ r.conj().T
-    u[n:, n:] += (l * d[:, 1, 1]) @ l.conj().T
+    u[:n, :n] += (r * (pa - 1.0)) @ r.conj().T
+    u[:n, n:] += (r * pb) @ l.conj().T
+    u[n:, :n] += (l * -np.conj(pb)) @ r.conj().T
+    u[n:, n:] += (l * (np.conj(pa) - 1.0)) @ l.conj().T
     achieved = None
     if target is not None:
         achieved = linalg.op_distance(u, target.matrix)
@@ -254,8 +256,7 @@ def noise_sweep(a, schedule: PhaseSchedule, etas, trials: int,
     computed per singular pair (see the module docstring).
     """
     trials = linalg.as_count(trials, "trials")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    seed = linalg.as_count(seed, "seed", least=0)
     sigmas = embed(a).svd.singulars     # embed validates sigma_max <= 1
     etas = [_checked_eta(eta) for eta in etas]
     if not etas:

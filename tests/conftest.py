@@ -71,6 +71,29 @@ def noise_sweep_oracle(a, schedule, etas, trials, seed=0):
     return rows
 
 
+def step_matrices(phis, times, sigmas):
+    """(K, N, 2, 2) dense reduced rotations of the steps (phis, times) at
+    each of the N sigmas."""
+    angles = np.multiply.outer(times, sigmas)          # (K, N)
+    st, ct = np.sin(angles), np.cos(angles)
+    e = np.exp(1j * np.asarray(phis))
+    m = np.zeros(angles.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = ct
+    m[..., 1, 1] = ct
+    m[..., 0, 1] = -1j * st * e[:, None]
+    m[..., 1, 0] = -1j * st * np.conj(e)[:, None]
+    return m
+
+
+def sequential_step_product(phis, times, sigmas):
+    """(N, 2, 2) products of the dense steps, one 2x2 product per step from
+    the right: the oracle for compiler.step_product."""
+    u = np.broadcast_to(np.eye(2, dtype=complex), (len(sigmas), 2, 2)).copy()
+    for m in step_matrices(phis, times, sigmas):
+        u = m @ u
+    return u
+
+
 def einsum_residual_jacobian(params, sigmas, target, variable_t, metric):
     """(residual, Jacobian) of the objective in dense form: Re and Im of all
     four entries of U - T ('full') or of its lower-left entry ('corner'),
@@ -84,7 +107,7 @@ def einsum_residual_jacobian(params, sigmas, target, variable_t, metric):
         K = len(params)
         phis, times = params, np.ones(K)
     N = len(sigmas)
-    m = compiler._step_matrices(phis, times, sigmas)
+    m = step_matrices(phis, times, sigmas)
     pre = np.empty((K + 1, N, 2, 2), dtype=complex)
     pre[0] = np.eye(2)
     for k in range(K):

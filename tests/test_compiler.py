@@ -11,7 +11,7 @@ from hsvt import compiler, targets
 from hsvt.compiler import PhaseSchedule, PhaseStep, SolverOptions
 from hsvt.errors import InvalidInputError, ParseError
 
-from conftest import count_calls, einsum_residual_jacobian
+from conftest import count_calls, einsum_residual_jacobian, sequential_step_product
 
 
 def make_schedule(rng, k, variable_t=False):
@@ -119,6 +119,20 @@ def test_corner_parity_polynomial_structure(rng):
         cq = np.polynomial.chebyshev.chebfit(nodes, q, k + 1)
         assert np.max(np.abs(cq[k:])) < 1e-8
         assert np.max(np.abs(cq[k % 2::2])) < 1e-8
+
+
+@pytest.mark.parametrize("variable_t", [False, True], ids=["fixed-t", "variable-t"])
+@pytest.mark.parametrize("n", [1, 9])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 7, 8, 16, 36, 37, 64, 65])
+def test_step_product_matches_the_sequential_chain(rng, k, n, variable_t):
+    # the tree's levels, its odd carries and the empty product against one
+    # dense 2x2 product per step
+    sch = make_schedule(rng, k, variable_t)
+    sigmas = rng.uniform(0.0, 1.0, n)
+    got = compiler.step_product(sch.phis(), sch.times(), sigmas)
+    want = sequential_step_product(sch.phis(), sch.times(), sigmas)
+    assert got.shape == (n, 2, 2)
+    assert np.max(np.abs(got - want)) < 1e-14
 
 
 # -- pq constraint and cost --------------------------------------------------

@@ -286,6 +286,17 @@ def test_noise_sweep_equals_the_per_trial_loop(rng, trials):
         assert table[1] == table[2]
 
 
+@pytest.mark.parametrize("k", [1, 16, 37])
+def test_one_run_tree_and_noise_batch_chain_agree(rng, k):
+    # a single run multiplies its steps as a tree, the noise batch as a chain
+    sch = make_schedule(rng, k, variable_t=True)
+    sigmas = rng.uniform(0.0, 1.0, 9)
+    u = compiler.step_product(sch.phis(), sch.times(), sigmas)
+    a, b = protocol._reduced_corners(sigmas, sch.phis(), sch.times())
+    assert np.max(np.abs(u[:, 0, 0] - a[0])) < 1e-14
+    assert np.max(np.abs(u[:, 0, 1] - b[0])) < 1e-14
+
+
 def test_noise_sweep_builds_one_generator_per_trial(rng, monkeypatch):
     a = random_contraction(rng, 3)
     sch = make_schedule(rng, 5)

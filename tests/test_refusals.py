@@ -32,6 +32,8 @@ REFUSALS = {
                           InvalidInputError, "state dimension does not match A"),
     "ode-dt-0": (lambda tmp: applications.OdeProblem(-np.eye(2), 0.0, 1, [1, 0]),
                  InvalidInputError, "dt must be positive"),
+    "ode-dt-inf": (lambda tmp: applications.OdeProblem(-np.eye(2), np.inf, 2, [1, 0]),
+                   InvalidInputError, "dt must be positive and finite, got inf"),
     "ode-steps-0": (lambda tmp: applications.OdeProblem(-np.eye(2), 0.1, 0, [1, 0]),
                     InvalidInputError, "steps must be >= 1"),
     "ode-steps-fractional": (lambda tmp: applications.ode_solve(
@@ -68,6 +70,14 @@ REFUSALS = {
     "noise-sweep-trials-fractional": (lambda tmp: protocol.noise_sweep(
                                           HALF, SCHEDULE, [0.1], 2.5),
                                       InvalidInputError, "trials must be an integer, got 2.5"),
+    "noise-sweep-seed-fractional": (lambda tmp: protocol.noise_sweep(
+                                        HALF, SCHEDULE, [0.1], 2, seed=2.5),
+                                    InvalidInputError, "seed must be an integer, got 2.5"),
+    "noise-model-seed-fractional": (lambda tmp: protocol.ControlNoiseModel(0.1, seed=2.5),
+                                    InvalidInputError, "seed must be an integer, got 2.5"),
+    "solver-options-seed-fractional": (lambda tmp: SolverOptions(seed=2.5),
+                                       InvalidInputError,
+                                       "seed must be an integer, got 2.5"),
     "unknown-kind": (lambda tmp: targets.TargetFunction("cubic"),
                      InvalidInputError, "unknown target kind 'cubic'"),
     "infinite-coeff": (lambda tmp: targets.scaled_power(-1, np.inf, 0.1, 0.9),
