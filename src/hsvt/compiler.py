@@ -170,10 +170,10 @@ class SolverOptions:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", linalg.as_count(self.seed, "seed", least=0))
+        object.__setattr__(self, "max_nfev", linalg.as_count(self.max_nfev, "max_nfev"))
         for name, ok, want in (
                 ("target_eps", self.target_eps >= 0, ">= 0"),
-                ("metric", self.metric in ("full", "corner"), "'full' or 'corner'"),
-                ("max_nfev", self.max_nfev >= 1, ">= 1")):
+                ("metric", self.metric in ("full", "corner"), "'full' or 'corner'")):
             if not ok:
                 raise InvalidInputError(
                     f"{name} must be {want}, got {getattr(self, name)!r}")
@@ -196,7 +196,14 @@ def _step_pairs(phis, times, sigmas):
     """(a, b), each (N,), of the product of the steps (phis, times) at each
     of the N sigmas, multiplied as a balanced tree: each level is one
     _pair_product of all neighbouring pairs, the later step on the left,
-    and an odd last entry is carried to the next level."""
+    and an odd last entry is carried to the next level.
+
+    One run multiplies its K step pairs in ceil(log2 K) vectorized levels
+    where a chain takes K small products.  The objective multiplies the same
+    pairs one step at a time, since it needs every prefix and its round-off
+    sets the schedules; so does noise_sweep over a batch of runs
+    (protocol._reduced_corners), where a tree's levels cost more in
+    temporaries than they save."""
     angles = np.multiply.outer(times, sigmas)          # (K, N)
     if not len(angles):
         return np.ones(len(sigmas), complex), np.zeros(len(sigmas), complex)
@@ -211,48 +218,31 @@ def _step_pairs(phis, times, sigmas):
     return a[0], b[0]
 
 
-def step_product(phis, times, sigmas) -> np.ndarray:
-    """(N, 2, 2) products of the steps (phis, times) at each of the N sigmas:
-    the pairs (a, b) of _step_pairs as matrices [[a, b], [-b*, a*]].
-
-    One run multiplies its K step pairs as a tree, in ceil(log2 K)
-    vectorized levels where a chain takes K small products.  The objective
-    multiplies the same pairs one step at a time, since it needs every
-    prefix and its round-off sets the schedules; so does noise_sweep over a
-    batch of runs (protocol._reduced_corners), where a tree's levels cost
-    more in temporaries than they save."""
-    a, b = _step_pairs(phis, times, sigmas)
+def reduced_product(schedule: PhaseSchedule, sigmas) -> np.ndarray:
+    """(N, 2, 2) reduced unitaries at each sigma node: the pairs (a, b) of
+    _step_pairs as matrices [[a, b], [-b*, a*]]."""
+    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    a, b = _step_pairs(schedule.phis(), schedule.times(), sigmas)
     u = np.empty((len(a), 2, 2), dtype=complex)
     u[:, 0, 0], u[:, 0, 1] = a, b
     u[:, 1, 0], u[:, 1, 1] = -np.conj(b), np.conj(a)
     return u
 
 
-def reduced_product(schedule: PhaseSchedule, sigmas) -> np.ndarray:
-    """(N, 2, 2) reduced unitaries at each sigma node."""
-    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    return step_product(schedule.phis(), schedule.times(), sigmas)
-
-
 def reduced_model(schedule: PhaseSchedule, sigma: float) -> np.ndarray:
     """The 2x2 reduced unitary at one sigma."""
-    if sigma < 0:
-        raise InvalidInputError("sigma must be >= 0")
+    if not (sigma >= 0 and math.isfinite(sigma)):
+        raise InvalidInputError(f"sigma must be >= 0 and finite, got {sigma}")
     return reduced_product(schedule, [float(sigma)])[0]
 
 
-def reduced_target(f_values) -> np.ndarray:
-    """(N, 2, 2) target unitaries i*(sqrt(1-f^2) Z + f X) from f samples."""
+def reduced_target(f_values):
+    """The target unitaries i*(sqrt(1-f^2) Z + f X) from f samples, as their
+    pairs (a, b) = (i sqrt(1-f^2), i f), each (N,)."""
     fv = np.atleast_1d(np.asarray(f_values, dtype=float))
     if np.any(np.abs(fv) > 1.0 + 1e-12):
         raise CapError(f"|f| reaches {np.max(np.abs(fv)):.6g} > 1")
-    gv = np.sqrt(np.clip(1.0 - fv**2, 0.0, None))
-    t = np.zeros((len(fv), 2, 2), dtype=complex)
-    t[:, 0, 0] = 1j * gv
-    t[:, 1, 1] = -1j * gv
-    t[:, 0, 1] = 1j * fv
-    t[:, 1, 0] = 1j * fv
-    return t
+    return 1j * np.sqrt(np.clip(1.0 - fv**2, 0.0, None)), 1j * fv
 
 
 def chebyshev_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -279,9 +269,9 @@ def _rows(a, b, metric):
 def _residual_jacobian(params, sigmas, target, variable_t, metric):
     """Stacked real residual vector, and a callable that returns its Jacobian.
 
-    The schedule's product U and the target T = i[[g, f], [f, -g]] are both
-    pairs (a, b) (see _pair_product), and so is U - T.  metric 'full' stacks
-    Re and Im of U - T's a and b, 'corner' of its lower-left entry.  The
+    The schedule's product U and the target T = i[[g, f], [f, -g]] (the pair
+    of reduced_target) are both pairs (a, b) (see _pair_product), and so is
+    U - T; _rows stacks what the metric measures of it.  The
     residual needs only the prefix products P_k; the callable runs the
     suffix products Q_k and the derivatives (Q_{k+1} D_k) P_k, so a point
     whose Jacobian is never asked for skips them.
@@ -301,7 +291,8 @@ def _residual_jacobian(params, sigmas, target, variable_t, metric):
     pa[0], pb[0] = 1.0, 0.0
     for k in range(K):
         pa[k + 1], pb[k + 1] = _pair_product(ct[k], w[k], pa[k], pb[k])
-    res = _rows(pa[K] - target[:, 0, 0], pb[K] - target[:, 0, 1], metric)
+    ta, tb = target
+    res = _rows(pa[K] - ta, pb[K] - tb, metric)
 
     def jacobian():
         qa, qb = np.empty_like(pa), np.empty_like(pb)
@@ -322,40 +313,34 @@ def _residual_jacobian(params, sigmas, target, variable_t, metric):
     return res, jacobian
 
 
-def _metric_diff(u, target, metric):
-    """What the metric measures of U - T: the (N,) lower-left entries for
-    'corner', all of the (N, 2, 2) difference for 'full'."""
-    if metric == "corner":
-        return u[:, 1, 0] - target[:, 1, 0]
-    return u - target
-
-
-def _node_residuals(diff):
-    """Per-node residual of a _metric_diff: the absolute value of the corner
-    entry, or the 2x2 spectral norm."""
-    if diff.ndim == 1:
-        return np.abs(diff)
-    return np.linalg.norm(diff, 2, axis=(1, 2))
+def _node_residuals(res, metric) -> np.ndarray:
+    """Per-node residuals read off stacked rows of _rows (the residual vector
+    of _residual_jacobian among them): the norm of a node's rows over their
+    scale.  For 'corner' that is |U - T| of the lower-left entry, for 'full'
+    sqrt(|da|^2 + |db|^2), the 2x2 spectral norm of U - T."""
+    parts = res.reshape(2 if metric == "corner" else 4, -1)
+    return np.sqrt(np.sum(parts**2, axis=0)) / _ROW_SCALE[metric]
 
 
 def _max_node_residual(res, metric) -> float:
-    """Max node residual read off the stacked residual vector of
-    _residual_jacobian, without evaluating the objective again: the norm of
-    a node's rows over their scale.  For 'full' that is sqrt(|da|^2 + |db|^2),
-    the 2x2 spectral norm of U - T."""
-    parts = res.reshape(2 if metric == "corner" else 4, -1)
-    return float(np.max(np.sqrt(np.sum(parts**2, axis=0)))) / _ROW_SCALE[metric]
+    """Max of _node_residuals: read off the solver's residual vector, it
+    needs no evaluation of the objective again."""
+    return float(np.max(_node_residuals(res, metric)))
 
 
 def _grid(f: TargetFunction, n: int):
-    """(nodes, target): n Chebyshev nodes on f's domain, f's reduced target there."""
+    """(nodes, target): n Chebyshev nodes on f's domain, the pair of f's
+    reduced target there."""
     nodes = chebyshev_grid(f.sigma_lo, f.sigma_hi, n)
     return nodes, reduced_target(f(nodes))
 
 
 def _residuals(schedule: PhaseSchedule, sigmas, target, metric) -> np.ndarray:
-    """Per-node residuals of the schedule against target under the metric."""
-    return _node_residuals(_metric_diff(reduced_product(schedule, sigmas), target, metric))
+    """Per-node residuals of the schedule against the target pair under the
+    metric."""
+    a, b = _step_pairs(schedule.phis(), schedule.times(), sigmas)
+    ta, tb = target
+    return _node_residuals(_rows(a - ta, b - tb, metric), metric)
 
 
 def _starts(rng, n_phi, n_t, count, t_range):
@@ -602,12 +587,9 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
     the report converged.
     """
     opts = opts or SolverOptions()
-    if k < 1:
-        raise InvalidInputError("degree k must be >= 1")
-    if grid_size is None:
-        grid_size = 4 * k
-    if grid_size < 2 * k:
-        raise InvalidInputError(f"grid_size must be >= 2k = {2 * k}")
+    k = linalg.as_count(k, "degree k")
+    grid_size = linalg.as_count(4 * k if grid_size is None else grid_size,
+                                "grid_size", least=2 * k)
     sigmas, target = _grid(f, grid_size)
     rng = np.random.default_rng(opts.seed)
     nfev_total = 0
@@ -661,9 +643,7 @@ def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):
     jittered starts.
     Returns a list of (k, max_residual, schedule) sorted as given, [] for no ks.
     """
-    ks = [int(k) for k in ks]
-    if any(k < 1 for k in ks):
-        raise InvalidInputError(f"every degree must be >= 1, got {ks}")
+    ks = [linalg.as_count(k, "degree") for k in ks]
     opts = replace(opts or SolverOptions(), target_eps=0.0)  # never stop a point early
     if opts.variable_t:
         raise InvalidInputError("degree_sweep runs in fixed-t mode")
@@ -705,6 +685,7 @@ def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):
 
 def validate_residual(schedule: PhaseSchedule, f: TargetFunction, grid_size: int) -> float:
     """Max full-metric residual on an independent Chebyshev grid of the given size."""
+    grid_size = linalg.as_count(grid_size, "grid_size")
     return float(np.max(_residuals(schedule, *_grid(f, grid_size), "full")))
 
 

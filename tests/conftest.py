@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsvt import compiler, embedding, linalg, protocol
+from hsvt import embedding, linalg, protocol
 
 
 def random_contraction(rng, n, m=None, lo=0.1, hi=0.9):
@@ -87,19 +87,42 @@ def step_matrices(phis, times, sigmas):
 
 def sequential_step_product(phis, times, sigmas):
     """(N, 2, 2) products of the dense steps, one 2x2 product per step from
-    the right: the oracle for compiler.step_product."""
+    the right: the oracle for compiler.reduced_product."""
     u = np.broadcast_to(np.eye(2, dtype=complex), (len(sigmas), 2, 2)).copy()
     for m in step_matrices(phis, times, sigmas):
         u = m @ u
     return u
 
 
+def dense_target(f_values):
+    """(N, 2, 2) dense target unitaries i*(sqrt(1-f^2) Z + f X)."""
+    f = np.asarray(f_values, dtype=float)[:, None, None]
+    g = np.sqrt(1.0 - f**2)
+    return 1j * (g * np.diag([1.0, -1.0]) + f * np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def metric_diff(u, target, metric):
+    """What the metric measures of dense U - T: the (N,) lower-left entries
+    for 'corner', all of the (N, 2, 2) difference for 'full'."""
+    if metric == "corner":
+        return u[:, 1, 0] - target[:, 1, 0]
+    return u - target
+
+
+def node_norms(diff):
+    """Per-node residual of a metric_diff: the absolute value of the corner
+    entry, or the 2x2 spectral norm."""
+    if diff.ndim == 1:
+        return np.abs(diff)
+    return np.linalg.norm(diff, 2, axis=(1, 2))
+
+
 def einsum_residual_jacobian(params, sigmas, target, variable_t, metric):
-    """(residual, Jacobian) of the objective in dense form: Re and Im of all
-    four entries of U - T ('full') or of its lower-left entry ('corner'),
-    with each step's derivative contracted by np.einsum over dense
-    (K, N, 2, 2) chains.  compiler._residual_jacobian stacks other rows with
-    the same cost, J^T r and J^T J."""
+    """(residual, Jacobian) of the objective in dense form, against a dense
+    target T: Re and Im of all four entries of U - T ('full') or of its
+    lower-left entry ('corner'), with each step's derivative contracted by
+    np.einsum over dense (K, N, 2, 2) chains.  compiler._residual_jacobian
+    stacks other rows with the same cost, J^T r and J^T J."""
     if variable_t:
         K = len(params) // 2
         phis, times = params[:K], params[K:]
@@ -136,7 +159,7 @@ def einsum_residual_jacobian(params, sigmas, target, variable_t, metric):
         blocks.append(np.einsum("knab,knbc,kncd->knad", suf[1:], d_t, pre[:-1]))
     du = np.concatenate(blocks, axis=0)          # (P, N, 2, 2)
 
-    r_c = compiler._metric_diff(u, target, metric).reshape(-1)
+    r_c = metric_diff(u, target, metric).reshape(-1)
     if metric == "corner":
         j_c = du[:, :, 1, 0]
     else:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -11,7 +12,8 @@ from hsvt import compiler, targets
 from hsvt.compiler import PhaseSchedule, PhaseStep, SolverOptions
 from hsvt.errors import InvalidInputError, ParseError
 
-from conftest import count_calls, einsum_residual_jacobian, sequential_step_product
+from conftest import (count_calls, dense_target, einsum_residual_jacobian, metric_diff,
+                      node_norms, sequential_step_product)
 
 
 def make_schedule(rng, k, variable_t=False):
@@ -129,7 +131,7 @@ def test_step_product_matches_the_sequential_chain(rng, k, n, variable_t):
     # dense 2x2 product per step
     sch = make_schedule(rng, k, variable_t)
     sigmas = rng.uniform(0.0, 1.0, n)
-    got = compiler.step_product(sch.phis(), sch.times(), sigmas)
+    got = compiler.reduced_product(sch, sigmas)
     want = sequential_step_product(sch.phis(), sch.times(), sigmas)
     assert got.shape == (n, 2, 2)
     assert np.max(np.abs(got - want)) < 1e-14
@@ -217,6 +219,14 @@ def test_synthesize_rejects_bad_args():
         compiler.synthesize_schedule(f, 4, grid_size=7)
 
 
+def test_counts_accept_numpy_integers():
+    f = targets.identity(0.3, 0.8)
+    opts = SolverOptions(max_nfev=np.int64(20))
+    assert type(opts.max_nfev) is int
+    sch, rep = compiler.synthesize_schedule(f, np.int64(2), grid_size=np.int32(5), opts=opts)
+    assert sch.degree == 2 and len(rep.grid) == 5
+
+
 def test_synthesize_to_accuracy_stops_early():
     f = targets.identity(0.35, 0.8)
     opts = SolverOptions(target_eps=1e-2, variable_t=True, seed=0)
@@ -294,6 +304,8 @@ def test_compile_repeats_across_blas_thread_counts():
                                     capture_output=True, text=True).stdout)
     assert texts[0].startswith("# hsvt-schedule v1 k=")
     assert texts[0] == texts[1]
+    # the pinned bytes: a change that moves the schedules on purpose updates this
+    assert hashlib.sha256(texts[0].encode()).hexdigest().startswith("177181235a84ac97")
 
 
 def test_fixed_t_compile_runs_past_the_accuracy_contract():
@@ -331,11 +343,30 @@ def test_max_node_residual_from_stacked_residual(rng, metric):
     target = compiler.reduced_target(0.5 * sigmas)
     x = np.concatenate([sch.phis(), sch.times()])
     res = compiler._residual_jacobian(x, sigmas, target, True, metric)[0]
-    u = compiler.reduced_product(sch, sigmas)
-    diff = compiler._metric_diff(u, target, metric)
-    expected = np.max(compiler._node_residuals(diff))
+    u = sequential_step_product(sch.phis(), sch.times(), sigmas)
+    expected = np.max(node_norms(metric_diff(u, dense_target(0.5 * sigmas), metric)))
     assert compiler._max_node_residual(res, metric) == pytest.approx(expected,
                                                                      rel=1e-12)
+
+
+@pytest.mark.parametrize("variable_t", [False, True], ids=["fixed-t", "variable-t"])
+@pytest.mark.parametrize("metric", ["full", "corner"])
+def test_residuals_match_the_dense_spectral_norm(rng, metric, variable_t):
+    # the node residuals read off the pair rows against the dense difference
+    # of the sequential product and the dense target
+    sch = make_schedule(rng, 9, variable_t)
+    sigmas = compiler.chebyshev_grid(0.1, 0.9, 36)
+    fv = 0.8 * sigmas
+    u = sequential_step_product(sch.phis(), sch.times(), sigmas)
+    want = node_norms(metric_diff(u, dense_target(fv), metric))
+    target = compiler.reduced_target(fv)
+    np.testing.assert_allclose(compiler._residuals(sch, sigmas, target, metric), want,
+                               rtol=1e-14, atol=0)
+    x = np.concatenate([sch.phis(), sch.times()]) if variable_t else sch.phis()
+    opts = SolverOptions(variable_t=variable_t, metric=metric)
+    _, rep = compiler._report(x, sigmas, target, opts, 0, "tolerance")
+    np.testing.assert_allclose(rep.residual_per_node, want, rtol=1e-14, atol=0)
+    assert rep.max_residual == np.max(rep.residual_per_node)
 
 
 def test_degree_sweep_of_no_degrees_is_empty():
@@ -473,7 +504,8 @@ def test_objective_equals_einsum_form_exactly(rng, start, metric, variable_t,
     target = compiler.reduced_target(0.8 * sigmas)
     obj = compiler._CachedObjective(sigmas, target, variable_t, metric, fold)
     x = y if fold is None else fold @ y
-    res, jac = einsum_residual_jacobian(x, sigmas, target, variable_t, metric)
+    res, jac = einsum_residual_jacobian(x, sigmas, dense_target(0.8 * sigmas),
+                                        variable_t, metric)
     r, j = np.linalg.norm(res), np.linalg.norm(jac)
     if fold is not None:
         jac = (fold.T @ jac.T).T
@@ -487,7 +519,7 @@ def test_objective_equals_einsum_form_exactly(rng, start, metric, variable_t,
                                  (got.T @ got, jac.T @ jac, j * j)):
         assert np.max(np.abs(got_q - want_q)) <= 1e-13 * scale
     assert compiler._max_node_residual(got_res, metric) == pytest.approx(
-        np.max(compiler._node_residuals(diff)), rel=1e-13)
+        np.max(node_norms(diff)), rel=1e-13)
     assert got.flags.f_contiguous
 
 

@@ -291,7 +291,7 @@ def test_one_run_tree_and_noise_batch_chain_agree(rng, k):
     # a single run multiplies its steps as a tree, the noise batch as a chain
     sch = make_schedule(rng, k, variable_t=True)
     sigmas = rng.uniform(0.0, 1.0, 9)
-    u = compiler.step_product(sch.phis(), sch.times(), sigmas)
+    u = compiler.reduced_product(sch, sigmas)
     a, b = protocol._reduced_corners(sigmas, sch.phis(), sch.times())
     assert np.max(np.abs(u[:, 0, 0] - a[0])) < 1e-14
     assert np.max(np.abs(u[:, 0, 1] - b[0])) < 1e-14

@@ -61,10 +61,39 @@ REFUSALS = {
                           CapError, "|f| reaches 1.88271 > 1"),
     "reduced-model-negative-sigma": (lambda tmp: compiler.reduced_model(SCHEDULE, -0.1),
                                      InvalidInputError, "sigma must be >= 0"),
+    "reduced-model-nan-sigma": (lambda tmp: compiler.reduced_model(SCHEDULE, np.nan),
+                                InvalidInputError, "sigma must be >= 0 and finite, got nan"),
+    "reduced-model-inf-sigma": (lambda tmp: compiler.reduced_model(SCHEDULE, np.inf),
+                                InvalidInputError, "sigma must be >= 0 and finite, got inf"),
+    "synthesis-k-0": (lambda tmp: compiler.synthesize_schedule(targets.identity(0.3, 0.8), 0),
+                      InvalidInputError, "degree k must be >= 1, got 0"),
+    "synthesis-k-fractional": (lambda tmp: compiler.synthesize_schedule(
+                                   targets.identity(0.3, 0.8), 1.5),
+                               InvalidInputError, "degree k must be an integer, got 1.5"),
+    "synthesis-k-bool": (lambda tmp: compiler.synthesize_schedule(
+                             targets.identity(0.3, 0.8), True),
+                         InvalidInputError, "degree k must be an integer, got True"),
+    "synthesis-grid-fractional": (lambda tmp: compiler.synthesize_schedule(
+                                      targets.identity(0.3, 0.8), 1, grid_size=2.5),
+                                  InvalidInputError, "grid_size must be an integer, got 2.5"),
+    "synthesis-grid-below-2k": (lambda tmp: compiler.synthesize_schedule(
+                                    targets.identity(0.3, 0.8), 4, grid_size=7),
+                                InvalidInputError, "grid_size must be >= 8, got 7"),
     "degree-sweep-variable-t": (lambda tmp: compiler.degree_sweep(
                                     targets.identity(0.3, 0.8), [4],
                                     SolverOptions(variable_t=True)),
                                 InvalidInputError, "degree_sweep runs in fixed-t mode"),
+    "validate-grid-fractional": (lambda tmp: compiler.validate_residual(
+                                     SCHEDULE, targets.identity(0.3, 0.8), 2.5),
+                                 InvalidInputError, "grid_size must be an integer, got 2.5"),
+    "validate-grid-0": (lambda tmp: compiler.validate_residual(
+                            SCHEDULE, targets.identity(0.3, 0.8), 0),
+                        InvalidInputError, "grid_size must be >= 1, got 0"),
+    "degree-sweep-k-fractional": (lambda tmp: compiler.degree_sweep(
+                                      targets.identity(0.3, 0.8), [2.5]),
+                                  InvalidInputError, "degree must be an integer, got 2.5"),
+    "degree-sweep-k-0": (lambda tmp: compiler.degree_sweep(targets.identity(0.3, 0.8), [4, 0]),
+                         InvalidInputError, "degree must be >= 1, got 0"),
     "noise-sweep-trials-0": (lambda tmp: protocol.noise_sweep(HALF, SCHEDULE, [0.1], 0),
                              InvalidInputError, "trials must be >= 1"),
     "noise-sweep-trials-fractional": (lambda tmp: protocol.noise_sweep(
@@ -78,6 +107,11 @@ REFUSALS = {
     "solver-options-seed-fractional": (lambda tmp: SolverOptions(seed=2.5),
                                        InvalidInputError,
                                        "seed must be an integer, got 2.5"),
+    "solver-options-max-nfev-fractional": (lambda tmp: SolverOptions(max_nfev=2.5),
+                                           InvalidInputError,
+                                           "max_nfev must be an integer, got 2.5"),
+    "solver-options-max-nfev-0": (lambda tmp: SolverOptions(max_nfev=0),
+                                  InvalidInputError, "max_nfev must be >= 1, got 0"),
     "unknown-kind": (lambda tmp: targets.TargetFunction("cubic"),
                      InvalidInputError, "unknown target kind 'cubic'"),
     "infinite-coeff": (lambda tmp: targets.scaled_power(-1, np.inf, 0.1, 0.9),
