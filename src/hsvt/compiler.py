@@ -222,6 +222,9 @@ def reduced_product(schedule: PhaseSchedule, sigmas) -> np.ndarray:
     """(N, 2, 2) reduced unitaries at each sigma node: the pairs (a, b) of
     _step_pairs as matrices [[a, b], [-b*, a*]]."""
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    bad = sigmas[~((sigmas >= 0) & (sigmas < np.inf))]
+    if len(bad):
+        raise InvalidInputError(f"sigma must be >= 0 and finite, got {float(bad[0])}")
     a, b = _step_pairs(schedule.phis(), schedule.times(), sigmas)
     u = np.empty((len(a), 2, 2), dtype=complex)
     u[:, 0, 0], u[:, 0, 1] = a, b
@@ -231,8 +234,6 @@ def reduced_product(schedule: PhaseSchedule, sigmas) -> np.ndarray:
 
 def reduced_model(schedule: PhaseSchedule, sigma: float) -> np.ndarray:
     """The 2x2 reduced unitary at one sigma."""
-    if not (sigma >= 0 and math.isfinite(sigma)):
-        raise InvalidInputError(f"sigma must be >= 0 and finite, got {sigma}")
     return reduced_product(schedule, [float(sigma)])[0]
 
 
@@ -246,6 +247,7 @@ def reduced_target(f_values):
 
 
 def chebyshev_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    n = linalg.as_count(n, "n")
     i = np.arange(n)
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * (2 * i + 1) / (2 * n))
 
@@ -526,34 +528,32 @@ def _stage_solve(k, f, opts, inits, max_nfev):
                                fold=_sym_fold(k, opts.variable_t))
 
 
-def _sym_continuation(f, k, opts, rng):
+def _continuation(f, k, opts, rng):
     """Grow a symmetric solution from low degree up to k.
 
-    Returns (x, degree reached, nfev), with x the full parameter vector.
-    The degree reached is k, unless opts.target_eps > 0 and an earlier stage
-    residual meets MARGIN * target_eps.
+    Yields (degree, x, max stage residual, nfev so far) after each stage, x
+    the full parameter vector.  A fixed-t stream to k >= 4 passes through each
+    k' >= 4 below k with k' = k (mod 4), yielding what a stream to k' would.
     """
     m, mid = divmod(k, 2)
-    variable_t = opts.variable_t
-    if variable_t:
+    if opts.variable_t:
         m0 = min(m, 4)
     else:
         # low-degree cold starts find the right basin; pair growth needs
         # the starting half-size to match the parity of the final one, so
         # every fixed-t stage grows by exactly one pair
         m0 = min(m, 2 + (m % 2))
-    inits = _starts(rng, m0, m0 + mid if variable_t else 0, 2, (0.5, 2.5))
+    inits = _starts(rng, m0, m0 + mid if opts.variable_t else 0, 2, (0.5, 2.5))
     stage_nfev = min(opts.max_nfev, 400)
-    stop = MARGIN * opts.target_eps
-    kc = 2 * m0 + mid
-    mx, y, nfev, _ = _stage_solve(kc, f, opts, inits, stage_nfev)
-    while kc < k:
-        if stop > 0.0 and mx <= stop:
-            break
-        y, kc = _sym_grow(y, kc, min(2, m - kc // 2), variable_t)
-        mx, y, nf, _ = _stage_solve(kc, f, opts, [y], stage_nfev)
+    kc, nfev = 2 * m0 + mid, 0
+    while True:
+        mx, y, nf, _ = _stage_solve(kc, f, opts, inits, stage_nfev)
         nfev += nf
-    return _sym_fold(kc, variable_t) @ y, kc, nfev
+        yield kc, _sym_fold(kc, opts.variable_t) @ y, mx, nfev
+        if kc >= k:
+            return
+        y, kc = _sym_grow(y, kc, min(2, m - kc // 2), opts.variable_t)
+        inits = [y]
 
 
 def _report(x, sigmas, target, opts: SolverOptions, nfev, stop_reason):
@@ -597,7 +597,7 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
 
     x = None
     if k >= 6:
-        warm, _, nfev_total = _sym_continuation(f, k, solve_opts, rng)
+        *_, (_, warm, _, nfev_total) = _continuation(f, k, solve_opts, rng)
         mx, x, nf, reason = _solve_fixed_degree(k, sigmas, target, solve_opts,
                                                 [warm], opts.max_nfev)
         nfev_total += nf
@@ -615,17 +615,19 @@ def synthesize_to_accuracy(f: TargetFunction, eps: float,
                            opts: SolverOptions | None = None):
     """Grow the schedule degree only as far as needed for accuracy eps.
 
-    Runs the symmetric continuation with early stopping and returns
-    (PhaseSchedule, SynthesisReport) at the first degree whose residual on
-    the stage grid meets eps; the report is evaluated on a fresh 4k grid.
+    Reads the symmetric continuation up to the first stage whose residual on
+    its grid meets MARGIN * eps, polishes it on a fresh 4k grid and returns
+    (PhaseSchedule, SynthesisReport) evaluated there.
     The degree budget is three times the truncation-law estimate, and at
     least 16: the synthesized rate runs below the truncation rate by roughly
     a factor two.
     """
     k_max = max(3 * degree_for_accuracy(f.x_gap(), eps).k, 16)
     opts = replace(opts or SolverOptions(), target_eps=eps)
-    rng = np.random.default_rng(opts.seed)
-    warm, kc, nfev = _sym_continuation(f, k_max, opts, rng)
+    for kc, warm, mx, nfev in _continuation(f, k_max, opts,
+                                             np.random.default_rng(opts.seed)):
+        if mx <= MARGIN * eps:
+            break
     grid, target = _grid(f, 4 * kc)
     _, x, nf, reason = _solve_fixed_degree(kc, grid, target, opts, [warm],
                                            opts.max_nfev)
@@ -638,9 +640,10 @@ def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):
     Residuals are measured on one shared dense evaluation grid so the sweep
     is comparable across degrees.  Each degree is seeded both by the previous
     solution (extended with canceling pairs, which preserves the product) and
-    by a fresh symmetric continuation.  A degree above the previous one
-    whose residual does not beat the previous residual is re-solved from
-    jittered starts.
+    by its stage of a symmetric continuation (see _continuation: run from the
+    largest degree down, each stage is solved once).  A degree above the
+    previous one whose residual does not beat the previous one is re-solved
+    from jittered starts.
     Returns a list of (k, max_residual, schedule) sorted as given, [] for no ks.
     """
     ks = [linalg.as_count(k, "degree") for k in ks]
@@ -654,6 +657,11 @@ def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):
         return float(np.max(_residuals(schedule_from_arrays(x), eval_grid,
                                        eval_target, opts.metric)))
 
+    warm = {}
+    for k in sorted(set(ks), reverse=True):
+        if k not in warm:
+            warm.update((kc, xc) for kc, xc, _, _ in _continuation(
+                f, k, opts, np.random.default_rng(opts.seed + 1)))
     rng = np.random.default_rng(opts.seed)
     out = []
     x = None
@@ -663,8 +671,7 @@ def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):
         inits = []
         if x is not None and len(x) <= k and (k - len(x)) % 2 == 0:
             inits.append(_cancel_pairs(x, (k - len(x)) // 2))
-        inits.append(_sym_continuation(f, k, opts,
-                                       np.random.default_rng(opts.seed + 1))[0])
+        inits.append(warm[k])
         _, x, _, _ = _solve_fixed_degree(k, sigmas, target, opts, inits,
                                          min(opts.max_nfev, 700))
         r = eval_res(x)

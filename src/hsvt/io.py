@@ -126,10 +126,6 @@ def report_text(report: dict) -> str:
     return json.dumps(report, indent=1, sort_keys=True) + "\n"
 
 
-def write_report(path, report: dict) -> None:
-    write_text(path, report_text(report))
-
-
 def read_report(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
@@ -138,7 +134,3 @@ def read_report(path) -> dict:
 def csv_text(header: list[str], rows: list[list]) -> str:
     """One comma-separated line per row, header first; no cell holds a comma."""
     return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
-
-
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    write_text(path, csv_text(header, rows))

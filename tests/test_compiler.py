@@ -375,13 +375,31 @@ def test_degree_sweep_of_no_degrees_is_empty():
 
 def test_degree_sweep_retries_only_a_grown_degree(monkeypatch):
     # the 8 after a 12 does not grow the degree, so it is solved as in a
-    # sweep of its own: no jittered re-solves chasing the residual at 12
+    # sweep of its own: no jittered re-solves chasing the residual at 12.
+    # The continuation to 12 passes through 8, so no stage is solved twice.
     f = targets.identity(0.4, 0.8)
-    calls = count_calls(monkeypatch, compiler, ("_solve_fixed_degree",))
-    alone = compiler.degree_sweep(f, [12]) + compiler.degree_sweep(f, [8])
-    solves_alone = calls["_solve_fixed_degree"]
-    rows = compiler.degree_sweep(f, [12, 8])
-    assert calls["_solve_fixed_degree"] == 2 * solves_alone
+    real = compiler._solve_fixed_degree
+    unfolded = []
+
+    def recorded(*args, fold=None):
+        if fold is None:
+            unfolded.append(args[0])
+        return real(*args, fold=fold)
+
+    monkeypatch.setattr(compiler, "_solve_fixed_degree", recorded)
+    calls = count_calls(monkeypatch, compiler, ("_stage_solve",))
+
+    def sweep(ks):
+        stages, solves = calls["_stage_solve"], len(unfolded)
+        rows = compiler.degree_sweep(f, ks)
+        return rows, calls["_stage_solve"] - stages, len(unfolded) - solves
+
+    rows_12, stages_12, solves_12 = sweep([12])
+    rows_8, _, solves_8 = sweep([8])
+    alone = rows_12 + rows_8
+    rows, stages, solves = sweep([12, 8])
+    assert solves == solves_12 + solves_8
+    assert stages == stages_12
     assert [(k, r, s.to_text()) for k, r, s in rows] == \
         [(k, r, s.to_text()) for k, r, s in alone]
 
@@ -494,7 +512,7 @@ def test_objective_equals_einsum_form_exactly(rng, start, metric, variable_t,
     n = fold.shape[1] if folded else (2 * k if variable_t else k)
     n_phi = k // 2 if folded else k
     if start == "zero-phase":
-        # the start _sym_continuation and the fallback solve first: phases 0,
+        # the start _continuation and the fallback solve first: phases 0,
         # unit times, where products have exact zeros to sign
         y = np.concatenate([np.zeros(n_phi), np.ones(n - n_phi)])
     else:

@@ -58,14 +58,10 @@ def test_read_state_rejects_wide_matrix(tmp_path):
         io.read_state(path)
 
 
-def test_report_roundtrip(tmp_path):
-    path = tmp_path / "r.json"
+def test_report_roundtrip():
     report = {"b": [1, 2], "a": {"x": 0.5}}
-    io.write_report(path, report)
-    assert io.read_report(path) == report
+    assert json.loads(io.report_text(report)) == report
 
 
-def test_csv_header_only(tmp_path):
-    path = tmp_path / "t.csv"
-    io.write_csv(path, ["k", "residual"], [])
-    assert path.read_text() == "k,residual\n"
+def test_csv_header_only():
+    assert io.csv_text(["k", "residual"], []) == "k,residual\n"

@@ -65,6 +65,13 @@ REFUSALS = {
                                 InvalidInputError, "sigma must be >= 0 and finite, got nan"),
     "reduced-model-inf-sigma": (lambda tmp: compiler.reduced_model(SCHEDULE, np.inf),
                                 InvalidInputError, "sigma must be >= 0 and finite, got inf"),
+    "reduced-product-bad-sigmas": (lambda tmp: compiler.reduced_product(
+                                       SCHEDULE, [np.nan, -0.5]),
+                                   InvalidInputError, "sigma must be >= 0 and finite, got nan"),
+    "chebyshev-grid-n-fractional": (lambda tmp: compiler.chebyshev_grid(0.4, 0.8, 2.5),
+                                    InvalidInputError, "n must be an integer, got 2.5"),
+    "chebyshev-grid-n-0": (lambda tmp: compiler.chebyshev_grid(0.4, 0.8, 0),
+                           InvalidInputError, "n must be >= 1, got 0"),
     "synthesis-k-0": (lambda tmp: compiler.synthesize_schedule(targets.identity(0.3, 0.8), 0),
                       InvalidInputError, "degree k must be >= 1, got 0"),
     "synthesis-k-fractional": (lambda tmp: compiler.synthesize_schedule(
