@@ -8,7 +8,7 @@ from .applications import (apply_matrix, history_state, inverse_block_encode,
                            ode_solve, power_cascade, OdeProblem)
 from .compiler import (PhaseSchedule, PhaseStep, SolverOptions,
                        reduced_model, schedule_cost, synthesize_schedule,
-                       synthesize_to_accuracy, verify_pq_constraint)
+                       synthesize_to_accuracy)
 from .embedding import embed
 from .protocol import (ControlNoiseModel, build_target_unitary, noise_sweep,
                        simulate_protocol, verify)
@@ -23,7 +23,6 @@ __all__ = [
     "power_cascade", "OdeProblem",
     "PhaseSchedule", "PhaseStep", "SolverOptions", "reduced_model",
     "schedule_cost", "synthesize_schedule", "synthesize_to_accuracy",
-    "verify_pq_constraint",
     "embed",
     "ControlNoiseModel", "build_target_unitary", "noise_sweep",
     "simulate_protocol", "verify",

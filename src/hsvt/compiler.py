@@ -21,6 +21,7 @@ pairs (phi, phi + pi), a variable-t one splits its longest step in two.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,7 +91,7 @@ class PhaseSchedule:
     @classmethod
     def from_text(cls, text: str, path=None) -> "PhaseSchedule":
         lines = text.splitlines()
-        if not lines or not lines[0].startswith("# hsvt-schedule v1"):
+        if not lines or not re.match(r"# hsvt-schedule v1(?!\S)", lines[0]):
             raise ParseError("missing 'hsvt-schedule v1' header", path=path, line=1)
         fields = dict(
             tok.split("=", 1) for tok in lines[0].split()[2:] if "=" in tok
@@ -114,11 +115,10 @@ class PhaseSchedule:
                 phi, t = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ParseError(f"bad number: {exc}", path=path, line=i) from exc
-            if not (math.isfinite(phi) and math.isfinite(t)):
-                raise ParseError("phase and time must be finite", path=path, line=i)
-            if not (t > 0.0):
-                raise ParseError("step time must be positive", path=path, line=i, field="t")
-            steps.append(PhaseStep(phi=phi, t=t))
+            try:
+                steps.append(PhaseStep(phi=phi, t=t))
+            except InvalidInputError as exc:
+                raise ParseError(str(exc), path=path, line=i) from exc
         if len(steps) != k:
             raise ParseError(
                 f"header says k={fields['k']} but found {len(steps)} steps",
@@ -688,26 +688,6 @@ def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):
         prev_res = r
         out.append((k, r, schedule_from_arrays(x)))
     return out
-
-
-def validate_residual(schedule: PhaseSchedule, f: TargetFunction, grid_size: int) -> float:
-    """Max full-metric residual on an independent Chebyshev grid of the given size."""
-    grid_size = linalg.as_count(grid_size, "grid_size")
-    return float(np.max(_residuals(schedule, *_grid(f, grid_size), "full")))
-
-
-def verify_pq_constraint(schedule: PhaseSchedule, grid) -> float:
-    """Max over the grid of | |P-corner|^2 + |Q-corner|^2 - 1 |.
-
-    This is the first-row norm of a unitary, so it is an identity; any
-    deviation beyond round-off indicates a broken product.
-    """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        return 0.0
-    u = reduced_product(schedule, grid)
-    row = np.abs(u[:, 0, 0]) ** 2 + np.abs(u[:, 0, 1]) ** 2
-    return float(np.max(np.abs(row - 1.0)))
 
 
 def schedule_cost(schedule: PhaseSchedule) -> tuple[float, int]:

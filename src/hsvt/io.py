@@ -6,13 +6,14 @@ Schedules use PhaseSchedule's text format.  Floats are serialized with
 Python's shortest round-trip repr, so read/write round-trips are exact.
 Files are read as UTF-8; one that cannot be read or decoded raises
 ParseError.  All writes are atomic (write to a temp file in the same
-directory, then rename).
+directory, then rename) and leave the mode that open(path, "w") would.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -21,10 +22,23 @@ from .compiler import PhaseSchedule
 from .errors import ParseError
 
 
+def _open_mode(path) -> int:
+    """The mode open(path, "w") leaves: that of the file it replaces, or
+    0o666 less the umask for a new file."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def write_text(path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    mode = _open_mode(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hsvt-tmp-")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -90,7 +104,7 @@ def read_matrix(path) -> np.ndarray:
             d = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}", path=path) from exc
     if not isinstance(d, dict):
         raise ParseError("top-level JSON value must be an object", path=path)
@@ -124,11 +138,6 @@ def read_state(path) -> np.ndarray:
 
 def report_text(report: dict) -> str:
     return json.dumps(report, indent=1, sort_keys=True) + "\n"
-
-
-def read_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def csv_text(header: list[str], rows: list[list]) -> str:

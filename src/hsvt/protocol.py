@@ -12,10 +12,7 @@ ker A (+) ker A^dag, so the product is I + B (P - I) B^dag, with
 B = [r_j (+) 0, 0 (+) l_j] and P_j the compiler's 2x2 step product at
 sigma_j: the embedding's SVD, the 2x2 products (multiplied as a balanced
 tree of SU(2) pairs, compiler._step_pairs), then four rank-r updates.
-_protocol_unitary, the product of full-space evolutions from an
-eigendecomposition of H, is kept as the oracle that reduced_full_gap and
-the tests compare against.  build_target_unitary assembles the closed-form
-goal
+build_target_unitary assembles the closed-form goal
 
     U_f = i * [[ sqrt(I - f(Ad) f(A)),  f(Ad) ],
                [ f(A),                 -sqrt(I - f(A) f(Ad)) ]]
@@ -42,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .compiler import PhaseSchedule, _pair_product, _step_pairs, reduced_model
+from .compiler import PhaseSchedule, _pair_product, _step_pairs
 from .embedding import BlockHamiltonian, embed
 from .errors import CapError, InvalidInputError
 from .targets import TargetFunction
@@ -53,17 +50,6 @@ class TargetUnitary:
     matrix: np.ndarray
     embedding: BlockHamiltonian
     f: TargetFunction
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def unitarity_defect(self) -> float:
-        u = self.matrix
-        return float(np.linalg.norm(u.conj().T @ u - np.eye(self.dim), 2))
-
-    def antihermiticity_defect(self) -> float:
-        return float(np.linalg.norm(self.matrix + self.matrix.conj().T, 2))
 
 
 @dataclass(frozen=True)
@@ -96,7 +82,6 @@ def _standard_normals(seed: int, count: int) -> np.ndarray:
 class ProtocolResult:
     unitary: np.ndarray
     embedding: BlockHamiltonian
-    schedule_used: PhaseSchedule
     achieved_eps: float | None = None
 
 
@@ -130,26 +115,6 @@ def build_target_unitary(a, f: TargetFunction) -> TargetUnitary:
     return TargetUnitary(matrix=u, embedding=h, f=f)
 
 
-def _phase_diagonal(n: int, m: int, phi: float) -> np.ndarray:
-    """Diagonal of exp(i phi Z / 2)."""
-    d = np.empty(n + m, dtype=complex)
-    d[:n] = np.exp(0.5j * phi)
-    d[n:] = np.exp(-0.5j * phi)
-    return d
-
-
-def _protocol_unitary(eig, n: int, m: int, phis, times) -> np.ndarray:
-    """Product of conjugated full-space evolutions from an eigendecomposition
-    (w, v) of H: the oracle for simulate_protocol."""
-    w, v = eig
-    u = np.eye(n + m, dtype=complex)
-    for phi, t in zip(phis, times):
-        d = _phase_diagonal(n, m, phi)
-        step = (v * np.exp(-1j * w * t)) @ v.conj().T
-        u = (d[:, None] * step * np.conj(d)[None, :]) @ u
-    return u
-
-
 def simulate_protocol(a, schedule: PhaseSchedule,
                       noise: ControlNoiseModel | None = None,
                       target: TargetUnitary | None = None) -> ProtocolResult:
@@ -177,8 +142,7 @@ def simulate_protocol(a, schedule: PhaseSchedule,
     achieved = None
     if target is not None:
         achieved = linalg.op_distance(u, target.matrix)
-    return ProtocolResult(unitary=u, embedding=h, schedule_used=schedule,
-                          achieved_eps=achieved)
+    return ProtocolResult(unitary=u, embedding=h, achieved_eps=achieved)
 
 
 def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:
@@ -209,25 +173,6 @@ def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:
         "passed": bool(distance <= eps),
         "per_subspace": per_subspace,
     }
-
-
-def reduced_full_gap(result: ProtocolResult) -> float:
-    """Max over subspaces of |restriction - reduced_model(schedule, sigma)|,
-    with the restriction taken of the full-space product _protocol_unitary
-    of result.schedule_used for result.embedding, whose SVD gives the pairs.
-
-    This is the master consistency check between the full-space oracle and
-    the compiler's 2x2 model; it should be at round-off level always.
-    """
-    h = result.embedding
-    schedule = result.schedule_used
-    full = _protocol_unitary(linalg.hermitian_eig(h.assemble()), h.n, h.m,
-                             schedule.phis(), schedule.times())
-    worst = 0.0
-    for sigma, got in zip(h.svd.singulars, h.pair_blocks(full)):
-        want = reduced_model(schedule, sigma)
-        worst = max(worst, float(np.linalg.norm(got - want, 2)))
-    return worst
 
 
 def _reduced_corners(sigmas, phis, times):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsvt import embedding, linalg, protocol
+from hsvt import compiler, embedding, linalg, protocol
 
 
 def random_contraction(rng, n, m=None, lo=0.1, hi=0.9):
@@ -49,11 +49,28 @@ def count_calls(monkeypatch, module, names):
 
 
 def full_space_unitary(a, phis, times):
-    """The protocol's product on the whole space, from one eigendecomposition
-    of the embedding of A (protocol._protocol_unitary)."""
+    """The protocol's product prod_k exp(i phi_k Z/2) exp(-i H t_k)
+    exp(-i phi_k Z/2) on the whole space, from one eigendecomposition (w, v)
+    of the embedding H of A: the oracle for protocol.simulate_protocol."""
     h = embedding.embed(a)
-    eig = linalg.hermitian_eig(h.assemble())
-    return protocol._protocol_unitary(eig, h.n, h.m, phis, times)
+    w, v = linalg.hermitian_eig(h.assemble())
+    z = np.concatenate([np.ones(h.n), -np.ones(h.m)])      # diagonal of Z
+    u = np.eye(h.n + h.m, dtype=complex)
+    for phi, t in zip(phis, times):
+        d = np.exp(0.5j * phi * z)
+        step = (v * np.exp(-1j * w * t)) @ v.conj().T
+        u = (d[:, None] * step * np.conj(d)[None, :]) @ u
+    return u
+
+
+def reduced_full_gap(result, schedule):
+    """Max over the singular pairs of result.embedding of the distance from
+    the restriction of full_space_unitary to compiler.reduced_model: the
+    full-space oracle against the 2x2 model, at round-off level always."""
+    h = result.embedding
+    blocks = h.pair_blocks(full_space_unitary(h, schedule.phis(), schedule.times()))
+    return max((np.linalg.norm(got - compiler.reduced_model(schedule, sigma), 2)
+                for sigma, got in zip(h.svd.singulars, blocks)), default=0.0)
 
 
 def noise_sweep_oracle(a, schedule, etas, trials, seed=0):
@@ -115,6 +132,20 @@ def node_norms(diff):
     if diff.ndim == 1:
         return np.abs(diff)
     return np.linalg.norm(diff, 2, axis=(1, 2))
+
+
+def dense_residual(schedule, f, n):
+    """Max over n Chebyshev nodes of f's domain of the 2x2 spectral norm of
+    U - T, with U the dense step product: the full-metric residual."""
+    nodes = compiler.chebyshev_grid(f.sigma_lo, f.sigma_hi, n)
+    u = sequential_step_product(schedule.phis(), schedule.times(), nodes)
+    return np.max(node_norms(metric_diff(u, dense_target(f(nodes)), "full")))
+
+
+def row_norm_defect(u):
+    """Max over a (N, 2, 2) stack of | |u_00|^2 + |u_01|^2 - 1 |: each first
+    row of a unitary has norm 1."""
+    return np.max(np.abs(np.sum(np.abs(u[:, 0]) ** 2, axis=1) - 1.0), initial=0.0)
 
 
 def einsum_residual_jacobian(params, sigmas, target, variable_t, metric):

@@ -138,6 +138,18 @@ def test_non_utf8_matrix_exits_3(tmp_path):
     assert run(["apply", "--matrix", str(bad), "--state", str(v)]) == 3
 
 
+@pytest.mark.parametrize("text", ["[" * 200000, "1" * 5000], ids=["deep", "longint"])
+def test_undecodable_json_exits_3_as_input_and_2_as_config(tmp_path, text):
+    # past json.load's recursion limit, or past int()'s digit limit
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    v = tmp_path / "v.json"
+    io.write_state(v, np.array([1.0]))
+    assert run(["apply", "--matrix", str(bad), "--state", str(v)]) == 3
+    assert run(["apply", "--matrix", str(v), "--state", str(bad)]) == 3
+    assert run(["synthesize", "--config", str(bad)]) == 2
+
+
 def test_non_utf8_config_exits_2(tmp_path, capsys):
     bad = _unreadable_file(tmp_path, "latin1")
     assert run(["synthesize", "--config", str(bad)]) == 2
@@ -320,7 +332,7 @@ def test_synthesize_sine_single_step(tmp_path):
     assert sch.degree == 1
     assert sch.steps[0].phi == pytest.approx(np.pi)
     assert sch.steps[0].t == pytest.approx(1.0, abs=1e-6)
-    report = io.read_report(rep)
+    report = json.loads(rep.read_text())
     assert report["k"] == 1
     assert report["synthesis"]["converged"]
 
@@ -340,7 +352,7 @@ def test_synthesize_then_simulate_pipeline(tmp_path):
                 "--sigma-hi", "0.8", "--eps", "1e-2",
                 "--report-out", str(rep)])
     assert code == 0
-    record = io.read_report(rep)["verification"]
+    record = json.loads(rep.read_text())["verification"]
     assert record["passed"]
     assert all(s["in_domain"] for s in record["per_subspace"])
 
@@ -363,7 +375,7 @@ def test_synthesize_report_says_why_the_solver_stopped(tmp_path):
                 "--sigma-hi", "0.8", "--eps", "1e-2", "--variable-t",
                 "--report-out", str(rep)])
     assert code == 0
-    synthesis = io.read_report(rep)["synthesis"]
+    synthesis = json.loads(rep.read_text())["synthesis"]
     assert synthesis["stop_reason"] == "eps"
     assert synthesis["max_residual"] <= 0.8e-2
 
@@ -455,7 +467,7 @@ def test_apply_writes_state_and_report(tmp_path):
     code = run(["apply", "--matrix", str(m), "--state", str(v),
                 "--state-out", str(out), "--report-out", str(rep)])
     assert code == 0
-    report = io.read_report(rep)
+    report = json.loads(rep.read_text())
     assert report["success_prob"] == pytest.approx(0.5 * (0.25 + 0.64))
     got = io.read_state(out)
     want = np.array([0.5, 0.8]) / np.linalg.norm([0.5, 0.8])
@@ -471,7 +483,7 @@ def test_ode_report_scalar(tmp_path):
     code = run(["ode", "--generator", str(b), "--state", str(v),
                 "--dt", "0.01", "--steps", "100", "--report-out", str(rep)])
     assert code == 0
-    report = io.read_report(rep)
+    report = json.loads(rep.read_text())
     assert report["final_norm"] == pytest.approx(0.99 ** 100, abs=1e-12)
     assert report["total_norm_sq"] == pytest.approx(1.0, abs=1e-12)
 
@@ -503,7 +515,7 @@ def test_report_excluding_timing_reproducible(tmp_path):
         assert run(["synthesize", "--kind", "sine", "--sigma-lo", "0.3",
                     "--sigma-hi", "0.8", "--k", "1", "--metric", "corner",
                     "--seed", "5", "--report-out", str(rep)]) == 0
-        d = io.read_report(rep)
+        d = json.loads(rep.read_text())
         d.pop("timing")
         d["config"].pop("report_out")
         reps.append(json.dumps(d, sort_keys=True))

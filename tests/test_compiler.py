@@ -12,8 +12,8 @@ from hsvt import compiler, targets
 from hsvt.compiler import PhaseSchedule, PhaseStep, SolverOptions
 from hsvt.errors import InvalidInputError, ParseError
 
-from conftest import (count_calls, dense_target, einsum_residual_jacobian, metric_diff,
-                      node_norms, sequential_step_product)
+from conftest import (count_calls, dense_residual, dense_target, einsum_residual_jacobian,
+                      metric_diff, node_norms, row_norm_defect, sequential_step_product)
 
 
 def make_schedule(rng, k, variable_t=False):
@@ -140,15 +140,15 @@ def test_step_product_matches_the_sequential_chain(rng, k, n, variable_t):
 # -- pq constraint and cost --------------------------------------------------
 
 def test_pq_constraint_empty_and_single(rng):
-    assert compiler.verify_pq_constraint(PhaseSchedule(steps=()), [0.3]) == 0.0
+    assert row_norm_defect(compiler.reduced_product(PhaseSchedule(steps=()), [0.3])) == 0.0
     one = compiler.schedule_from_arrays([1.1], [0.6])
-    assert compiler.verify_pq_constraint(one, np.linspace(0, 1, 20)) < 1e-12
+    assert row_norm_defect(compiler.reduced_product(one, np.linspace(0, 1, 20))) < 1e-12
 
 
 def test_pq_constraint_random(rng):
     sch = make_schedule(rng, 5, variable_t=True)
     grid = np.linspace(0.0, 1.0, 50)
-    assert compiler.verify_pq_constraint(sch, grid) < 1e-10
+    assert row_norm_defect(compiler.reduced_product(sch, grid)) < 1e-10
 
 
 def test_schedule_cost():
@@ -176,7 +176,7 @@ def test_synthesize_identity_converges():
     assert rep.converged
     assert rep.max_residual <= 5e-3
     # residual reproduced on an independent denser grid
-    dense = compiler.validate_residual(sch, f, 10 * 24)
+    dense = dense_residual(sch, f, 10 * 24)
     assert dense <= 2 * max(rep.max_residual, 1e-12)
 
 
@@ -251,7 +251,7 @@ def test_variable_t_compile_stops_at_the_accuracy_contract():
         f, 1e-3, opts=SolverOptions(variable_t=True))
     assert sch.degree == 16
     assert rep.max_residual <= compiler.MARGIN * 1e-3
-    assert compiler.validate_residual(sch, f, grid_size=2001) <= 1e-3
+    assert dense_residual(sch, f, 2001) <= 1e-3
     assert rep.stop_reason == "eps"
     assert rep.iterations < 1200
     assert rep.to_dict()["stop_reason"] == "eps"
@@ -266,7 +266,7 @@ def test_fixed_t_adaptive_compile_stops_at_the_accuracy_contract():
     assert rep.stop_reason == "eps"
     assert rep.iterations < 2976
     assert rep.max_residual <= compiler.MARGIN * 1e-3
-    assert compiler.validate_residual(sch, f, grid_size=2001) <= 1e-3
+    assert dense_residual(sch, f, 2001) <= 1e-3
 
 
 def test_fixed_t_compile_repeats_across_processes(tmp_path):

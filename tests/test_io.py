@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -56,6 +58,21 @@ def test_read_state_rejects_wide_matrix(tmp_path):
     io.write_matrix(path, np.eye(2))
     with pytest.raises(ParseError, match="cols"):
         io.read_state(path)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=["022", "002"])
+def test_write_text_leaves_the_mode_that_open_leaves(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        open(tmp_path / "by-open", "w").close()
+        io.write_text(tmp_path / "by-io", "x")
+        (tmp_path / "replaced").write_text("old")
+        (tmp_path / "replaced").chmod(0o640)
+        io.write_text(tmp_path / "replaced", "new")
+    finally:
+        os.umask(old)
+    mode = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert mode == {"by-open": 0o666 & ~umask, "by-io": 0o666 & ~umask, "replaced": 0o640}
 
 
 def test_report_roundtrip():

@@ -16,7 +16,8 @@ from hsvt import cli, compiler, io, linalg, protocol  # noqa: E402
 from hsvt.compiler import PhaseSchedule, SolverOptions  # noqa: E402
 from hsvt.errors import ConfigError, InvalidInputError, ParseError  # noqa: E402
 
-from conftest import full_space_unitary, noise_sweep_oracle  # noqa: E402
+from conftest import (full_space_unitary, noise_sweep_oracle, reduced_full_gap,  # noqa: E402
+                      row_norm_defect)
 
 HEADER = "# hsvt-schedule v1 "
 _number = st.one_of(st.floats(), st.integers().map(str), st.text(max_size=8))
@@ -125,8 +126,8 @@ def test_protocol_matches_reduced_model_on_random_inputs(a, schedule):
     result = protocol.simulate_protocol(a, schedule)
     u = result.unitary
     assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2) <= 1e-10
-    assert protocol.reduced_full_gap(result) <= 1e-10
-    assert compiler.verify_pq_constraint(schedule, linalg.svd(a).singulars) <= 1e-10
+    assert reduced_full_gap(result, schedule) <= 1e-10
+    assert row_norm_defect(compiler.reduced_product(schedule, linalg.svd(a).singulars)) <= 1e-10
     (row,) = protocol.noise_sweep(a, schedule, [0.1], trials=2)
     ((mean, worst),) = noise_sweep_oracle(a, schedule, [0.1], 2)
     assert abs(row["mean_distance"] - mean) <= 1e-12
@@ -224,7 +225,7 @@ _COMMAND_FLAGS = {
     for action in _PARSER._actions if isinstance(action, cli.argparse._SubParsersAction)
     for cmd, sp in action.choices.items()
 }
-_BAD_INPUTS = ["hostile.json", "latin1.json", "missing.json", "dir"]
+_BAD_INPUTS = ["hostile.json", "latin1.json", "deep.json", "longint.json", "missing.json", "dir"]
 _INPUTS = {"matrix": ["m1.json", "m2.json", "big.json"], "generator": ["g1.json", "m2.json"],
            "state": ["v1.json", "v2.json"], "schedule": ["s.txt", "hostile.txt"]}
 _OUTPUTS = ["out/a", "nodir/a", "dir"]
@@ -260,8 +261,8 @@ _FLAG_VALUES = {
     **{name: st.sampled_from(good + _BAD_INPUTS) for name, good in _INPUTS.items()},
     **{name: st.sampled_from(_OUTPUTS)
        for name in ("report_out", "schedule_out", "csv_out", "state_out")},
-    "config": st.sampled_from(["config.json", "hostile.json", "latin1.json",
-                               "missing.json", "dir"]),
+    "config": st.sampled_from(["config.json", "hostile.json", "latin1.json", "deep.json",
+                               "longint.json", "missing.json", "dir"]),
 }
 _config_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
                          st.lists(st.one_of(st.none(), st.text(max_size=2)), max_size=2))
@@ -303,6 +304,8 @@ def cli_files(tmp_path_factory):
     io.write_state(root / "v2.json", np.array([1.0, 1.0]) / np.sqrt(2))
     (root / "s.txt").write_text("# hsvt-schedule v1 k=2\n0.3,1\n-0.3,1\n")
     (root / "latin1.json").write_bytes(b'{"caf\xe9": 1}\n')
+    (root / "deep.json").write_text("[" * 200000)
+    (root / "longint.json").write_text("1" * 5000)
     (root / "dir").mkdir()
     (root / "out").mkdir()
     return root

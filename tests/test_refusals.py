@@ -90,12 +90,6 @@ REFUSALS = {
                                     targets.identity(0.3, 0.8), [4],
                                     SolverOptions(variable_t=True)),
                                 InvalidInputError, "degree_sweep runs in fixed-t mode"),
-    "validate-grid-fractional": (lambda tmp: compiler.validate_residual(
-                                     SCHEDULE, targets.identity(0.3, 0.8), 2.5),
-                                 InvalidInputError, "grid_size must be an integer, got 2.5"),
-    "validate-grid-0": (lambda tmp: compiler.validate_residual(
-                            SCHEDULE, targets.identity(0.3, 0.8), 0),
-                        InvalidInputError, "grid_size must be >= 1, got 0"),
     "degree-sweep-k-fractional": (lambda tmp: compiler.degree_sweep(
                                       targets.identity(0.3, 0.8), [2.5]),
                                   InvalidInputError, "degree must be an integer, got 2.5"),
@@ -136,6 +130,16 @@ REFUSALS = {
                                 ParseError, "entry 0 is out of range"),
     "read-top-level-list": (lambda tmp: io.read_matrix(_write(tmp / "m.json", "[1, 2]")),
                             ParseError, "top-level JSON value must be an object"),
+    "read-nested-too-deep": (lambda tmp: io.read_matrix(_write(tmp / "m.json", "[" * 200000)),
+                             ParseError, "invalid JSON: maximum recursion depth exceeded"),
+    "read-int-too-long": (lambda tmp: io.read_matrix(_write(tmp / "m.json", "1" * 5000)),
+                          ParseError, "invalid JSON: Exceeds the limit (4300 digits)"),
+    "schedule-version-v12": (lambda tmp: compiler.PhaseSchedule.from_text(
+                                 "# hsvt-schedule v12 k=1\n0.1,1\n"),
+                             ParseError, "missing 'hsvt-schedule v1' header at line 1"),
+    "schedule-version-v1x": (lambda tmp: compiler.PhaseSchedule.from_text(
+                                 "# hsvt-schedule v1x k=1\n0.1,1\n"),
+                             ParseError, "missing 'hsvt-schedule v1' header at line 1"),
 }
 
 
@@ -144,7 +148,3 @@ def test_refusal_class_and_message(tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message)) as exc:
         call(tmp_path)
     assert type(exc.value) is error
-
-
-def test_pq_constraint_of_no_nodes_is_zero():
-    assert compiler.verify_pq_constraint(SCHEDULE, []) == 0.0
