@@ -192,6 +192,36 @@ def _pair_product(a1, b1, a2, b2):
     return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
+def _chain(rows, c, w, chain_first=False):
+    """Fill rows[1:] of a chain of pair products, row k + 1 from row k and
+    step k: _pair_product on every node at once, in fewer array ops.
+
+    A row holds the pair (a, b) of N nodes as [a | b reversed], so that its
+    reverse [b | a reversed] holds each entry's partner.  With the step's
+    rows c = [c | c reversed] (complex) and w = [w | w reversed], the
+    product S P = _pair_product(c, w, a, b) is c y, then w conj(y[::-1]),
+    subtracted on the first half and added on the second.  With chain_first
+    it is P S = _pair_product(a, b, c, w), where w is the row
+    [conj(w) | w reversed]: y c, then y[::-1] w.  Each product keeps
+    _pair_product's operand order (numpy's complex multiply is not bitwise
+    commutative), so every row holds _pair_product's floats, signed zeros
+    included: the solver's steps depend even on those."""
+    n = rows.shape[1] // 2
+    cross = np.empty(2 * n, dtype=complex)
+    cross_lo, cross_hi = cross[:n], cross[n:]
+    for y, partner, out, lo, hi, ck, wk in zip(rows[:-1], rows[:-1, ::-1], rows[1:],
+                                               rows[1:, :n], rows[1:, n:], c, w):
+        if chain_first:
+            np.multiply(y, ck, out)
+            np.multiply(partner, wk, cross)
+        else:
+            np.multiply(ck, y, out)
+            np.conj(partner, out=cross)
+            np.multiply(wk, cross, cross)
+        np.subtract(lo, cross_lo, lo)
+        np.add(hi, cross_hi, hi)
+
+
 def _step_pairs(phis, times, sigmas):
     """(a, b), each (N,), of the product of the steps (phis, times) at each
     of the N sigmas, multiplied as a balanced tree: each level is one
@@ -200,8 +230,8 @@ def _step_pairs(phis, times, sigmas):
 
     One run multiplies its K step pairs in ceil(log2 K) vectorized levels
     where a chain takes K small products.  The objective multiplies the same
-    pairs one step at a time, since it needs every prefix and its round-off
-    sets the schedules; so does noise_sweep over a batch of runs
+    pairs one step at a time (_chain), since it needs every prefix and its
+    round-off sets the schedules; so does noise_sweep over a batch of runs
     (protocol._reduced_corners), where a tree's levels cost more in
     temporaries than they save."""
     angles = np.multiply.outer(times, sigmas)          # (K, N)
@@ -277,35 +307,44 @@ def _residual_jacobian(params, sigmas, target, variable_t, metric):
     residual needs only the prefix products P_k; the callable runs the
     suffix products Q_k and the derivatives (Q_{k+1} D_k) P_k, so a point
     whose Jacobian is never asked for skips them.
+
+    Both chains run in _chain's rows: row k of y is [a | b reversed] of
+    P_k, row k of z that of Q_k.  Under fixed-t every time is 1, so the
+    sines and cosines are taken once, on sigmas.
     """
+    n = len(sigmas)
     if variable_t:
         K = len(params) // 2
         phis, times = params[:K], params[K:]
+        angles = np.multiply.outer(times, sigmas)
+        st, ct = np.sin(angles), np.cos(angles)          # (K, N)
     else:
         K = len(params)
-        phis, times = params, np.ones(K)
-    angles = np.multiply.outer(times, sigmas)
-    st, ct = np.sin(angles), np.cos(angles)
+        phis = params
+        st, ct = np.sin(sigmas), np.cos(sigmas)          # (N,), every step's
     e = np.exp(1j * phis)[:, None]
-    w = -1j * st * e
-    pa = np.empty((K + 1, len(sigmas)), dtype=complex)
-    pb = np.empty_like(pa)
-    pa[0], pb[0] = 1.0, 0.0
-    for k in range(K):
-        pa[k + 1], pb[k + 1] = _pair_product(ct[k], w[k], pa[k], pb[k])
+    w = -1j * st * e                                     # (K, N)
+    c = np.concatenate([ct, ct[..., ::-1]], axis=-1).astype(complex)
+    if not variable_t:
+        c = [c] * K
+    y = np.empty((K + 1, 2 * n), dtype=complex)
+    y[0, :n], y[0, n:] = 1.0, 0.0
+    _chain(y, c, np.concatenate([w, w[:, ::-1]], axis=1))
+    pa, pb = y[:, :n], y[:, n:][:, ::-1]
     ta, tb = target
     res = _rows(pa[K] - ta, pb[K] - tb, metric)
 
     def jacobian():
-        qa, qb = np.empty_like(pa), np.empty_like(pb)
-        qa[K], qb[K] = 1.0, 0.0
-        for k in reversed(range(K)):
-            qa[k], qb[k] = _pair_product(qa[k + 1], qb[k + 1], ct[k], w[k])
+        z = np.empty_like(y)
+        z[K, :n], z[K, n:] = 1.0, 0.0
+        _chain(z[::-1], c[::-1], np.concatenate([np.conj(w), w[:, ::-1]], axis=1)[::-1],
+               chain_first=True)
+        qa, qb = z[1:, :n], z[1:, n:][:, ::-1]
         # each step's derivative by phi, then by t
         derivs = [(0.0, st * e)]
         if variable_t:
             derivs.append((-sigmas * st, -1j * sigmas * ct * e))
-        cols = [_pair_product(*_pair_product(qa[1:], qb[1:], da, db), pa[:-1], pb[:-1])
+        cols = [_pair_product(*_pair_product(qa, qb, da, db), pa[:-1], pb[:-1])
                 for da, db in derivs]
         a, b = (np.concatenate(part) for part in zip(*cols))
         # transposed, so Fortran-ordered: the memory order of the Jacobian

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .compiler import PhaseSchedule, _pair_product, _step_pairs
+from .compiler import PhaseSchedule, _pair_product, _step_pairs, reduced_target
 from .embedding import BlockHamiltonian, embed
 from .errors import CapError, InvalidInputError
 from .targets import TargetFunction
@@ -97,13 +97,7 @@ def build_target_unitary(a, f: TargetFunction) -> TargetUnitary:
     h = embed(a)                       # validates sigma_max <= 1
     n, m = h.n, h.m
     res = h.svd
-    fs = np.asarray(f.eval_analytic(res.singulars), dtype=float)
-    if np.any(np.abs(fs) > 1.0 + 1e-12):
-        raise CapError(
-            f"|f(sigma)| reaches {np.max(np.abs(fs)):.6g} > 1; "
-            "no unitary completion exists"
-        )
-    fs = np.clip(fs, -1.0, 1.0)
+    fs = _f_at(f, res.singulars)
     f_a = (res.left_vectors * fs) @ res.right_vectors.conj().T       # m x n
     upper = linalg.sqrt_psd(np.eye(n) - f_a.conj().T @ f_a)
     lower = linalg.sqrt_psd(np.eye(m) - f_a @ f_a.conj().T)
@@ -115,6 +109,32 @@ def build_target_unitary(a, f: TargetFunction) -> TargetUnitary:
     return TargetUnitary(matrix=u, embedding=h, f=f)
 
 
+def _f_at(f: TargetFunction, sigmas) -> np.ndarray:
+    """f at the singular values, clipped to [-1, 1]; beyond round-off a
+    value |f| > 1 raises a cap error."""
+    fs = np.asarray(f.eval_analytic(sigmas), dtype=float)
+    if np.any(np.abs(fs) > 1.0 + 1e-12):
+        raise CapError(
+            f"|f(sigma)| reaches {np.max(np.abs(fs)):.6g} > 1; "
+            "no unitary completion exists"
+        )
+    return np.clip(fs, -1.0, 1.0)
+
+
+def _target_distance(h: BlockHamiltonian, pa, pb, target: TargetUnitary) -> float:
+    """Operator distance of the simulated I + B (P - I) B^dag from the target,
+    pair by pair: on pair j the target is the pair (i sqrt(1 - f_j^2), i f_j)
+    (compiler.reduced_target), so both operators differ there by a pair
+    (da, db) of norm sqrt(|da|^2 + |db|^2).  When n + m > 2r a direction
+    outside the pairs carries I against +-iI, at distance sqrt 2."""
+    if target.embedding is not h and not np.array_equal(target.embedding.a_block,
+                                                        h.a_block):
+        raise InvalidInputError("the target was built on a different A")
+    ta, tb = reduced_target(_f_at(target.f, h.svd.singulars))
+    dist = float(np.max(np.sqrt(np.abs(pa - ta) ** 2 + np.abs(pb - tb) ** 2)))
+    return max(dist, math.sqrt(2.0)) if h.n + h.m > 2 * len(pa) else dist
+
+
 def simulate_protocol(a, schedule: PhaseSchedule,
                       noise: ControlNoiseModel | None = None,
                       target: TargetUnitary | None = None) -> ProtocolResult:
@@ -124,7 +144,9 @@ def simulate_protocol(a, schedule: PhaseSchedule,
     With a noise model, each step time t_k becomes t_k * (1 + eta_k) with
     eta_k drawn once per run from the model's seed; eta = 0 reproduces the
     noiseless product bit for bit.  A may be given as its embedding, whose
-    SVD is then reused.
+    SVD is then reused.  With a target, achieved_eps is the operator
+    distance to it, read pair by pair (_target_distance); a target built on
+    another A is refused.
     """
     h = embed(a)
     n = h.n
@@ -139,9 +161,7 @@ def simulate_protocol(a, schedule: PhaseSchedule,
     u[:n, n:] += (r * pb) @ l.conj().T
     u[n:, :n] += (l * -np.conj(pb)) @ r.conj().T
     u[n:, n:] += (l * (np.conj(pa) - 1.0)) @ l.conj().T
-    achieved = None
-    if target is not None:
-        achieved = linalg.op_distance(u, target.matrix)
+    achieved = None if target is None else _target_distance(h, pa, pb, target)
     return ProtocolResult(unitary=u, embedding=h, achieved_eps=achieved)
 
 

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import hsvt
-from hsvt import compiler, targets
+from hsvt import applications, compiler, targets
 from hsvt.compiler import PhaseSchedule, PhaseStep, SolverOptions
 from hsvt.errors import InvalidInputError, ParseError
 
 from conftest import (count_calls, dense_residual, dense_target, einsum_residual_jacobian,
-                      metric_diff, node_norms, row_norm_defect, sequential_step_product)
+                      metric_diff, node_norms, pair_chain_residual_jacobian,
+                      row_norm_defect, same_floats, sequential_step_product)
 
 
 def make_schedule(rng, k, variable_t=False):
@@ -308,6 +309,19 @@ def test_compile_repeats_across_blas_thread_counts():
     assert hashlib.sha256(texts[0].encode()).hexdigest().startswith("177181235a84ac97")
 
 
+@pytest.mark.parametrize("opts, pinned", [
+    (SolverOptions(target_eps=1e-3), "45c7f2529e028c64"),     # hsvt synthesize's
+    (None, "725b81735fcb5ea4"),                               # compiled_schedule's
+], ids=["fixed-t", "variable-t"])
+def test_identity_04_08_schedules_are_pinned(opts, pinned):
+    # the two other compiles the benchmark times, fixed-t and variable-t
+    # identity(0.4, 0.8) at 1e-3: a change that moves the schedules on
+    # purpose updates these
+    schedule = applications.compiled_schedule(targets.identity(0.4, 0.8), 1e-3, opts)
+    text = schedule.to_text().encode()
+    assert hashlib.sha256(text).hexdigest().startswith(pinned)
+
+
 def test_fixed_t_compile_runs_past_the_accuracy_contract():
     # an explicit degree asks for the best schedule there: its solves run to
     # tolerance or the cap, not to eps
@@ -539,6 +553,37 @@ def test_objective_equals_einsum_form_exactly(rng, start, metric, variable_t,
     assert compiler._max_node_residual(got_res, metric) == pytest.approx(
         np.max(node_norms(diff)), rel=1e-13)
     assert got.flags.f_contiguous
+
+
+@pytest.mark.parametrize("folded", [False, True])
+@pytest.mark.parametrize("variable_t", [False, True])
+@pytest.mark.parametrize("metric", ["full", "corner"])
+@pytest.mark.parametrize("start", ["random", "zero-phase"])
+@pytest.mark.parametrize("k", [1, 2, 3, 9, 37])
+def test_objective_equals_pair_chain_form_exactly(rng, k, start, metric, variable_t,
+                                                  folded):
+    # The chains in _chain's rows and the fixed-t trig taken once compute
+    # the floats of one _pair_product per step, signed zeros included: a
+    # zero-phase start's Jacobian has exact zeros, and the solver's steps
+    # from it change with their signs.  The Jacobian keeps Fortran order.
+    fold = compiler._sym_fold(k, variable_t) if folded else None
+    n = fold.shape[1] if folded else (2 * k if variable_t else k)
+    n_phi = k // 2 if folded else k
+    if start == "zero-phase":
+        y = np.concatenate([np.zeros(n_phi), np.ones(n - n_phi)])
+    else:
+        y = np.concatenate([rng.uniform(-np.pi, np.pi, n_phi),
+                            rng.uniform(0.3, 2.0, n - n_phi)])
+    x = y if fold is None else fold @ y
+    sigmas = compiler.chebyshev_grid(0.1, 0.9, 4 * k)
+    target = compiler.reduced_target(0.8 * sigmas)
+    res, jacobian = compiler._residual_jacobian(x, sigmas, target, variable_t, metric)
+    want_res, want_jac = pair_chain_residual_jacobian(x, sigmas, target, variable_t,
+                                                      metric)
+    jac = jacobian()
+    assert same_floats(res, want_res)
+    assert same_floats(jac, want_jac)
+    assert jac.flags.f_contiguous
 
 
 @pytest.mark.parametrize("variable_t", [False, True])

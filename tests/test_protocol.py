@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from hsvt import compiler, embedding, linalg, protocol, targets
+from hsvt import applications, compiler, embedding, linalg, protocol, targets
 from hsvt.compiler import PhaseSchedule
 from hsvt.errors import CapError, InvalidInputError
 
@@ -127,6 +127,33 @@ def test_noise_sweep_rejects_non_finite_eta(rng, eta):
 
 
 # -- verification and consistency --------------------------------------------
+
+def test_achieved_eps_per_pair_equals_the_operator_distance(rng):
+    # the largest gap measured on such cases (20 seeds) is 1.8e-15
+    u, _, vh = np.linalg.svd(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rank_deficient = (u * [0.8, 0.4, 0.0, 0.0]) @ vh
+    for a in (random_contraction(rng, 4), random_contraction(rng, 3, 5),
+              random_contraction(rng, 5, 2), rank_deficient, [[0.6]]):
+        for f in (targets.identity(0.1, 0.9), targets.inverse_sqrt_complement(0.3)):
+            for k in (1, 7, 16):
+                sch = make_schedule(rng, k, variable_t=True)
+                target = protocol.build_target_unitary(a, f)
+                res = protocol.simulate_protocol(a, sch, target=target)
+                want = linalg.op_distance(res.unitary, target.matrix)
+                assert abs(res.achieved_eps - want) <= 1e-14
+
+
+def test_achieved_eps_refuses_a_target_of_another_a(rng):
+    a, other = random_contraction(rng, 3), random_contraction(rng, 3)
+    sch = make_schedule(rng, 4)
+    f = targets.identity(0.1, 0.9)
+    for b in (other, other[:2]):
+        with pytest.raises(InvalidInputError):
+            protocol.simulate_protocol(a, sch, target=protocol.build_target_unitary(b, f))
+    # the same A embedded apart is the same target
+    res = protocol.simulate_protocol(a, sch, target=protocol.build_target_unitary(a.copy(), f))
+    assert res.achieved_eps is not None
+
 
 def test_verify_perfect_match(rng):
     a = random_contraction(rng, 2)
@@ -253,6 +280,30 @@ def test_noise_sweep_matches_full_space_oracle(rng):
         for row, (mean, worst) in zip(table, noise_sweep_oracle(a, sch, etas, 5, seed=2)):
             assert row["mean_distance"] == pytest.approx(mean, abs=1e-12)
             assert row["max_distance"] == pytest.approx(worst, abs=1e-12)
+
+
+@pytest.mark.parametrize("opts", [compiler.SolverOptions(target_eps=1e-3), None],
+                         ids=["fixed-t", "variable-t"])
+@pytest.mark.parametrize("sigma", [0.45, 0.75])
+def test_noise_sweep_mean_matches_the_first_order_gain(opts, sigma):
+    # To first order in eta a run with times t_k (1 + eta z_k) moves by
+    # eta sum_k z_k t_k dU/dt_k.  At singular value sigma, dU/dt_k =
+    # -i sigma U n_k.s, where n_k.s is step k's generator conjugated by the
+    # steps before it: a unit vector n_k in the Pauli basis.  So
+    # ||U' - U||_2 = eta sigma |v|, v = sum_k z_k t_k n_k, a Gaussian
+    # vector in R^3 of covariance C = sum_k t_k^2 n_k n_k^T, trace ||t||^2.
+    # E|v| / ||t|| = E sqrt(sum_i l_i g_i^2) (l_i the eigenvalues of
+    # C / ||t||^2, g_i iid N(0, 1)) is concave in l on the simplex: it lies
+    # between its value at a vertex, E|g| = sqrt(2/pi) = 0.798, and at the
+    # centre, E|g|_3 / sqrt 3 = sqrt(8/(3 pi)) = 0.921.  |v| / ||t|| has a
+    # standard deviation of at most 0.61, so 4000 trials leave a standard
+    # error under 0.01 on the mean: the band is that range widened by four
+    # standard errors, [0.76, 0.96], and rounded out to 0.97.
+    schedule = applications.compiled_schedule(targets.identity(0.4, 0.8), 1e-3, opts)
+    eta = 1e-5
+    row = protocol.noise_sweep([[sigma]], schedule, [eta], trials=4000, seed=7)[0]
+    gain = sigma * np.linalg.norm(schedule.times())
+    assert 0.76 <= row["mean_distance"] / (eta * gain) <= 0.97
 
 
 def loop_noise_sweep(a, schedule, etas, trials, seed=0):
