@@ -1,16 +1,19 @@
 """Applications of inverse block encoding.
 
-Everything here runs in one of two backends:
+Everything here runs in one of two backends, each a source of one SU(2)
+pair per singular value of A:
 
-* ``exact``    - closed-form blocks from the SVD (the test oracle),
-* ``protocol`` - a compiled phase schedule simulated on the full space.
+* ``exact``    - the closed form's pairs, read off A's one SVD,
+* ``protocol`` - the pairs of a compiled phase schedule's steps.
 
-Each call builds its block unitary once: the protocol backend simulates
-the schedule's steps once per call.  A cascade of n steps then takes the
-powers of the unitary's lower block by repeated squaring, about 2 log2(n)
-small matrix products, and every register block from one more product.
-Each call decomposes A once: the domain check takes the SVD and hands A's
-embedding, which carries it, to the target and the simulator.
+Both are written into the full space by the simulator's one assembly
+(protocol._pair_unitary), which puts the identity on the kernels; the
+exact backend takes no eigendecomposition.  Each call builds its block
+unitary once, and decomposes A once: the embedding (in the protocol
+backend, the domain check) takes the SVD and carries it to the assembly.
+A cascade of n steps then takes the powers of the unitary's lower block
+by repeated squaring, about 2 log2(n) small matrix products, and every
+register block from one more product.
 
 States are plain 1-D complex arrays; norms are reported, never forced.
 Register phases: each application of the block unitary multiplies both
@@ -40,8 +43,6 @@ HISTORY_SCALE = 0.75
 ZERO_PROB_TOL = 1e-14
 STATE_NORM_TOL = 1e-10
 SCHEDULE_MEMO_SIZE = 32         # compiled schedules kept per process
-# the exact backend's stand-in target: f(A) = A for every contraction A
-EXACT_TARGET = targets.identity(1e-6, 1.0 - 1e-9, cap=1.0)
 
 
 def _as_state(psi) -> np.ndarray:
@@ -139,10 +140,15 @@ class ApplyResult:
 
 def _block_unitary(a, backend: str, eps: float, domain,
                    opts: SolverOptions | None = None) -> np.ndarray:
-    """The block unitary that carries A, in the chosen backend: the closed
-    form, or the schedule compiled for the identity on domain, simulated."""
+    """The block unitary that carries A, in the chosen backend.  Each backend
+    gives one SU(2) pair per singular value to the simulator's assembly
+    (protocol._pair_unitary): exact reads the closed form's pairs off the
+    one SVD, at min(sigma, 1) since embed admits round-off above 1; protocol
+    simulates the schedule compiled for the identity on domain."""
     if backend == "exact":
-        return protocol.build_target_unitary(a, EXACT_TARGET).matrix
+        h = embedding.embed(a)
+        pairs = compiler.reduced_target(np.minimum(h.svd.singulars, 1.0))
+        return protocol._pair_unitary(h, *pairs)
     if backend == "protocol":
         f = targets.identity(*domain)
         h = _embed_in_domain(a, f)

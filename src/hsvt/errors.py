@@ -17,7 +17,7 @@ class NormalizationError(InvalidInputError):
 
     def __init__(self, sigma_max):
         self.sigma_max = sigma_max
-        super().__init__(f"largest singular value {sigma_max:.6g} exceeds 1")
+        super().__init__(f"largest singular value {sigma_max:.12g} exceeds 1")
 
 
 class NotPSDError(InvalidInputError):
@@ -43,7 +43,7 @@ class GeneratorError(PreconditionError):
         self.sigma_max = sigma_max
         self.worst_eig = worst_eig
         super().__init__(
-            f"I + B*dt has largest singular value {sigma_max:.6g} > 1; "
+            f"I + B*dt has largest singular value {sigma_max:.12g} > 1; "
             f"largest eigenvalue of B + B^dag is {worst_eig:.6g}"
         )
 

@@ -11,7 +11,9 @@ of each singular pair (r_j, l_j) of A and is the identity on
 ker A (+) ker A^dag, so the product is I + B (P - I) B^dag, with
 B = [r_j (+) 0, 0 (+) l_j] and P_j the compiler's 2x2 step product at
 sigma_j: the embedding's SVD, the 2x2 products (multiplied as a balanced
-tree of SU(2) pairs, compiler._step_pairs), then four rank-r updates.
+tree of SU(2) pairs, compiler._step_pairs), then four rank-r updates
+(_pair_unitary, the one assembly, which the exact backend of
+applications also feeds with the closed form's pairs).
 build_target_unitary assembles the closed-form goal
 
     U_f = i * [[ sqrt(I - f(Ad) f(A)),  f(Ad) ],
@@ -19,7 +21,9 @@ build_target_unitary assembles the closed-form goal
 
 which is unitary and anti-Hermitian at once; the global factor i is part
 of the contract and verification uses plain operator distance, never a
-phase-invariant one.
+phase-invariant one.  It takes its roots from eigendecompositions and
+carries +-i on the kernels, so it stays a dense check made apart from
+the assembly.
 
 noise_sweep builds no full-space matrix.  On the pair (r_j, l_j) of each
 singular value sigma_j every step is the SU(2) rotation [[c, w], [-w*, c]]
@@ -121,15 +125,21 @@ def _f_at(f: TargetFunction, sigmas) -> np.ndarray:
     return np.clip(fs, -1.0, 1.0)
 
 
+def _check_same_a(h: BlockHamiltonian, target: TargetUnitary) -> None:
+    """Refuse a target built on another A than the embedding h carries; the
+    same A embedded apart is accepted."""
+    if target.embedding is not h and not np.array_equal(target.embedding.a_block,
+                                                        h.a_block):
+        raise InvalidInputError("the target was built on a different A")
+
+
 def _target_distance(h: BlockHamiltonian, pa, pb, target: TargetUnitary) -> float:
     """Operator distance of the simulated I + B (P - I) B^dag from the target,
     pair by pair: on pair j the target is the pair (i sqrt(1 - f_j^2), i f_j)
     (compiler.reduced_target), so both operators differ there by a pair
     (da, db) of norm sqrt(|da|^2 + |db|^2).  When n + m > 2r a direction
     outside the pairs carries I against +-iI, at distance sqrt 2."""
-    if target.embedding is not h and not np.array_equal(target.embedding.a_block,
-                                                        h.a_block):
-        raise InvalidInputError("the target was built on a different A")
+    _check_same_a(h, target)
     ta, tb = reduced_target(_f_at(target.f, h.svd.singulars))
     dist = float(np.max(np.sqrt(np.abs(pa - ta) ** 2 + np.abs(pb - tb) ** 2)))
     return max(dist, math.sqrt(2.0)) if h.n + h.m > 2 * len(pa) else dist
@@ -149,20 +159,26 @@ def simulate_protocol(a, schedule: PhaseSchedule,
     another A is refused.
     """
     h = embed(a)
-    n = h.n
-    res = h.svd
     times = schedule.times()
     if noise is not None:
         times = times * noise.time_factors(schedule.degree)
-    pa, pb = _step_pairs(schedule.phis(), times, res.singulars)
+    pa, pb = _step_pairs(schedule.phis(), times, h.svd.singulars)
+    achieved = None if target is None else _target_distance(h, pa, pb, target)
+    return ProtocolResult(unitary=_pair_unitary(h, pa, pb), embedding=h,
+                          achieved_eps=achieved)
+
+
+def _pair_unitary(h: BlockHamiltonian, pa, pb) -> np.ndarray:
+    """I + B (P - I) B^dag: the pair (pa_j, pb_j) on the plane of singular
+    pair j, as [[a, b], [-b*, a*]], and the identity outside the pairs."""
+    n, res = h.n, h.svd
     r, l = res.right_vectors, res.left_vectors
     u = np.eye(n + h.m, dtype=complex)
     u[:n, :n] += (r * (pa - 1.0)) @ r.conj().T
     u[:n, n:] += (r * pb) @ l.conj().T
     u[n:, :n] += (l * -np.conj(pb)) @ r.conj().T
     u[n:, n:] += (l * (np.conj(pa) - 1.0)) @ l.conj().T
-    achieved = None if target is None else _target_distance(h, pa, pb, target)
-    return ProtocolResult(unitary=u, embedding=h, achieved_eps=achieved)
+    return u
 
 
 def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:
@@ -172,12 +188,13 @@ def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:
     both operators; the record lists the restricted distances, flagging
     subspaces whose sigma lies outside the target's synthesis domain.  The
     pairs are read off the SVD that result.embedding carries; verify takes
-    no decomposition of A.
+    no decomposition of A.  A target built on another A is refused.
     """
+    h = result.embedding
+    _check_same_a(h, target)
     u_sim = result.unitary
     u_tgt = target.matrix
     distance = linalg.op_distance(u_sim, u_tgt)
-    h = result.embedding
     per_subspace = []
     sigmas = h.svd.singulars
     for sigma, inside, diff in zip(sigmas, target.f.in_domain(sigmas),

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hsvt import applications, linalg, protocol, targets
+from hsvt import applications, embedding, linalg, protocol, targets
 from hsvt.compiler import PhaseSchedule, SolverOptions
 from hsvt.errors import (ConvergenceError, GeneratorError, InvalidInputError,
                          NormalizationError, PreconditionError,
@@ -195,12 +195,11 @@ def test_exact_ode_and_history_decompose_a_once(rng, monkeypatch):
 
 
 def test_exact_history_reads_s_off_the_svd(rng, monkeypatch):
-    # the two eigendecompositions left are the target's complementary roots
     a = random_contraction(rng, 3, lo=0.3, hi=0.7)
     psi = random_state(rng, 3)
     calls = count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "inv"))
     applications.history_state(a, psi, 3)
-    assert calls == {"eigh": 2, "eigvalsh": 0, "inv": 0}
+    assert calls == {"eigh": 0, "eigvalsh": 0, "inv": 0}
 
 
 def test_protocol_history_takes_one_svd(rng, monkeypatch):
@@ -215,9 +214,31 @@ def test_protocol_history_takes_one_svd(rng, monkeypatch):
 def test_ode_builds_one_unitary(rng, monkeypatch):
     b = rng.normal(size=(3, 3)); b = b - b.T - 2.0 * np.eye(3)
     psi = random_state(rng, 3)
-    calls = counting(monkeypatch, protocol, "build_target_unitary")
+    calls = counting(monkeypatch, protocol, "_pair_unitary")
     applications.ode_solve(applications.OdeProblem(b=b, dt=0.01, steps=100, psi0=psi))
     assert len(calls) == 1
+
+
+def conservative_ode(rate):
+    """Ten steps of a rotation generator at dt 0.01: I + B dt has
+    sigma_max = sqrt(1 + (0.01 rate)^2), just above 1."""
+    return applications.OdeProblem(b=[[0.0, rate], [-rate, 0.0]], dt=0.01,
+                                   steps=10, psi0=[1.0, 0.0])
+
+
+def test_exact_ode_admits_sigma_max_within_the_embedding_slack():
+    prob = conservative_ode(1e-3)          # sigma_max - 1 = 5e-11
+    _, final = applications.ode_solve(prob)
+    want = np.linalg.matrix_power(prob.euler_matrix(), prob.steps) @ prob.psi0
+    assert np.linalg.norm(final - want) <= prob.steps * embedding.SIGMA_MAX_SLACK
+    res = applications.apply_matrix(np.diag([1.0 + 5e-11, 0.5]), [1.0, 0.0])
+    assert res.success_prob == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ode_refuses_sigma_max_beyond_the_slack_to_twelve_digits():
+    # sigma_max - 1 = 2e-10, which six digits print as "1 > 1"
+    with pytest.raises(GeneratorError, match=r"value 1\.0000000002 > 1;"):
+        applications.ode_solve(conservative_ode(2e-3))
 
 
 # -- history state -----------------------------------------------------------
@@ -412,3 +433,57 @@ def test_domain_refusal_comes_before_the_normalization_check():
         applications.power_cascade(a, [1.0, 0.0], 2, backend="protocol")
     with pytest.raises(NormalizationError):
         applications.power_cascade(a, [1.0, 0.0], 2)
+
+
+# -- the exact backend against the closed form -------------------------------
+
+def rank_two(rng):
+    u, s, vh = np.linalg.svd(random_contraction(rng, 4))
+    return (u[:, :2] * s[:2]) @ vh[:2]
+
+
+# name -> (A from rng, whether A is wide); the upper blocks of a wide A differ
+# on the n - m right directions outside its pairs, where the exact backend
+# carries the identity and the closed form i
+ORACLE_BLOCKS = {
+    "4x4": (lambda rng: random_contraction(rng, 4), False),
+    "3x5": (lambda rng: random_contraction(rng, 5, 3), True),
+    "5x2": (lambda rng: random_contraction(rng, 2, 5), False),
+    "rank-2 4x4": (rank_two, False),
+    "1x1": (lambda rng: random_contraction(rng, 1), False),
+    "zero 3x3": (lambda rng: np.zeros((3, 3)), False),
+    "zero 2x3": (lambda rng: np.zeros((2, 3)), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BLOCKS))
+def test_exact_blocks_equal_the_closed_form(rng, name):
+    make, wide = ORACLE_BLOCKS[name]
+    a = make(rng)
+    n = a.shape[1]
+    upper, lower = applications._stripped_blocks(
+        applications._block_unitary(a, "exact", 1e-3, DOMAIN), n)
+    want_upper, want_lower = applications._stripped_blocks(
+        protocol.build_target_unitary(a, targets.identity(0.1, 0.9)).matrix, n)
+    assert np.max(np.abs(lower - want_lower)) < 1e-14
+    if not wide:
+        assert np.max(np.abs(upper - want_upper)) < 1e-14
+
+
+EXACT_CALLS = {
+    "apply_matrix": lambda a, psi: applications.apply_matrix(a, psi),
+    "power_cascade": lambda a, psi: applications.power_cascade(a, psi, 3),
+    # I + B dt = A
+    "ode_solve": lambda a, psi: applications.ode_solve(applications.OdeProblem(
+        b=(a - np.eye(len(a))) / 0.1, dt=0.1, steps=3, psi0=psi)),
+    "history_state": lambda a, psi: applications.history_state(a, psi, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CALLS))
+def test_exact_backend_takes_no_eigendecomposition(rng, monkeypatch, name):
+    a = random_contraction(rng, 3, lo=0.3, hi=0.7)
+    psi = random_state(rng, 3)
+    calls = count_calls(monkeypatch, np.linalg, ("eigh",))
+    EXACT_CALLS[name](a, psi)
+    assert calls == {"eigh": 0}

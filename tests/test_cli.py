@@ -7,6 +7,7 @@ import pytest
 from hsvt import applications, cli, io, linalg
 from hsvt.compiler import (CONVENTION, PhaseSchedule, SolverOptions,
                            schedule_from_arrays)
+from hsvt.embedding import SIGMA_MAX_SLACK
 
 from conftest import count_calls
 
@@ -486,6 +487,18 @@ def test_ode_report_scalar(tmp_path):
     report = json.loads(rep.read_text())
     assert report["final_norm"] == pytest.approx(0.99 ** 100, abs=1e-12)
     assert report["total_norm_sq"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ode_admits_sigma_max_within_the_embedding_slack(tmp_path):
+    # I + B dt has sigma_max = 1 + 5e-11, which embed admits
+    b, v, out = tmp_path / "b.json", tmp_path / "v.json", tmp_path / "out.json"
+    gen = np.array([[0.0, 1e-3], [-1e-3, 0.0]])
+    io.write_matrix(b, gen)
+    io.write_state(v, [1.0, 0.0])
+    assert run(["ode", "--generator", str(b), "--state", str(v), "--dt", "0.01",
+                "--steps", "10", "--state-out", str(out)]) == 0
+    want = np.linalg.matrix_power(np.eye(2) + 0.01 * gen, 10) @ [1.0, 0.0]
+    assert np.linalg.norm(io.read_state(out) - want) <= 10 * SIGMA_MAX_SLACK
 
 
 @pytest.mark.parametrize("command", ["ode", "history"])

@@ -28,6 +28,11 @@ def test_embed_rejects_large_sigma():
         embedding.embed([[1.5]])
 
 
+def test_normalization_error_prints_sigma_max_to_twelve_digits():
+    with pytest.raises(NormalizationError, match=r"value 1\.0000000002 exceeds 1"):
+        embedding.embed([[1.0 + 2e-10]])
+
+
 def test_conjugated_generator_phases(rng):
     a = random_contraction(rng, 3)
     h = embedding.embed(a)

@@ -155,6 +155,18 @@ def test_achieved_eps_refuses_a_target_of_another_a(rng):
     assert res.achieved_eps is not None
 
 
+def test_verify_refuses_a_target_of_another_a(rng):
+    a = random_contraction(rng, 3)
+    result = protocol.simulate_protocol(a, make_schedule(rng, 4))
+    f = targets.identity(0.1, 0.9)
+    for b in (random_contraction(rng, 3), a[:2]):
+        with pytest.raises(InvalidInputError):
+            protocol.verify(result, protocol.build_target_unitary(b, f), 1e-3)
+    # the same A embedded apart is the same target
+    record = protocol.verify(result, protocol.build_target_unitary(a.copy(), f), 1e-3)
+    assert len(record["per_subspace"]) == 3
+
+
 def test_verify_perfect_match(rng):
     a = random_contraction(rng, 2)
     t = protocol.build_target_unitary(a, targets.identity(0.1, 0.9))
