@@ -11,9 +11,12 @@ Both are written into the full space by the simulator's one assembly
 exact backend takes no eigendecomposition.  Each call builds its block
 unitary once, and decomposes A once: the embedding (in the protocol
 backend, the domain check) takes the SVD and carries it to the assembly.
-A cascade of n steps then takes the powers of the unitary's lower block
-by repeated squaring, about 2 log2(n) small matrix products, and every
-register block from one more product.
+A call's fixed costs are paid once: its entry point checks each input in
+one finite pass, a domain's identity target is built once (_domain_target)
+and a compiled schedule's memo hit builds no options.  A cascade of n
+steps fills one (n + 1, d) array: the powers of the unitary's lower block
+by repeated squaring, about 2 log2(n) small matrix products written in
+place, then every register block from one more product.
 
 States are plain 1-D complex arrays; norms are reported, never forced.
 Register phases: each application of the block unitary multiplies both
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,12 +45,14 @@ DEFAULT_DOMAIN = (0.1, 0.9)
 HISTORY_SCALE = 0.75
 ZERO_PROB_TOL = 1e-14
 STATE_NORM_TOL = 1e-10
-SCHEDULE_MEMO_SIZE = 32         # compiled schedules kept per process
+SCHEDULE_MEMO_SIZE = 32         # compiled schedules (and domain targets) kept per process
+# compiled_schedule's options when none are given; frozen, so one object serves
+_DEFAULT_OPTS = SolverOptions(variable_t=True)
 
 
 def _as_state(psi) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).reshape(-1)
-    if v.size == 0 or not np.all(np.isfinite(v)):
+    if v.size == 0 or not np.isfinite(v).all():
         raise InvalidInputError("state must be a nonempty finite vector")
     return v
 
@@ -70,8 +75,10 @@ def compiled_schedule(f: TargetFunction, eps: float,
     compiler.synthesize_to_accuracy); a schedule that misses eps raises
     ConvergenceError.  The memo is keyed on all solver options.
     """
-    opts = opts or SolverOptions(variable_t=True)
-    return _compile_memoized(f, replace(opts, target_eps=float(eps)))
+    opts = opts or _DEFAULT_OPTS
+    if opts.target_eps != float(eps):
+        opts = replace(opts, target_eps=float(eps))
+    return _compile_memoized(f, opts)
 
 
 @functools.lru_cache(maxsize=SCHEDULE_MEMO_SIZE)
@@ -87,14 +94,21 @@ def _compile_memoized(f: TargetFunction, opts: SolverOptions) -> PhaseSchedule:
     return schedule
 
 
+@functools.lru_cache(maxsize=SCHEDULE_MEMO_SIZE)
+def _domain_target(*domain) -> TargetFunction:
+    """The identity on domain, built once per domain: TargetFunction checks
+    f at the domain's ends on every construction.  lru_cache stores no
+    exception, so a bad domain raises on every call."""
+    return targets.identity(*domain)
+
+
 def _embed_in_domain(a, f: TargetFunction) -> embedding.BlockHamiltonian:
-    """A's embedding from one SVD, or from the one an embedding of A
-    carries; singular values outside f's domain raise PreconditionError
-    before the embedding's own checks."""
+    """A's embedding from one SVD of the array A its caller validated, or
+    from the one an embedding of A carries; singular values outside f's
+    domain raise PreconditionError before the embedding's own checks."""
     if isinstance(a, embedding.BlockHamiltonian):
         a, res = a.a_block, a.svd
     else:
-        a = linalg.as_complex_matrix(a, "A")
         res = linalg.svd(a)
     s = res.singulars
     if not np.all(f.in_domain(s)):
@@ -119,7 +133,7 @@ def inverse_block_encode(a, eps: float, domain=DEFAULT_DOMAIN,
             "as the identity on unpaired singular directions, which the "
             "anti-Hermitian target never does"
         )
-    f = targets.identity(*domain)
+    f = _domain_target(*domain)
     h = _embed_in_domain(a, f)
     schedule = compiled_schedule(f, eps, opts)
     target = protocol.build_target_unitary(h, f)
@@ -150,7 +164,7 @@ def _block_unitary(a, backend: str, eps: float, domain,
         pairs = compiler.reduced_target(np.minimum(h.svd.singulars, 1.0))
         return protocol._pair_unitary(h, *pairs)
     if backend == "protocol":
-        f = targets.identity(*domain)
+        f = _domain_target(*domain)
         h = _embed_in_domain(a, f)
         return protocol.simulate_protocol(h, compiled_schedule(f, eps, opts)).unitary
     raise InvalidInputError(f"unknown backend {backend!r}")
@@ -188,18 +202,19 @@ def apply_matrix(a, psi, backend: str = "exact", eps: float = 1e-3,
 
 @dataclass(frozen=True)
 class CascadeState:
-    """n+1 equal-dimension register blocks of the deterministic cascade.
+    """n+1 equal-dimension register blocks of the deterministic cascade,
+    as the rows of one (n + 1, d) array.
 
     Block k < n carries sqrt(I - Ad A) A^k psi, block n carries A^n psi.
     """
 
-    blocks: tuple = field(default_factory=tuple)
+    blocks: np.ndarray
 
     def block(self, j: int) -> np.ndarray:
         return self.blocks[j]
 
     def total_norm_sq(self) -> float:
-        return float(sum(np.real(np.vdot(b, b)) for b in self.blocks))
+        return float(np.real(np.vdot(self.blocks, self.blocks)))
 
 
 def power_cascade(a, psi, n: int, backend: str = "exact", eps: float = 1e-3,
@@ -220,17 +235,20 @@ def power_cascade(a, psi, n: int, backend: str = "exact", eps: float = 1e-3,
         raise InvalidInputError("state dimension does not match A")
     u = _block_unitary(a if h is None else h, backend, eps, domain, opts)
     upper, lower = _stripped_blocks(u, psi.size)
-    # rows k = 0..n of carried hold lower^k psi; each pass appends the next
-    # rows times step = (lower^T)^(2^j), doubling the rows it holds
-    carried = psi[None]
-    step = lower.T
-    while len(carried) <= n:
-        carried = np.concatenate((carried, carried[:n + 1 - len(carried)] @ step))
-        if len(carried) <= n:
+    # row k of blocks is filled with lower^k psi; each pass writes the next
+    # rows as held rows times step = (lower^T)^(2^j), doubling the rows held
+    blocks = np.empty((n + 1, psi.size), dtype=complex)
+    blocks[0] = psi
+    step, held = lower.T, 1
+    while held <= n:
+        take = min(held, n + 1 - held)
+        np.matmul(blocks[:take], step, out=blocks[held:held + take])
+        held += take
+        if held <= n:
             step = step @ step
-    last = carried[n]
-    state = CascadeState(blocks=(*(carried[:n] @ upper.T), last))
-    return state, float(np.real(np.vdot(last, last)))
+    np.matmul(blocks[:n], upper.T, out=blocks[:n])
+    last = blocks[n]
+    return CascadeState(blocks=blocks), float(np.real(np.vdot(last, last)))
 
 
 @dataclass(frozen=True)
@@ -243,6 +261,8 @@ class OdeProblem:
     def __post_init__(self):
         object.__setattr__(self, "b", linalg.as_complex_matrix(self.b, "B"))
         object.__setattr__(self, "psi0", _as_state(self.psi0))
+        if isinstance(self.dt, (bool, np.bool_)):
+            raise InvalidInputError(f"dt must be a number, got {self.dt!r}")
         if not (0.0 < self.dt < math.inf):
             raise InvalidInputError(f"dt must be positive and finite, got {self.dt}")
         object.__setattr__(self, "steps", linalg.as_count(self.steps, "steps"))
@@ -338,7 +358,7 @@ def history_state(a, psi, n: int, eps: float = 1e-3,
                                        compiled_schedule(f_inv, eps)).unitary
         _, inv = _stripped_blocks(u, psi.size)
 
-    raw = np.stack(cascade.blocks[:n]) @ inv.T
+    raw = cascade.blocks[:n] @ inv.T
     vec = np.concatenate((raw.reshape(-1), c * cascade.block(n)))
     p = float(np.real(np.vdot(vec, vec))) / float(np.real(np.vdot(psi, psi)))
     if p < ZERO_PROB_TOL:

@@ -146,6 +146,9 @@ class SynthesisReport:
     converged: bool
     stop_reason: str              # final solve: 'eps', 'tolerance' or 'cap'
     metric: str = "full"
+    # sigma_hi ||t||_2, to first order the RMS distance of a noisy run from
+    # the noiseless one per unit eta at sigma_hi; set by the synthesis drivers
+    noise_gain: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -157,6 +160,7 @@ class SynthesisReport:
             "converged": bool(self.converged),
             "metric": self.metric,
             "stop_reason": self.stop_reason,
+            "noise_gain": self.noise_gain,
         }
 
 
@@ -171,6 +175,9 @@ class SolverOptions:
     def __post_init__(self):
         object.__setattr__(self, "seed", linalg.as_count(self.seed, "seed", least=0))
         object.__setattr__(self, "max_nfev", linalg.as_count(self.max_nfev, "max_nfev"))
+        if isinstance(self.target_eps, (bool, np.bool_)):
+            raise InvalidInputError(
+                f"target_eps must be a number, got {self.target_eps!r}")
         for name, ok, want in (
                 ("target_eps", self.target_eps >= 0, ">= 0"),
                 ("metric", self.metric in ("full", "corner"), "'full' or 'corner'")):
@@ -595,11 +602,14 @@ def _continuation(f, k, opts, rng):
         inits = [y]
 
 
-def _report(x, sigmas, target, opts: SolverOptions, nfev, stop_reason):
-    """(schedule, report) for a full parameter vector on the given grid."""
+def _report(x, sigmas, target, opts: SolverOptions, nfev, stop_reason,
+            f: TargetFunction | None = None):
+    """(schedule, report) for a full parameter vector on the given grid of f,
+    whose sigma_hi gives the report's noise_gain."""
     schedule = schedule_from_arrays(*(np.split(x, 2) if opts.variable_t else [x]))
     residuals = _residuals(schedule, sigmas, target, opts.metric)
     max_residual = float(np.max(residuals))
+    gain = None if f is None else float(f.sigma_hi * np.linalg.norm(schedule.times()))
     report = SynthesisReport(
         grid=sigmas,
         residual_per_node=residuals,
@@ -609,6 +619,7 @@ def _report(x, sigmas, target, opts: SolverOptions, nfev, stop_reason):
         converged=max_residual <= opts.target_eps,
         metric=opts.metric,
         stop_reason=stop_reason,
+        noise_gain=gain,
     )
     return schedule, report
 
@@ -647,7 +658,7 @@ def synthesize_schedule(f: TargetFunction, k: int, grid_size: int | None = None,
         nfev_total += nf
         if x is None or mx2 < mx:
             mx, x, reason = mx2, x2, reason2
-    return _report(x, sigmas, target, opts, nfev_total, reason)
+    return _report(x, sigmas, target, opts, nfev_total, reason, f)
 
 
 def synthesize_to_accuracy(f: TargetFunction, eps: float,
@@ -670,7 +681,7 @@ def synthesize_to_accuracy(f: TargetFunction, eps: float,
     grid, target = _grid(f, 4 * kc)
     _, x, nf, reason = _solve_fixed_degree(kc, grid, target, opts, [warm],
                                            opts.max_nfev)
-    return _report(x, grid, target, opts, nfev + nf, reason)
+    return _report(x, grid, target, opts, nfev + nf, reason, f)
 
 
 def degree_sweep(f: TargetFunction, ks, opts: SolverOptions | None = None):

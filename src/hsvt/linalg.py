@@ -22,7 +22,8 @@ def as_complex_matrix(a, name="matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    # one pass: a complex entry is finite only when both of its parts are
+    if not np.isfinite(m).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return m
 

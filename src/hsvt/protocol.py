@@ -23,7 +23,9 @@ which is unitary and anti-Hermitian at once; the global factor i is part
 of the contract and verification uses plain operator distance, never a
 phase-invariant one.  It takes its roots from eigendecompositions and
 carries +-i on the kernels, so it stays a dense check made apart from
-the assembly.
+the assembly.  It also keeps the closed form's pairs
+(i sqrt(1 - f^2), i f) at A's singular values (TargetUnitary.pairs), from
+which a simulation with that target reads its achieved_eps.
 
 noise_sweep builds no full-space matrix.  On the pair (r_j, l_j) of each
 singular value sigma_j every step is the SU(2) rotation [[c, w], [-w*, c]]
@@ -54,6 +56,7 @@ class TargetUnitary:
     matrix: np.ndarray
     embedding: BlockHamiltonian
     f: TargetFunction
+    pairs: tuple                # (a, b) per singular value: compiler.reduced_target
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,8 @@ class ControlNoiseModel:
 
 
 def _checked_eta(eta) -> float:
+    if isinstance(eta, (bool, np.bool_)):
+        raise InvalidInputError(f"eta must be a number, got {eta!r}")
     eta = float(eta)
     if not (0.0 <= eta < math.inf):
         raise InvalidInputError(f"eta must be finite and >= 0, got {eta}")
@@ -110,7 +115,7 @@ def build_target_unitary(a, f: TargetFunction) -> TargetUnitary:
     u[:n, n:] = 1j * f_a.conj().T
     u[n:, :n] = 1j * f_a
     u[n:, n:] = -1j * lower
-    return TargetUnitary(matrix=u, embedding=h, f=f)
+    return TargetUnitary(matrix=u, embedding=h, f=f, pairs=reduced_target(fs))
 
 
 def _f_at(f: TargetFunction, sigmas) -> np.ndarray:
@@ -136,11 +141,12 @@ def _check_same_a(h: BlockHamiltonian, target: TargetUnitary) -> None:
 def _target_distance(h: BlockHamiltonian, pa, pb, target: TargetUnitary) -> float:
     """Operator distance of the simulated I + B (P - I) B^dag from the target,
     pair by pair: on pair j the target is the pair (i sqrt(1 - f_j^2), i f_j)
-    (compiler.reduced_target), so both operators differ there by a pair
+    that build_target_unitary kept (target.pairs, compiler.reduced_target of
+    the same A's singular values), so both operators differ there by a pair
     (da, db) of norm sqrt(|da|^2 + |db|^2).  When n + m > 2r a direction
     outside the pairs carries I against +-iI, at distance sqrt 2."""
     _check_same_a(h, target)
-    ta, tb = reduced_target(_f_at(target.f, h.svd.singulars))
+    ta, tb = target.pairs
     dist = float(np.max(np.sqrt(np.abs(pa - ta) ** 2 + np.abs(pb - tb) ** 2)))
     return max(dist, math.sqrt(2.0)) if h.n + h.m > 2 * len(pa) else dist
 
@@ -173,11 +179,12 @@ def _pair_unitary(h: BlockHamiltonian, pa, pb) -> np.ndarray:
     pair j, as [[a, b], [-b*, a*]], and the identity outside the pairs."""
     n, res = h.n, h.svd
     r, l = res.right_vectors, res.left_vectors
+    r_dag, l_dag = r.conj().T, l.conj().T
     u = np.eye(n + h.m, dtype=complex)
-    u[:n, :n] += (r * (pa - 1.0)) @ r.conj().T
-    u[:n, n:] += (r * pb) @ l.conj().T
-    u[n:, :n] += (l * -np.conj(pb)) @ r.conj().T
-    u[n:, n:] += (l * (np.conj(pa) - 1.0)) @ l.conj().T
+    u[:n, :n] += (r * (pa - 1.0)) @ r_dag
+    u[:n, n:] += (r * pb) @ l_dag
+    u[n:, :n] += (l * -np.conj(pb)) @ r_dag
+    u[n:, n:] += (l * (np.conj(pa) - 1.0)) @ l_dag
     return u
 
 

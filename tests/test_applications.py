@@ -487,3 +487,84 @@ def test_exact_backend_takes_no_eigendecomposition(rng, monkeypatch, name):
     calls = count_calls(monkeypatch, np.linalg, ("eigh",))
     EXACT_CALLS[name](a, psi)
     assert calls == {"eigh": 0}
+
+
+# -- fixed costs of a call ---------------------------------------------------
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.nan),
+                                 complex(np.inf, 0), complex(0, -np.inf)],
+                         ids=["nan-re", "nan-im", "inf-re", "-inf-im"])
+@pytest.mark.parametrize("call", ["encode", "cascade"])
+def test_applications_refuse_a_non_finite_part_of_an_entry(bad, call):
+    a = np.array([[0.5, 0.0], [0.0, bad]])
+    with pytest.raises(InvalidInputError, match="A contains non-finite entries"):
+        if call == "encode":
+            applications.inverse_block_encode(a, 1e-3, domain=DOMAIN)
+        else:
+            applications.power_cascade(a, _PSI, 3, backend="protocol", domain=DOMAIN)
+
+
+@pytest.mark.parametrize("backend", ["exact", "protocol"])
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_cascade_blocks_are_one_array_of_rows(rng, backend, n):
+    d = 3
+    a = random_contraction(rng, d, lo=0.45, hi=0.75)
+    state, p = applications.power_cascade(a, random_state(rng, d), n, backend=backend,
+                                          domain=DOMAIN)
+    assert isinstance(state.blocks, np.ndarray) and state.blocks.shape == (n + 1, d)
+    for j in range(n + 1):
+        assert same_floats(state.blocks[j], state.block(j))
+    per_block = sum(float(np.real(np.vdot(b, b))) for b in state.blocks)
+    assert abs(state.total_norm_sq() - per_block) <= 1e-15
+    assert p == float(np.real(np.vdot(state.block(n), state.block(n))))
+
+
+def test_encodes_on_one_domain_build_one_target(rng, monkeypatch):
+    applications._domain_target.cache_clear()
+    real = targets.TargetFunction.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(targets.TargetFunction, "__post_init__", counted)
+    for _ in range(2):
+        a = random_contraction(rng, 2, lo=0.45, hi=0.75)
+        applications.inverse_block_encode(a, 1e-3, domain=DOMAIN)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("opts", [None, SolverOptions(variable_t=True, seed=0)],
+                         ids=["default", "given"])
+def test_compiled_schedule_hit_builds_no_options(monkeypatch, opts):
+    f = targets.identity(*DOMAIN)
+    first = applications.compiled_schedule(f, 1e-3, opts)
+    calls = count_calls(monkeypatch, SolverOptions, ("__post_init__",))
+    assert applications.compiled_schedule(f, 1e-3, opts) is first
+    assert calls == {"__post_init__": 0}
+
+
+def test_compiled_schedule_keys_a_new_eps(monkeypatch):
+    # an eps other than the options' own still builds the options it keys on
+    seen = []
+    monkeypatch.setattr(applications, "_compile_memoized",
+                        lambda f, opts: seen.append(opts))
+    applications.compiled_schedule(targets.identity(*DOMAIN), 2e-3)
+    assert seen == [SolverOptions(variable_t=True, target_eps=2e-3)]
+
+
+@pytest.mark.parametrize("domain", [(0.9, 0.1), (0.0, 0.5), (0.2, 1.0)])
+def test_an_invalid_domain_raises_on_every_call(rng, domain):
+    a = random_contraction(rng, 2, lo=0.45, hi=0.75)
+    for _ in range(2):
+        with pytest.raises(InvalidInputError, match="domain must satisfy"):
+            applications.inverse_block_encode(a, 1e-3, domain=domain)
+        with pytest.raises(InvalidInputError, match="domain must satisfy"):
+            applications.power_cascade(a, _PSI, 2, backend="protocol", domain=domain)
+
+
+@pytest.mark.parametrize("dt", [True, False, np.True_], ids=["True", "False", "np.True_"])
+def test_ode_refuses_a_bool_dt(dt):
+    with pytest.raises(InvalidInputError, match="dt must be a number, got"):
+        applications.OdeProblem(-np.eye(2), dt, 1, [1, 0])

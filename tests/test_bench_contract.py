@@ -53,3 +53,44 @@ def test_bench_tracer_wraps_and_sees_every_layer_name():
     result = json.loads(out.splitlines()[-1])
     assert result["missing"] == []
     assert set(LAYER_NAMES) <= set(result["called"])
+
+
+STREAM_SCRIPT = """
+import json
+
+import numpy as np
+
+import hsvt
+from hsvt import applications
+from spans import Tracer
+
+tracer = Tracer()
+tracer.instrument(hsvt)
+domain = (0.4, 0.8)
+a = np.diag([0.5, 0.7])
+applications.inverse_block_encode(a, 1e-3, domain=domain)
+applications.power_cascade(a, np.array([0.6, 0.8]), 5, backend="protocol", domain=domain)
+problem = applications.OdeProblem(b=-np.eye(2), dt=0.01, steps=5, psi0=np.array([1.0, 0.0]))
+applications.ode_solve(problem, backend="exact")
+print(json.dumps({"missing": tracer.missing,
+                  "called": sorted({s[0] for s in tracer.spans})}))
+"""
+
+# the names the stream's per-layer metrics read (bench/spans.py, layer_metrics)
+STREAM_NAMES = ("protocol.simulate_protocol", "protocol.build_target_unitary",
+                "linalg.svd", "linalg.hermitian_eig", "linalg.sqrt_psd",
+                "embedding.embed", "applications.compiled_schedule")
+
+
+def test_bench_tracer_sees_every_name_the_application_stream_reads():
+    # one encode, one protocol cascade and one exact ODE, as the bench's
+    # application stream runs them
+    src = os.path.dirname(os.path.dirname(hsvt.__file__))
+    path = [src, str(BENCH), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", STREAM_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    result = json.loads(out.splitlines()[-1])
+    assert result["missing"] == []
+    assert set(STREAM_NAMES) <= set(result["called"])

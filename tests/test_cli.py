@@ -533,3 +533,13 @@ def test_report_excluding_timing_reproducible(tmp_path):
         d["config"].pop("report_out")
         reps.append(json.dumps(d, sort_keys=True))
     assert reps[0] == reps[1]
+
+
+def test_synthesize_report_gives_the_noise_gain(tmp_path):
+    rep, sched = tmp_path / "rep.json", tmp_path / "s.txt"
+    assert run(["synthesize", "--kind", "identity", "--sigma-lo", "0.4",
+                "--sigma-hi", "0.8", "--eps", "1e-2", "--variable-t",
+                "--schedule-out", str(sched), "--report-out", str(rep)]) == 0
+    times = PhaseSchedule.from_text(sched.read_text()).times()
+    gain = json.loads(rep.read_text())["synthesis"]["noise_gain"]
+    assert gain == 0.8 * np.linalg.norm(times)

@@ -633,3 +633,28 @@ def test_jacobian_built_only_when_the_solver_asks(monkeypatch):
     assert len(jacobians) == sol.njev < sol.nfev
     assert len(points) == len(set(points)) == sol.nfev
     assert len(set(jacobians)) == len(jacobians)
+
+
+# -- noise gain and option refusals -------------------------------------------
+
+@pytest.mark.parametrize("opts", [SolverOptions(variable_t=True), SolverOptions(target_eps=1e-3)],
+                         ids=["apps", "compile-ft"])
+def test_report_carries_the_schedules_noise_gain(opts):
+    f = targets.identity(0.4, 0.8)
+    schedule, rep = compiler.synthesize_to_accuracy(f, 1e-3, opts)
+    # the report's schedule is the one the memo serves: nothing moved
+    assert schedule == applications.compiled_schedule(f, 1e-3, opts)
+    assert rep.noise_gain == f.sigma_hi * np.linalg.norm(schedule.times())
+    assert rep.to_dict()["noise_gain"] == rep.noise_gain
+
+
+def test_fixed_degree_report_carries_the_noise_gain():
+    f = targets.identity(0.3, 0.7)
+    schedule, rep = compiler.synthesize_schedule(f, 3)
+    assert rep.noise_gain == f.sigma_hi * np.linalg.norm(schedule.times())
+
+
+@pytest.mark.parametrize("eps", [True, False, np.True_], ids=["True", "False", "np.True_"])
+def test_solver_options_refuse_a_bool_target_eps(eps):
+    with pytest.raises(InvalidInputError, match="target_eps must be a number, got"):
+        SolverOptions(target_eps=eps)

@@ -51,3 +51,16 @@ def test_op_distance_basics():
     assert linalg.op_distance(np.eye(2), -np.eye(2)) == pytest.approx(2.0)
     with pytest.raises(InvalidInputError):
         linalg.op_distance(np.eye(2), np.eye(3))
+
+
+NON_FINITE = [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0),
+              complex(0, -np.inf)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan-re", "nan-im", "inf-re", "-inf-im"])
+@pytest.mark.parametrize("call", ["as_complex_matrix", "svd"])
+def test_a_non_finite_part_of_an_entry_is_refused(bad, call):
+    # the one finite pass over the complex array sees either part
+    a = np.array([[0.5, 0.0], [0.0, bad]])
+    with pytest.raises(InvalidInputError, match="A contains non-finite entries"):
+        getattr(linalg, call)(a) if call == "svd" else linalg.as_complex_matrix(a, "A")

@@ -409,3 +409,47 @@ def test_embedding_passed_on_is_not_decomposed_again(rng, monkeypatch):
     protocol.simulate_protocol(h, sch, target=target)
     protocol.noise_sweep(h, sch, [1e-3], 2)
     assert calls == {"svd": 1}
+
+
+# -- the target's kept pairs -------------------------------------------------
+
+def _rank_deficient(rng):
+    u, _, vh = np.linalg.svd(random_contraction(rng, 3))
+    return (u * [0.7, 0.3, 0.0]) @ vh
+
+
+@pytest.mark.parametrize("shape", ["square", "3x5", "5x2", "rank-deficient"])
+def test_achieved_eps_from_the_kept_pairs_is_bit_for_bit(rng, shape):
+    a = {"square": lambda: random_contraction(rng, 4),
+         "3x5": lambda: random_contraction(rng, 5, 3),
+         "5x2": lambda: random_contraction(rng, 2, 5),
+         "rank-deficient": lambda: _rank_deficient(rng)}[shape]()
+    f = targets.identity(0.1, 0.9)
+    h = embedding.embed(a)
+    sch = make_schedule(rng, 7, variable_t=True)
+    target = protocol.build_target_unitary(h, f)
+    ta, tb = compiler.reduced_target(protocol._f_at(f, h.svd.singulars))
+    assert np.array_equal(target.pairs[0], ta) and np.array_equal(target.pairs[1], tb)
+    # the distance as read before the target kept its pairs
+    pa, pb = compiler._step_pairs(sch.phis(), sch.times(), h.svd.singulars)
+    want = float(np.max(np.sqrt(np.abs(pa - ta) ** 2 + np.abs(pb - tb) ** 2)))
+    if h.n + h.m > 2 * len(pa):
+        want = max(want, np.sqrt(2.0))
+    assert protocol.simulate_protocol(h, sch, target=target).achieved_eps == want
+    # the same A embedded apart reads the same pairs
+    assert protocol.simulate_protocol(np.array(a), sch, target=target).achieved_eps == want
+
+
+# -- bools are not numbers ---------------------------------------------------
+
+@pytest.mark.parametrize("eta", [True, False, np.True_], ids=["True", "False", "np.True_"])
+def test_noise_model_refuses_a_bool_eta(eta):
+    with pytest.raises(InvalidInputError, match="eta must be a number, got"):
+        protocol.ControlNoiseModel(eta)
+
+
+@pytest.mark.parametrize("eta", [True, np.False_], ids=["True", "np.False_"])
+def test_noise_sweep_refuses_a_bool_eta(eta):
+    schedule = compiler.schedule_from_arrays([0.3, -0.3])
+    with pytest.raises(InvalidInputError, match="eta must be a number, got"):
+        protocol.noise_sweep([[0.5]], schedule, [1e-3, eta], trials=2)
