@@ -36,8 +36,8 @@ import numpy as np
 from . import compiler, embedding, linalg, protocol, targets
 from .compiler import PhaseSchedule, SolverOptions
 from .errors import (ConvergenceError, GeneratorError, InvalidInputError,
-                     PreconditionError, SingularInversionError,
-                     ZeroProbabilitySignal)
+                     NormalizationError, PreconditionError,
+                     SingularInversionError, ZeroProbabilitySignal)
 from .protocol import ProtocolResult, TargetUnitary
 from .targets import TargetFunction
 
@@ -62,7 +62,7 @@ def amplification_rounds(p: float) -> int:
 
     Bookkeeping only; no amplification operator is ever constructed.
     """
-    if p <= 0.0:
+    if linalg.as_real(p, "p") <= 0.0:
         raise ZeroProbabilitySignal("success probability is zero")
     return int(math.ceil(math.pi / (4.0 * math.sqrt(p))))
 
@@ -76,8 +76,9 @@ def compiled_schedule(f: TargetFunction, eps: float,
     ConvergenceError.  The memo is keyed on all solver options.
     """
     opts = opts or _DEFAULT_OPTS
-    if opts.target_eps != float(eps):
-        opts = replace(opts, target_eps=float(eps))
+    eps = linalg.as_real(eps, "eps", least=0)
+    if opts.target_eps != eps:
+        opts = replace(opts, target_eps=eps)
     return _compile_memoized(f, opts)
 
 
@@ -261,10 +262,8 @@ class OdeProblem:
     def __post_init__(self):
         object.__setattr__(self, "b", linalg.as_complex_matrix(self.b, "B"))
         object.__setattr__(self, "psi0", _as_state(self.psi0))
-        if isinstance(self.dt, (bool, np.bool_)):
-            raise InvalidInputError(f"dt must be a number, got {self.dt!r}")
-        if not (0.0 < self.dt < math.inf):
-            raise InvalidInputError(f"dt must be positive and finite, got {self.dt}")
+        object.__setattr__(self, "dt",
+                           linalg.as_real(self.dt, "dt", least=0, strict=True))
         object.__setattr__(self, "steps", linalg.as_count(self.steps, "steps"))
         if self.b.shape[0] != self.b.shape[1]:
             raise InvalidInputError("B must be square")
@@ -281,16 +280,14 @@ def ode_solve(problem: OdeProblem, backend: str = "exact", eps: float = 1e-3,
 
     The final register holds (I + B dt)^steps psi0; its squared norm is the
     probability of projecting onto the solution at time T = steps * dt.
-    The one SVD of A gives sigma_max and the cascade's embedding.
+    A's embedding, from its one SVD, refuses sigma_max > 1 (GeneratorError).
     """
     a = problem.euler_matrix()
-    res = linalg.svd(a)
-    sigma_max = float(res.singulars[0])
-    if sigma_max > 1.0 + embedding.SIGMA_MAX_SLACK:
-        sym = problem.b + problem.b.conj().T
-        worst = float(np.max(np.linalg.eigvalsh(sym)))
-        raise GeneratorError(sigma_max=sigma_max, worst_eig=worst)
-    h = embedding.BlockHamiltonian(a_block=a, svd=res)
+    try:
+        h = embedding.BlockHamiltonian(a_block=a, svd=linalg.svd(a))
+    except NormalizationError as exc:
+        worst = float(np.max(np.linalg.eigvalsh(problem.b + problem.b.conj().T)))
+        raise GeneratorError(sigma_max=exc.sigma_max, worst_eig=worst) from None
     cascade, _ = power_cascade(h, problem.psi0, problem.steps, backend=backend,
                                eps=eps, domain=domain)
     return cascade, cascade.block(problem.steps)
@@ -325,6 +322,9 @@ def history_state(a, psi, n: int, eps: float = 1e-3,
     psi = _as_state(psi)
     if psi.size != a.shape[1]:
         raise InvalidInputError("state dimension does not match A")
+    weight = float(np.real(np.vdot(psi, psi)))
+    if weight == 0.0:           # psi = 0, or its squared norm underflows
+        raise ZeroProbabilitySignal("history state has zero weight")
     res = linalg.svd(a)
     sigma_max = float(res.singulars[0])
     if sigma_max > 1.0 - 1e-6:
@@ -360,9 +360,7 @@ def history_state(a, psi, n: int, eps: float = 1e-3,
 
     raw = cascade.blocks[:n] @ inv.T
     vec = np.concatenate((raw.reshape(-1), c * cascade.block(n)))
-    p = float(np.real(np.vdot(vec, vec))) / float(np.real(np.vdot(psi, psi)))
-    if p < ZERO_PROB_TOL:
-        raise ZeroProbabilitySignal("history state has zero weight")
+    p = float(np.real(np.vdot(vec, vec))) / weight
     return HistoryResult(history=vec / np.linalg.norm(vec), success_prob=p,
                          kappa_tilde=kappa,
                          amplification=amplification_rounds(p))

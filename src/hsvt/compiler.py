@@ -58,12 +58,8 @@ class PhaseStep:
     t: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.phi) and math.isfinite(self.t)):
-            raise InvalidInputError(
-                f"phase and time must be finite, got ({self.phi}, {self.t})")
-        if not (self.t > 0.0):
-            raise InvalidInputError(f"step time must be positive, got {self.t}")
-        object.__setattr__(self, "phi", _wrap_phase(self.phi))
+        object.__setattr__(self, "phi", _wrap_phase(linalg.as_real(self.phi, "phi")))
+        object.__setattr__(self, "t", linalg.as_real(self.t, "t", least=0, strict=True))
 
 
 @dataclass(frozen=True)
@@ -175,15 +171,12 @@ class SolverOptions:
     def __post_init__(self):
         object.__setattr__(self, "seed", linalg.as_count(self.seed, "seed", least=0))
         object.__setattr__(self, "max_nfev", linalg.as_count(self.max_nfev, "max_nfev"))
-        if isinstance(self.target_eps, (bool, np.bool_)):
+        if self.target_eps != math.inf:     # inf: no accuracy goal at a fixed degree
+            object.__setattr__(self, "target_eps",
+                               linalg.as_real(self.target_eps, "target_eps", least=0))
+        if self.metric not in ("full", "corner"):
             raise InvalidInputError(
-                f"target_eps must be a number, got {self.target_eps!r}")
-        for name, ok, want in (
-                ("target_eps", self.target_eps >= 0, ">= 0"),
-                ("metric", self.metric in ("full", "corner"), "'full' or 'corner'")):
-            if not ok:
-                raise InvalidInputError(
-                    f"{name} must be {want}, got {getattr(self, name)!r}")
+                f"metric must be 'full' or 'corner', got {self.metric!r}")
 
 
 # ---------------------------------------------------------------------------

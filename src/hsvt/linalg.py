@@ -6,6 +6,7 @@ tolerances below are the package-wide constants.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -37,6 +38,22 @@ def as_count(value, name: str, least: int = 1) -> int:
     if value < least:
         raise InvalidInputError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def as_real(value, name: str, least=None, strict=False) -> float:
+    """A finite real (numpy's too, bools refused), >= least, or > if strict."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    x = float(value)
+    if least is None:
+        ok, want = math.isfinite(x), "finite"
+    else:
+        ok = (least < x if strict else least <= x) and x < math.inf
+        want = ("positive" if strict and least == 0
+                else f"{'>' if strict else '>='} {least}") + " and finite"
+    if not ok:
+        raise InvalidInputError(f"{name} must be {want}, got {x}")
+    return x
 
 
 def is_hermitian(m: np.ndarray) -> bool:

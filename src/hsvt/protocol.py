@@ -65,21 +65,12 @@ class ControlNoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        _checked_eta(self.eta)
+        object.__setattr__(self, "eta", linalg.as_real(self.eta, "eta", least=0))
         object.__setattr__(self, "seed", linalg.as_count(self.seed, "seed", least=0))
 
     def time_factors(self, count: int) -> np.ndarray:
         """Per-step multiplicative factors 1 + eta * N(0, 1), in step order."""
         return 1.0 + self.eta * _standard_normals(self.seed, count)
-
-
-def _checked_eta(eta) -> float:
-    if isinstance(eta, (bool, np.bool_)):
-        raise InvalidInputError(f"eta must be a number, got {eta!r}")
-    eta = float(eta)
-    if not (0.0 <= eta < math.inf):
-        raise InvalidInputError(f"eta must be finite and >= 0, got {eta}")
-    return eta
 
 
 def _standard_normals(seed: int, count: int) -> np.ndarray:
@@ -197,6 +188,7 @@ def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:
     pairs are read off the SVD that result.embedding carries; verify takes
     no decomposition of A.  A target built on another A is refused.
     """
+    eps = linalg.as_real(eps, "eps", least=0)
     h = result.embedding
     _check_same_a(h, target)
     u_sim = result.unitary
@@ -213,7 +205,7 @@ def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:
         })
     return {
         "op_distance": float(distance),
-        "eps": float(eps),
+        "eps": eps,
         "passed": bool(distance <= eps),
         "per_subspace": per_subspace,
     }
@@ -247,7 +239,7 @@ def noise_sweep(a, schedule: PhaseSchedule, etas, trials: int,
     trials = linalg.as_count(trials, "trials")
     seed = linalg.as_count(seed, "seed", least=0)
     sigmas = embed(a).svd.singulars     # embed validates sigma_max <= 1
-    etas = [_checked_eta(eta) for eta in etas]
+    etas = [linalg.as_real(eta, "eta", least=0) for eta in etas]
     if not etas:
         return []
     phis = schedule.phis()

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import CapError, DomainError, InvalidInputError
 
 DEFAULT_SIGMA_LO = 0.05
@@ -56,8 +57,7 @@ class TargetFunction:
                 f"domain must satisfy 0 < sigma_lo < sigma_hi < 1, "
                 f"got [{self.sigma_lo}, {self.sigma_hi}]"
             )
-        if not math.isfinite(self.cap):
-            raise InvalidInputError(f"cap must be finite, got {self.cap}")
+        object.__setattr__(self, "cap", linalg.as_real(self.cap, "cap"))
         # each kind's |f| is monotone in sigma on (0, 1), so its largest value
         # on the domain, and any infinity there, lies at an end of the domain
         ends = np.abs(self.eval_analytic(np.array([self.sigma_lo, self.sigma_hi])))

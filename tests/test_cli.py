@@ -199,6 +199,24 @@ def test_history_unit_sigma_exits_4(tmp_path):
                 "--n", "2"]) == 4
 
 
+@pytest.mark.parametrize("state", [[0.0, 0.0], [1e-200, 0.0]], ids=["zero", "underflow"])
+def test_history_zero_weight_state_exits_4(tmp_path, capsys, state):
+    m = tmp_path / "m.json"
+    io.write_matrix(m, np.diag([0.5, 0.6]))
+    v = tmp_path / "v.json"
+    io.write_state(v, np.array(state))
+    assert run(["history", "--matrix", str(m), "--state", str(v)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: history state has zero weight\n"
+
+
+def test_config_holding_a_json_list_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps([{"k": 1}]))
+    assert run(["synthesize", "--config", str(cfg)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, named", [
     (["--kind", "scaled-power", "--coeff", "0.5"], "'power'"),
     (["--kind", "inverse-sqrt-complement"], "'coeff'"),

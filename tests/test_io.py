@@ -75,6 +75,15 @@ def test_write_text_leaves_the_mode_that_open_leaves(tmp_path, umask):
     assert mode == {"by-open": 0o666 & ~umask, "by-io": 0o666 & ~umask, "replaced": 0o640}
 
 
+def test_write_text_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        io.write_text(tmp_path / "out.txt", "x")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_roundtrip():
     report = {"b": [1, 2], "a": {"x": 0.5}}
     assert json.loads(io.report_text(report)) == report

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,28 @@ def test_a_non_finite_part_of_an_entry_is_refused(bad, call):
     a = np.array([[0.5, 0.0], [0.0, bad]])
     with pytest.raises(InvalidInputError, match="A contains non-finite entries"):
         getattr(linalg, call)(a) if call == "svd" else linalg.as_complex_matrix(a, "A")
+
+
+@pytest.mark.parametrize("value, kwargs", [
+    (0.25, {}), (np.float64(0.25), {}), (np.float32(0.25), {"least": 0}),
+    (np.int64(2), {"least": 0, "strict": True}), (0, {"least": 0}), (-3, {})])
+def test_as_real_returns_a_python_float(value, kwargs):
+    x = linalg.as_real(value, "x", **kwargs)
+    assert type(x) is float and x == value
+
+
+@pytest.mark.parametrize("value, kwargs, message", [
+    (True, {}, "x must be a number, got True"),
+    (np.False_, {"least": 0}, "x must be a number, got "),     # repr varies by numpy
+    ("0.5", {}, "x must be a number, got '0.5'"),
+    (1j, {}, "x must be a number, got 1j"),
+    (np.nan, {}, "x must be finite, got nan"),
+    (-np.inf, {}, "x must be finite, got -inf"),
+    (np.inf, {"least": 0}, "x must be >= 0 and finite, got inf"),
+    (-1e-300, {"least": 0}, "x must be >= 0 and finite, got -1e-300"),
+    (0.0, {"least": 0, "strict": True}, "x must be positive and finite, got 0.0"),
+    (1, {"least": 1, "strict": True}, "x must be > 1 and finite, got 1.0"),
+])
+def test_as_real_refuses(value, kwargs, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        linalg.as_real(value, "x", **kwargs)

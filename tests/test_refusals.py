@@ -6,12 +6,20 @@ import re
 import numpy as np
 import pytest
 
-from hsvt import applications, compiler, io, linalg, protocol, targets
+from hsvt import applications, compiler, embedding, io, linalg, protocol, targets
 from hsvt.compiler import SolverOptions
-from hsvt.errors import CapError, InvalidInputError, ParseError
+from hsvt.errors import (CapError, InvalidInputError, ParseError,
+                         ZeroProbabilitySignal)
 
 HALF = 0.5 * np.eye(2)
 SCHEDULE = compiler.schedule_from_arrays([0.3, -0.3])
+
+
+def _verify(eps):
+    """verify on a run of SCHEDULE against the identity's target, on HALF."""
+    h = embedding.embed(HALF)
+    target = protocol.build_target_unitary(h, targets.identity(0.3, 0.8))
+    return protocol.verify(protocol.simulate_protocol(h, SCHEDULE), target, eps)
 
 
 def _write(path, text):
@@ -22,6 +30,23 @@ def _write(path, text):
 REFUSALS = {
     "apply-empty-state": (lambda tmp: applications.apply_matrix(HALF, []),
                           InvalidInputError, "state must be a nonempty finite vector"),
+    "apply-state-dim": (lambda tmp: applications.apply_matrix(HALF, [1, 0, 0]),
+                        InvalidInputError, "state dimension 3 does not match A columns 2"),
+    "amplification-nan": (lambda tmp: applications.amplification_rounds(np.nan),
+                          InvalidInputError, "p must be finite, got nan"),
+    "compiled-schedule-eps-bool": (lambda tmp: applications.compiled_schedule(
+                                       targets.identity(0.3, 0.8), True),
+                                   InvalidInputError, "eps must be a number, got True"),
+    "encode-eps-bool": (lambda tmp: applications.inverse_block_encode(HALF, True),
+                        InvalidInputError, "eps must be a number, got True"),
+    "verify-eps-bool": (lambda tmp: _verify(True),
+                        InvalidInputError, "eps must be a number, got True"),
+    "verify-eps-nan": (lambda tmp: _verify(np.nan),
+                       InvalidInputError, "eps must be >= 0 and finite, got nan"),
+    "phase-step-bool": (lambda tmp: compiler.PhaseStep(True, 1.0),
+                        InvalidInputError, "phi must be a number, got True"),
+    "cap-bool": (lambda tmp: targets.identity(0.2, 0.8, cap=True),
+                 InvalidInputError, "cap must be a number, got True"),
     "cascade-n-0": (lambda tmp: applications.power_cascade(HALF, [1, 0], 0),
                     InvalidInputError, "n must be >= 1"),
     "cascade-n-fractional": (lambda tmp: applications.power_cascade(HALF, [1, 0], 2.5),
@@ -51,6 +76,12 @@ REFUSALS = {
                              InvalidInputError, "n must be an integer, got 2.5"),
     "history-state-dim": (lambda tmp: applications.history_state(HALF, [1, 0, 0], 1),
                           InvalidInputError, "state dimension does not match A"),
+    "history-zero-state": (lambda tmp: applications.history_state(HALF, [0, 0], 1),
+                           ZeroProbabilitySignal, "history state has zero weight"),
+    # the squared norm 1e-400 underflows to 0
+    "history-underflowing-state": (lambda tmp: applications.history_state(
+                                       HALF, [1e-200, 0], 1),
+                                   ZeroProbabilitySignal, "history state has zero weight"),
     "target-above-1": (lambda tmp: protocol.build_target_unitary(
                            np.diag([0.99]), targets.inverse_sqrt_complement(0.3, 0.1, 0.9)),
                        CapError, "|f(sigma)| reaches 2.12664 > 1; no unitary completion exists"),
@@ -113,6 +144,9 @@ REFUSALS = {
                                            "max_nfev must be an integer, got 2.5"),
     "solver-options-max-nfev-0": (lambda tmp: SolverOptions(max_nfev=0),
                                   InvalidInputError, "max_nfev must be >= 1, got 0"),
+    "solver-options-metric": (lambda tmp: SolverOptions(metric="cubic"),
+                              InvalidInputError,
+                              "metric must be 'full' or 'corner', got 'cubic'"),
     "unknown-kind": (lambda tmp: targets.TargetFunction("cubic"),
                      InvalidInputError, "unknown target kind 'cubic'"),
     "infinite-coeff": (lambda tmp: targets.scaled_power(-1, np.inf, 0.1, 0.9),
