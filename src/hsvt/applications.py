@@ -322,9 +322,12 @@ def history_state(a, psi, n: int, eps: float = 1e-3,
     psi = _as_state(psi)
     if psi.size != a.shape[1]:
         raise InvalidInputError("state dimension does not match A")
-    weight = float(np.real(np.vdot(psi, psi)))
+    with np.errstate(over="ignore"):
+        weight = float(np.real(np.vdot(psi, psi)))
     if weight == 0.0:           # psi = 0, or its squared norm underflows
         raise ZeroProbabilitySignal("history state has zero weight")
+    if weight == math.inf:
+        raise InvalidInputError("history state's squared norm overflows")
     res = linalg.svd(a)
     sigma_max = float(res.singulars[0])
     if sigma_max > 1.0 - 1e-6:

@@ -34,7 +34,15 @@ singular value sigma_j every step is the SU(2) rotation [[c, w], [-w*, c]]
 The distance of two runs is therefore exactly
 max_j sqrt(|da_j|^2 + |db_j|^2).  The sweep multiplies the pairs of all
 trials step by step (_reduced_corners): over a batch of runs a chain is
-faster than a tree, whose levels allocate the whole batch again.
+faster than a tree, whose levels allocate the whole batch again; the
+noiseless run is one more row of the first batch.
+
+Trial i of a sweep draws its step-time noise from
+np.random.default_rng(seed + i), bit for bit.  _standard_normals seeds all
+trials in one pass: it runs numpy's documented SeedSequence hash on every
+seed at once (_seed_states) and hands each trial's four PCG64 seed words to
+default_rng, which still seeds the PCG64 and draws the normals.  A
+one-seed draw (ControlNoiseModel) takes the same pass, about 0.1 ms.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import linalg
 from .compiler import PhaseSchedule, _pair_product, _step_pairs, reduced_target
@@ -70,12 +79,89 @@ class ControlNoiseModel:
 
     def time_factors(self, count: int) -> np.ndarray:
         """Per-step multiplicative factors 1 + eta * N(0, 1), in step order."""
-        return 1.0 + self.eta * _standard_normals(self.seed, count)
+        return 1.0 + self.eta * _standard_normals([self.seed], count)[0]
 
 
-def _standard_normals(seed: int, count: int) -> np.ndarray:
-    """The noise law's draws: count N(0, 1) values from one seeded generator."""
-    return np.random.default_rng(seed).standard_normal(count)
+def _standard_normals(seeds, count: int) -> np.ndarray:
+    """The noise law's draws: row i holds count N(0, 1) values from
+    np.random.default_rng(seeds[i]), bit for bit.  The generators' seed
+    words come from one pass over all seeds (_seed_states); numpy still
+    seeds each PCG64 from them and draws the normals."""
+    z = np.empty((len(seeds), count))
+    for row, words in zip(z, _seed_states(seeds)):
+        np.random.default_rng(_SeedWords(words)).standard_normal(out=row)
+    return z
+
+
+class _SeedWords(ISeedSequence):
+    """The four uint64 words SeedSequence(s).generate_state(4, np.uint64)
+    gives, which is all PCG64 asks of its seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its
+# default pool of four 32-bit words
+_POOL = 4
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+
+
+def _hash_constants(init: int, mult: int, calls: int):
+    """(xor, multiplier) columns of a hash's first calls calls: call j xors
+    init * mult^j and then multiplies by init * mult^(j + 1), mod 2^32."""
+    c = [init]
+    for _ in range(calls):
+        c.append(c[-1] * mult & _MASK32)
+    c = np.array(c, dtype=np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+def _hash(words, xor, mult):
+    """numpy's hashmix (and generate_state's step) with its constants given."""
+    v = (words ^ xor) * mult
+    return v ^ (v >> _XSHIFT)
+
+
+def _mix(x, y):
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+def _seed_states(seeds) -> np.ndarray:
+    """(len(seeds), 4) uint64: SeedSequence(s).generate_state(4, np.uint64)
+    for each seed s >= 0, with numpy's hash run on all seeds at once.
+
+    A seed's entropy is its little-endian 32-bit words, at least one; the
+    first four fill the pool (zeros pad a shorter seed), and each further
+    word is mixed into the whole pool for the seeds that have it, those
+    with a nonzero word at or above it."""
+    seeds = np.array([int(s) for s in seeds], dtype=object)
+    n = max(1, -(-int(seeds.max()).bit_length() // 32))
+    words = np.zeros((max(n, _POOL), len(seeds)), dtype=np.uint32)
+    for i in range(n):
+        words[i] = (seeds >> (32 * i)) & _MASK32
+    # hash calls: four fill the pool, twelve mix it, four per further word
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, 4 * len(words))
+    pool = _hash(words[:_POOL], xor[:_POOL], mult[:_POOL])
+    for src in range(_POOL):       # mix each word into the other three
+        dst = [d for d in range(_POOL) if d != src]
+        calls = slice(_POOL + 3 * src, _POOL + 3 * src + 3)
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[calls], mult[calls]))
+    for src in range(_POOL, n):
+        calls = slice(4 * src, 4 * src + 4)
+        mixed = _mix(pool, _hash(words[src], xor[calls], mult[calls]))
+        pool = np.where(words[src:].any(axis=0), mixed, pool)
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+    state = _hash(np.tile(pool, (2, 1)), xor, mult)       # 8 words cycle the pool
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -217,12 +303,12 @@ def _reduced_corners(sigmas, phis, times):
     times is (K,) for one run or (runs, K); a and b are (runs, N).
     """
     times = np.atleast_2d(times)
-    e = np.exp(1j * np.asarray(phis))
+    w = -1j * np.exp(1j * np.asarray(phis))
     a = np.ones((times.shape[0], len(sigmas)), dtype=complex)
     b = np.zeros_like(a)
     for k in range(times.shape[1]):
         angles = np.multiply.outer(times[:, k], sigmas)
-        a, b = _pair_product(np.cos(angles), -1j * np.sin(angles) * e[k], a, b)
+        a, b = _pair_product(np.cos(angles), np.sin(angles) * w[k], a, b)
     return a, b
 
 
@@ -244,11 +330,13 @@ def noise_sweep(a, schedule: PhaseSchedule, etas, trials: int,
         return []
     phis = schedule.phis()
     base_times = schedule.times()
-    a0, b0 = _reduced_corners(sigmas, phis, base_times)
-    z = np.stack([_standard_normals(seed + i, len(phis)) for i in range(trials)])
+    z = np.vstack([np.zeros(len(phis)),
+                   _standard_normals(range(seed, seed + trials), len(phis))])
     table = []
     for eta in etas:
         an, bn = _reduced_corners(sigmas, phis, base_times * (1.0 + eta * z))
+        if len(z) > trials:     # the first batch's row 0 (z = 0) is the noiseless run
+            a0, b0, an, bn, z = an[:1], bn[:1], an[1:], bn[1:], z[1:]
         dists = np.sqrt(np.abs(an - a0) ** 2 + np.abs(bn - b0) ** 2).max(axis=1)
         table.append({
             "eta": eta,

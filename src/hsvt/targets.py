@@ -52,12 +52,16 @@ class TargetFunction:
         for name in KIND_PARAMS.get(self.kind, ()):
             if getattr(self, name) is None:
                 raise InvalidInputError(f"{self.kind} needs {name!r}")
+        for name in ("sigma_lo", "sigma_hi", "cap", "power", "coeff"):
+            value = getattr(self, name)
+            # an infinite coeff is left to the check below that f is finite
+            if value is not None and not (name == "coeff" and value in (-math.inf, math.inf)):
+                object.__setattr__(self, name, linalg.as_real(value, name))
         if not (0.0 < self.sigma_lo < self.sigma_hi < 1.0):
             raise InvalidInputError(
                 f"domain must satisfy 0 < sigma_lo < sigma_hi < 1, "
                 f"got [{self.sigma_lo}, {self.sigma_hi}]"
             )
-        object.__setattr__(self, "cap", linalg.as_real(self.cap, "cap"))
         # each kind's |f| is monotone in sigma on (0, 1), so its largest value
         # on the domain, and any infinity there, lies at an end of the domain
         ends = np.abs(self.eval_analytic(np.array([self.sigma_lo, self.sigma_hi])))
@@ -119,13 +123,13 @@ def sine(sigma_lo=DEFAULT_SIGMA_LO, sigma_hi=DEFAULT_SIGMA_HI, cap=DEFAULT_CAP):
 def scaled_power(power, coeff, sigma_lo=DEFAULT_SIGMA_LO, sigma_hi=DEFAULT_SIGMA_HI,
                  cap=DEFAULT_CAP):
     return TargetFunction("scaled-power", sigma_lo, sigma_hi, cap,
-                          power=float(power), coeff=float(coeff))
+                          power=power, coeff=coeff)
 
 
 def inverse_sqrt_complement(coeff, sigma_lo=DEFAULT_SIGMA_LO, sigma_hi=DEFAULT_SIGMA_HI,
                             cap=DEFAULT_CAP):
     return TargetFunction("inverse-sqrt-complement", sigma_lo, sigma_hi, cap,
-                          coeff=float(coeff))
+                          coeff=coeff)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -275,6 +276,15 @@ def test_history_kappa_and_probability(rng):
 def test_history_rejects_unit_singular_value():
     with pytest.raises(SingularInversionError):
         applications.history_state(np.eye(2), [1.0, 0.0], 2)
+
+
+def test_history_refuses_an_overflowing_state_before_any_warning(monkeypatch):
+    calls = count_calls(monkeypatch, linalg, ("svd",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="squared norm overflows"):
+            applications.history_state(0.5 * np.eye(2), [1e200, 0], 2)
+    assert calls == {"svd": 0}
 
 
 def test_history_protocol_backend_agrees(rng):

@@ -61,7 +61,7 @@ import json
 import numpy as np
 
 import hsvt
-from hsvt import applications
+from hsvt import applications, protocol, targets
 from spans import Tracer
 
 tracer = Tracer()
@@ -72,19 +72,21 @@ applications.inverse_block_encode(a, 1e-3, domain=domain)
 applications.power_cascade(a, np.array([0.6, 0.8]), 5, backend="protocol", domain=domain)
 problem = applications.OdeProblem(b=-np.eye(2), dt=0.01, steps=5, psi0=np.array([1.0, 0.0]))
 applications.ode_solve(problem, backend="exact")
+schedule = applications.compiled_schedule(targets.identity(*domain), 1e-3)
+protocol.noise_sweep(a, schedule, [1e-3, 2e-3], 2)
 print(json.dumps({"missing": tracer.missing,
                   "called": sorted({s[0] for s in tracer.spans})}))
 """
 
 # the names the stream's per-layer metrics read (bench/spans.py, layer_metrics)
 STREAM_NAMES = ("protocol.simulate_protocol", "protocol.build_target_unitary",
-                "linalg.svd", "linalg.hermitian_eig", "linalg.sqrt_psd",
+                "protocol.noise_sweep", "linalg.svd", "linalg.hermitian_eig", "linalg.sqrt_psd",
                 "embedding.embed", "applications.compiled_schedule")
 
 
 def test_bench_tracer_sees_every_name_the_application_stream_reads():
-    # one encode, one protocol cascade and one exact ODE, as the bench's
-    # application stream runs them
+    # one encode, one protocol cascade, one exact ODE and one noise sweep,
+    # as the bench's application stream runs them
     src = os.path.dirname(os.path.dirname(hsvt.__file__))
     path = [src, str(BENCH), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",

@@ -210,6 +210,16 @@ def test_history_zero_weight_state_exits_4(tmp_path, capsys, state):
     assert out == "" and err == "error: history state has zero weight\n"
 
 
+def test_history_overflowing_state_exits_2(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    io.write_matrix(m, np.diag([0.5, 0.6]))
+    v = tmp_path / "v.json"
+    io.write_state(v, np.array([1e200, 0.0]))
+    assert run(["history", "--matrix", str(m), "--state", str(v)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: history state's squared norm overflows\n"
+
+
 def test_config_holding_a_json_list_exits_2(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps([{"k": 1}]))

@@ -372,6 +372,40 @@ def test_noise_sweep_builds_one_generator_per_trial(rng, monkeypatch):
     assert calls == {"default_rng": 4}
 
 
+# seed runs across the word boundaries of SeedSequence's entropy: 2^32,
+# 2^64 and 2^128, and seeds of one and ten words side by side
+SEED_RUNS = {
+    "small": range(0, 40),
+    "2^32": range(2**32 - 20, 2**32 + 20),
+    "2^64": range(2**64 - 20, 2**64 + 20),
+    "2^128": range(2**128 - 20, 2**128 + 20),
+    "0-and-2^300": [0, 2**300, 5, 2**300 + 1],
+}
+
+
+@pytest.mark.parametrize("seeds", SEED_RUNS.values(), ids=SEED_RUNS.keys())
+def test_standard_normals_equal_one_default_rng_per_seed(seeds):
+    for count in (0, 1, 9):
+        want = np.stack([np.random.default_rng(s).standard_normal(count) for s in seeds])
+        got = protocol._standard_normals(seeds, count)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_noise_sweep_table_is_pinned():
+    # exact floats of this sweep, whose seeds cross 2^64: a change that moves
+    # the noise law's draws or the distances on purpose updates these
+    a = [[0.5, 0.2], [0.1, 0.6]]
+    schedule = compiler.schedule_from_arrays([0.3, -1.1, 2.0, 0.7], [0.9, 1.3, 0.4, 2.2])
+    table = protocol.noise_sweep(a, schedule, [0.0, 1e-3, 0.05], 6, seed=2**64 - 3)
+    assert table == [
+        {"eta": 0.0, "mean_distance": 0.0, "max_distance": 0.0, "trials": 6},
+        {"eta": 0.001, "mean_distance": 0.0013030337511098073,
+         "max_distance": 0.00183242844984203, "trials": 6},
+        {"eta": 0.05, "mean_distance": 0.06489266913889578,
+         "max_distance": 0.09154415049265617, "trials": 6},
+    ]
+
+
 def test_noise_rejects_negative_seed(rng):
     with pytest.raises(InvalidInputError):
         protocol.ControlNoiseModel(1e-3, seed=-1)

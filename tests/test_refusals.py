@@ -82,6 +82,10 @@ REFUSALS = {
     "history-underflowing-state": (lambda tmp: applications.history_state(
                                        HALF, [1e-200, 0], 1),
                                    ZeroProbabilitySignal, "history state has zero weight"),
+    "history-overflowing-state": (lambda tmp: applications.history_state(
+                                      HALF, [1e200, 0], 2),
+                                  InvalidInputError,
+                                  "history state's squared norm overflows"),
     "target-above-1": (lambda tmp: protocol.build_target_unitary(
                            np.diag([0.99]), targets.inverse_sqrt_complement(0.3, 0.1, 0.9)),
                        CapError, "|f(sigma)| reaches 2.12664 > 1; no unitary completion exists"),
@@ -149,6 +153,20 @@ REFUSALS = {
                               "metric must be 'full' or 'corner', got 'cubic'"),
     "unknown-kind": (lambda tmp: targets.TargetFunction("cubic"),
                      InvalidInputError, "unknown target kind 'cubic'"),
+    "target-power-bool": (lambda tmp: targets.scaled_power(True, 0.5, 0.2, 0.8),
+                          InvalidInputError, "power must be a number, got True"),
+    "target-coeff-bool": (lambda tmp: targets.inverse_sqrt_complement(np.True_, 0.2, 0.8),
+                          InvalidInputError, "coeff must be a number, got np.True_"),
+    "target-sigma-lo-bool": (lambda tmp: targets.identity(True, 0.8),
+                             InvalidInputError, "sigma_lo must be a number, got True"),
+    "target-sigma-hi-nan": (lambda tmp: targets.sine(0.2, np.nan),
+                            InvalidInputError, "sigma_hi must be finite, got nan"),
+    "target-coeff-nan": (lambda tmp: targets.scaled_power(1, np.nan, 0.2, 0.8),
+                         InvalidInputError, "coeff must be finite, got nan"),
+    "target-sigma-hi-above-1": (lambda tmp: targets.identity(0.2, 1.5),
+                                InvalidInputError,
+                                "domain must satisfy 0 < sigma_lo < sigma_hi < 1, "
+                                "got [0.2, 1.5]"),
     "infinite-coeff": (lambda tmp: targets.scaled_power(-1, np.inf, 0.1, 0.9),
                        InvalidInputError, "target function is not finite on its domain"),
     "matrix-ndim-3": (lambda tmp: linalg.as_complex_matrix(np.zeros((2, 2, 2))),
