@@ -8,9 +8,13 @@ pair per singular value of A:
 
 Both are written into the full space by the simulator's one assembly
 (protocol._pair_unitary), which puts the identity on the kernels; the
-exact backend takes no eigendecomposition.  Each call builds its block
-unitary once, and decomposes A once: the embedding (in the protocol
-backend, the domain check) takes the SVD and carries it to the assembly.
+exact backend takes no eigendecomposition.  The assembly writes a block
+column at a time, and cascades, ODE solves, applies and history states
+read only the left one, the blocks that act on (x, 0), so each call
+builds only that column, once.  The protocol backend takes its pairs from
+the routine simulate_protocol runs (protocol._protocol_pairs).  Each call
+decomposes A once: the embedding (in the protocol backend, the domain
+check) takes the SVD and carries it to the assembly.
 A call's fixed costs are paid once: its entry point checks each input in
 one finite pass, a domain's identity target is built once (_domain_target)
 and a compiled schedule's memo hit builds no options.  A cascade of n
@@ -153,22 +157,30 @@ class ApplyResult:
     amplification: int           # ceil(pi / (4 sqrt(p)))
 
 
-def _block_unitary(a, backend: str, eps: float, domain,
-                   opts: SolverOptions | None = None) -> np.ndarray:
-    """The block unitary that carries A, in the chosen backend.  Each backend
-    gives one SU(2) pair per singular value to the simulator's assembly
-    (protocol._pair_unitary): exact reads the closed form's pairs off the
-    one SVD, at min(sigma, 1) since embed admits round-off above 1; protocol
-    simulates the schedule compiled for the identity on domain."""
+def _block_column(a, backend: str, eps: float, domain,
+                  opts: SolverOptions | None = None) -> np.ndarray:
+    """The left block column of the block unitary that carries A, in the
+    chosen backend.  Each backend gives one SU(2) pair per singular value
+    to the simulator's assembly (protocol._pair_unitary): exact reads the
+    closed form's pairs off the one SVD, at min(sigma, 1) since embed
+    admits round-off above 1; protocol runs the schedule compiled for the
+    identity on domain."""
     if backend == "exact":
         h = embedding.embed(a)
         pairs = compiler.reduced_target(np.minimum(h.svd.singulars, 1.0))
-        return protocol._pair_unitary(h, *pairs)
+        return protocol._pair_unitary(h, *pairs, left_only=True)
     if backend == "protocol":
-        f = _domain_target(*domain)
-        h = _embed_in_domain(a, f)
-        return protocol.simulate_protocol(h, compiled_schedule(f, eps, opts)).unitary
+        return _protocol_column(a, _domain_target(*domain), eps, opts)
     raise InvalidInputError(f"unknown backend {backend!r}")
+
+
+def _protocol_column(a, f: TargetFunction, eps: float,
+                     opts: SolverOptions | None = None) -> np.ndarray:
+    """The left block column of one run of the schedule compiled for f, on
+    A's embedding (its singular values checked against f's domain)."""
+    h = _embed_in_domain(a, f)
+    pairs = protocol._protocol_pairs(h, compiled_schedule(f, eps, opts))
+    return protocol._pair_unitary(h, *pairs, left_only=True)
 
 
 def _stripped_blocks(u: np.ndarray, n: int):
@@ -188,7 +200,7 @@ def apply_matrix(a, psi, backend: str = "exact", eps: float = 1e-3,
     if psi.size != a.shape[1]:
         raise InvalidInputError(
             f"state dimension {psi.size} does not match A columns {a.shape[1]}")
-    u = _block_unitary(a, backend, eps, domain)
+    u = _block_column(a, backend, eps, domain)
     lower = _stripped_blocks(u, psi.size)[1] @ psi
     p = float(np.real(np.vdot(lower, lower)))
     if p < ZERO_PROB_TOL:
@@ -234,7 +246,7 @@ def power_cascade(a, psi, n: int, backend: str = "exact", eps: float = 1e-3,
     psi = _as_state(psi)
     if psi.size != a.shape[1]:
         raise InvalidInputError("state dimension does not match A")
-    u = _block_unitary(a if h is None else h, backend, eps, domain, opts)
+    u = _block_column(a if h is None else h, backend, eps, domain, opts)
     upper, lower = _stripped_blocks(u, psi.size)
     # row k of blocks is filled with lower^k psi; each pass writes the next
     # rows as held rows times step = (lower^T)^(2^j), doubling the rows held
@@ -357,9 +369,7 @@ def history_state(a, psi, n: int, eps: float = 1e-3,
         f_inv = targets.scaled_power(-1.0, c, lo, hi)
         s_h = embedding.BlockHamiltonian(
             a_block=(r * s) @ r.conj().T, svd=linalg.SvdResult(s, r, r))
-        u = protocol.simulate_protocol(_embed_in_domain(s_h, f_inv),
-                                       compiled_schedule(f_inv, eps)).unitary
-        _, inv = _stripped_blocks(u, psi.size)
+        _, inv = _stripped_blocks(_protocol_column(s_h, f_inv, eps), psi.size)
 
     raw = cascade.blocks[:n] @ inv.T
     vec = np.concatenate((raw.reshape(-1), c * cascade.block(n)))

@@ -271,9 +271,9 @@ def reduced_target(f_values):
     """The target unitaries i*(sqrt(1-f^2) Z + f X) from f samples, as their
     pairs (a, b) = (i sqrt(1-f^2), i f), each (N,)."""
     fv = np.atleast_1d(np.asarray(f_values, dtype=float))
-    if np.any(np.abs(fv) > 1.0 + 1e-12):
+    if (np.abs(fv) > 1.0 + 1e-12).any():
         raise CapError(f"|f| reaches {np.max(np.abs(fv)):.6g} > 1")
-    return 1j * np.sqrt(np.clip(1.0 - fv**2, 0.0, None)), 1j * fv
+    return 1j * np.sqrt(np.maximum(1.0 - fv**2, 0.0)), 1j * fv
 
 
 def chebyshev_grid(lo: float, hi: float, n: int) -> np.ndarray:

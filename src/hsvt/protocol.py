@@ -11,9 +11,12 @@ of each singular pair (r_j, l_j) of A and is the identity on
 ker A (+) ker A^dag, so the product is I + B (P - I) B^dag, with
 B = [r_j (+) 0, 0 (+) l_j] and P_j the compiler's 2x2 step product at
 sigma_j: the embedding's SVD, the 2x2 products (multiplied as a balanced
-tree of SU(2) pairs, compiler._step_pairs), then four rank-r updates
-(_pair_unitary, the one assembly, which the exact backend of
-applications also feeds with the closed form's pairs).
+tree of SU(2) pairs, compiler._step_pairs, in _protocol_pairs), then the
+one assembly (_pair_unitary), which writes a block column at a time with
+one rank-r product each.  The applications read only the left block
+column, so their two backends ask the assembly for that column alone:
+exact with the closed form's pairs, protocol with _protocol_pairs, the
+routine simulate_protocol runs.
 build_target_unitary assembles the closed-form goal
 
     U_f = i * [[ sqrt(I - f(Ad) f(A)),  f(Ad) ],
@@ -48,6 +51,7 @@ one-seed draw (ControlNoiseModel) takes the same pass, about 0.1 ms.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +83,7 @@ class ControlNoiseModel:
 
     def time_factors(self, count: int) -> np.ndarray:
         """Per-step multiplicative factors 1 + eta * N(0, 1), in step order."""
+        count = linalg.as_count(count, "count", least=0)
         return 1.0 + self.eta * _standard_normals([self.seed], count)[0]
 
 
@@ -242,26 +247,36 @@ def simulate_protocol(a, schedule: PhaseSchedule,
     another A is refused.
     """
     h = embed(a)
-    times = schedule.times()
-    if noise is not None:
-        times = times * noise.time_factors(schedule.degree)
-    pa, pb = _step_pairs(schedule.phis(), times, h.svd.singulars)
+    pa, pb = _protocol_pairs(h, schedule, noise)
     achieved = None if target is None else _target_distance(h, pa, pb, target)
     return ProtocolResult(unitary=_pair_unitary(h, pa, pb), embedding=h,
                           achieved_eps=achieved)
 
 
-def _pair_unitary(h: BlockHamiltonian, pa, pb) -> np.ndarray:
+def _protocol_pairs(h: BlockHamiltonian, schedule: PhaseSchedule,
+                    noise: ControlNoiseModel | None = None):
+    """(pa, pb), the pair of one run of schedule at each singular value of
+    the embedding h, with the noise model's step-time factors if given."""
+    times = schedule.times()
+    if noise is not None:
+        times = times * noise.time_factors(schedule.degree)
+    return _step_pairs(schedule.phis(), times, h.svd.singulars)
+
+
+def _pair_unitary(h: BlockHamiltonian, pa, pb, left_only=False) -> np.ndarray:
     """I + B (P - I) B^dag: the pair (pa_j, pb_j) on the plane of singular
-    pair j, as [[a, b], [-b*, a*]], and the identity outside the pairs."""
+    pair j, as [[a, b], [-b*, a*]], and the identity outside the pairs.
+
+    Written a block column at a time, one product each: the left column
+    [I_n; 0] + [R (pa - 1); L (-pb*)] R^dag and the right one
+    [0; I_m] + [R pb; L (pa* - 1)] L^dag.  With left_only, the result is
+    the (n + m) x n left column alone, the blocks that act on (x, 0)."""
     n, res = h.n, h.svd
     r, l = res.right_vectors, res.left_vectors
-    r_dag, l_dag = r.conj().T, l.conj().T
-    u = np.eye(n + h.m, dtype=complex)
-    u[:n, :n] += (r * (pa - 1.0)) @ r_dag
-    u[:n, n:] += (r * pb) @ l_dag
-    u[n:, :n] += (l * -np.conj(pb)) @ r_dag
-    u[n:, n:] += (l * (np.conj(pa) - 1.0)) @ l_dag
+    u = np.eye(n + h.m, n if left_only else n + h.m, dtype=complex)
+    u[:, :n] += np.concatenate([r * (pa - 1.0), l * -np.conj(pb)]) @ r.conj().T
+    if not left_only:
+        u[:, n:] += np.concatenate([r * pb, l * (np.conj(pa) - 1.0)]) @ l.conj().T
     return u
 
 
@@ -320,11 +335,16 @@ def noise_sweep(a, schedule: PhaseSchedule, etas, trials: int,
     standard normals are drawn once and every eta's row scales them, so
     rows are directly comparable across etas, a sweep builds trials
     generators, and the whole table is deterministic.  Distances are
-    computed per singular pair (see the module docstring).
+    computed per singular pair (see the module docstring).  etas is a
+    sequence of numbers (a list, a tuple or a 1-D array), checked before
+    any draw.
     """
     trials = linalg.as_count(trials, "trials")
     seed = linalg.as_count(seed, "seed", least=0)
     sigmas = embed(a).svd.singulars     # embed validates sigma_max <= 1
+    if isinstance(etas, (str, bytes)) or not (isinstance(etas, Sequence)
+                                              or np.ndim(etas) == 1):
+        raise InvalidInputError(f"etas must be a sequence of numbers, got {etas!r}")
     etas = [linalg.as_real(eta, "eta", least=0) for eta in etas]
     if not etas:
         return []

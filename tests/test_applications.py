@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hsvt import applications, embedding, linalg, protocol, targets
+from hsvt import applications, compiler, embedding, linalg, protocol, targets
 from hsvt.compiler import PhaseSchedule, SolverOptions
 from hsvt.errors import (ConvergenceError, GeneratorError, InvalidInputError,
                          NormalizationError, PreconditionError,
@@ -125,7 +125,7 @@ def counting(monkeypatch, module, name):
 def test_protocol_cascade_simulates_once(rng, monkeypatch):
     a = random_contraction(rng, 2, lo=0.45, hi=0.75)
     psi = random_state(rng, 2)
-    calls = counting(monkeypatch, protocol, "simulate_protocol")
+    calls = counting(monkeypatch, protocol, "_protocol_pairs")
     state, _ = applications.power_cascade(a, psi, 50, backend="protocol",
                                           domain=(0.4, 0.8))
     assert len(calls) == 1
@@ -472,7 +472,7 @@ def test_exact_blocks_equal_the_closed_form(rng, name):
     a = make(rng)
     n = a.shape[1]
     upper, lower = applications._stripped_blocks(
-        applications._block_unitary(a, "exact", 1e-3, DOMAIN), n)
+        applications._block_column(a, "exact", 1e-3, DOMAIN), n)
     want_upper, want_lower = applications._stripped_blocks(
         protocol.build_target_unitary(a, targets.identity(0.1, 0.9)).matrix, n)
     assert np.max(np.abs(lower - want_lower)) < 1e-14
@@ -578,3 +578,83 @@ def test_an_invalid_domain_raises_on_every_call(rng, domain):
 def test_ode_refuses_a_bool_dt(dt):
     with pytest.raises(InvalidInputError, match="dt must be a number, got"):
         applications.OdeProblem(-np.eye(2), dt, 1, [1, 0])
+
+
+# -- the left block column ---------------------------------------------------
+
+# name -> A from rng; the protocol backend needs every sigma inside DOMAIN,
+# which a rank-deficient A's zero singular values are not
+COLUMN_BLOCKS = {
+    "4x4": lambda rng: random_contraction(rng, 4, lo=0.45, hi=0.75),
+    "3x5": lambda rng: random_contraction(rng, 5, 3, lo=0.45, hi=0.75),
+    "rank-2 4x4": rank_two,
+}
+
+
+def column_pairs(h, backend):
+    """The pairs each backend hands the assembly for the embedding h."""
+    if backend == "exact":
+        return compiler.reduced_target(np.minimum(h.svd.singulars, 1.0))
+    schedule = applications.compiled_schedule(targets.identity(*DOMAIN), 1e-3)
+    return protocol._protocol_pairs(h, schedule)
+
+
+@pytest.mark.parametrize("backend", ["exact", "protocol"])
+@pytest.mark.parametrize("name", sorted(COLUMN_BLOCKS))
+def test_left_column_is_the_full_assembly_sliced(rng, name, backend):
+    h = embedding.embed(COLUMN_BLOCKS[name](rng))
+    pairs = column_pairs(h, backend)
+    full = protocol._pair_unitary(h, *pairs)
+    column = protocol._pair_unitary(h, *pairs, left_only=True)
+    assert same_floats(column, full[:, :h.n])
+
+
+def sliced_full_assembly(monkeypatch):
+    """Make every assembly build the full unitary, of which the applications
+    then read the first n columns: the reference for the left column."""
+    real = protocol._pair_unitary
+    monkeypatch.setattr(protocol, "_pair_unitary",
+                        lambda h, pa, pb, left_only=False: real(h, pa, pb))
+
+
+def column_outputs(name, a, psi, backend):
+    """Every array and float an application returns on A and psi."""
+    kw = dict(backend=backend, eps=1e-3, domain=DOMAIN)
+    if name == "apply_matrix":
+        r = applications.apply_matrix(a, psi, **kw)
+        return [r.state, r.success_prob, r.amplification]
+    if name == "power_cascade":
+        state, p = applications.power_cascade(a, psi, 5, **kw)
+        return [state.blocks, p]
+    if name == "ode_solve":         # I + B dt = A
+        problem = applications.OdeProblem(b=(a - np.eye(len(a))) / 0.1, dt=0.1,
+                                          steps=5, psi0=psi)
+        state, final = applications.ode_solve(problem, **kw)
+        return [state.blocks, final]
+    r = applications.history_state(a, psi, 3, eps=1e-2, backend=backend)
+    return [r.history, r.success_prob, r.kappa_tilde, r.amplification]
+
+
+# (A, application, backend): only apply_matrix takes a rectangular A, and
+# the protocol backend refuses the rank-deficient A
+COLUMN_CASES = [(name, call, backend)
+                for name in sorted(COLUMN_BLOCKS)
+                for call in ("apply_matrix", "power_cascade", "ode_solve", "history_state")
+                for backend in ("exact", "protocol")
+                if (name != "3x5" or call == "apply_matrix")
+                and (backend == "exact" or not name.startswith("rank"))]
+
+
+@pytest.mark.parametrize("name, call, backend", COLUMN_CASES,
+                         ids=["-".join(case) for case in COLUMN_CASES])
+def test_applications_equal_the_sliced_full_assembly(rng, monkeypatch, name, call,
+                                                     backend):
+    a = COLUMN_BLOCKS[name](rng)
+    if call == "history_state":     # sigma_max well below 1
+        a = 0.8 * a
+    psi = random_state(rng, a.shape[1])
+    got = column_outputs(call, a, psi, backend)
+    sliced_full_assembly(monkeypatch)
+    want = column_outputs(call, a, psi, backend)
+    for x, y in zip(got, want):
+        assert same_floats(np.asarray(x), np.asarray(y))

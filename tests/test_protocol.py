@@ -487,3 +487,21 @@ def test_noise_sweep_refuses_a_bool_eta(eta):
     schedule = compiler.schedule_from_arrays([0.3, -0.3])
     with pytest.raises(InvalidInputError, match="eta must be a number, got"):
         protocol.noise_sweep([[0.5]], schedule, [1e-3, eta], trials=2)
+
+
+@pytest.mark.parametrize("etas", [1e-3, None, "0.1", np.array(1e-3), np.array([[1e-3]])],
+                         ids=["float", "None", "str", "0-d array", "2-d array"])
+def test_noise_sweep_refuses_etas_that_are_no_sequence_before_any_draw(rng, monkeypatch,
+                                                                       etas):
+    a, sch = random_contraction(rng, 2), make_schedule(rng, 3)
+    calls = count_calls(monkeypatch, np.random, ("default_rng",))
+    with pytest.raises(InvalidInputError, match="etas must be a sequence of numbers"):
+        protocol.noise_sweep(a, sch, etas, trials=2)
+    assert calls == {"default_rng": 0}
+
+
+def test_noise_sweep_takes_any_sequence_of_etas(rng):
+    a, sch = random_contraction(rng, 2), make_schedule(rng, 3)
+    want = protocol.noise_sweep(a, sch, [1e-3, 2e-3], trials=3)
+    for etas in [(1e-3, 2e-3), np.array([1e-3, 2e-3])]:
+        assert protocol.noise_sweep(a, sch, etas, trials=3) == want

@@ -138,6 +138,25 @@ REFUSALS = {
     "noise-sweep-seed-fractional": (lambda tmp: protocol.noise_sweep(
                                         HALF, SCHEDULE, [0.1], 2, seed=2.5),
                                     InvalidInputError, "seed must be an integer, got 2.5"),
+    "noise-sweep-etas-number": (lambda tmp: protocol.noise_sweep(HALF, SCHEDULE, 1e-3, 2),
+                                InvalidInputError,
+                                "etas must be a sequence of numbers, got 0.001"),
+    "noise-sweep-etas-none": (lambda tmp: protocol.noise_sweep(HALF, SCHEDULE, None, 2),
+                              InvalidInputError,
+                              "etas must be a sequence of numbers, got None"),
+    "noise-sweep-etas-string": (lambda tmp: protocol.noise_sweep(HALF, SCHEDULE, "0.1", 2),
+                                InvalidInputError,
+                                "etas must be a sequence of numbers, got '0.1'"),
+    "noise-sweep-etas-set": (lambda tmp: protocol.noise_sweep(HALF, SCHEDULE, {0.1}, 2),
+                             InvalidInputError,
+                             "etas must be a sequence of numbers, got {0.1}"),
+    "noise-model-count-negative": (lambda tmp: protocol.ControlNoiseModel(0.1).time_factors(-1),
+                                   InvalidInputError, "count must be >= 0, got -1"),
+    "noise-model-count-fractional": (lambda tmp: protocol.ControlNoiseModel(0.1).time_factors(
+                                         2.5),
+                                     InvalidInputError, "count must be an integer, got 2.5"),
+    "noise-model-count-bool": (lambda tmp: protocol.ControlNoiseModel(0.1).time_factors(True),
+                               InvalidInputError, "count must be an integer, got True"),
     "noise-model-seed-fractional": (lambda tmp: protocol.ControlNoiseModel(0.1, seed=2.5),
                                     InvalidInputError, "seed must be an integer, got 2.5"),
     "solver-options-seed-fractional": (lambda tmp: SolverOptions(seed=2.5),
