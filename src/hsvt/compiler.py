@@ -37,6 +37,10 @@ T_MAX = 8.0
 # A solve is done once its max node residual is at most MARGIN * target_eps: the
 # accuracy contract holds with room left for round-off between grids.
 MARGIN = 0.8
+# A fixed-t stage that ends at its evaluation cap is solved again from where it
+# stopped while its cost fell by at least this fraction over the last eighth of
+# its iterations (see _stage_solve).
+DESCENT = 0.02
 # random starts an explicit-degree compile adds to its deterministic one when
 # the warm start misses eps
 RESTARTS = 8
@@ -45,7 +49,9 @@ _STOP_REASONS = {-2: "eps", 0: "cap"}
 
 
 def _wrap_phase(phi: float) -> float:
-    """Reduce to (-pi, pi]."""
+    """Reduce to (-pi, pi]; a phase already there is kept as given."""
+    if -math.pi < phi <= math.pi:
+        return phi
     w = math.fmod(phi + math.pi, 2.0 * math.pi)
     if w <= 0.0:
         w += 2.0 * math.pi
@@ -438,11 +444,23 @@ class _CachedObjective:
         return self._jac
 
 
+class _Search(tuple):
+    """What _solve_fixed_degree returns: the tuple (max node residual, x,
+    nfev, stop reason), and in costs the cost after each iteration of the
+    best start's solve (empty if that start needed none)."""
+
+    def __new__(cls, mx, x, nfev, reason, costs):
+        search = super().__new__(cls, (mx, x, nfev, reason))
+        search.costs = costs
+        return search
+
+
 def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
                         fold=None):
     """Best local minimum over the given initial points.
 
-    Returns (max node residual, x, nfev, stop reason of the best start).
+    Returns a _Search: (max node residual, x, nfev, stop reason of the best
+    start), with the cost after each iteration of the best start's solve.
     Without a fold this searches the full space.  With fold = _sym_fold(k, ...)
     it searches the symmetric half space: inits and the returned vector are
     half-space vectors y, with full parameters S @ y.
@@ -477,8 +495,9 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
     screen = _ROW_SCALE[opts.metric] * stop * (1 + 1e-9)
 
     def done(intermediate_result):
+        costs.append(intermediate_result.cost)
         fun = intermediate_result.fun
-        if np.max(np.abs(fun)) > screen:
+        if not early or np.max(np.abs(fun)) > screen:
             return
         if _max_node_residual(fun, opts.metric) <= stop:
             raise StopIteration
@@ -487,6 +506,7 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
     nfev_total = 0
     for x0 in inits:
         x0 = np.clip(x0, bounds[0] + 1e-12, bounds[1] - 1e-12)
+        costs = []
         # memoized: least_squares' own first evaluation of x0 reuses it
         mx = _max_node_residual(obj.residual(x0), opts.metric) if early else np.inf
         if mx <= stop:
@@ -495,16 +515,15 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
         else:
             sol = least_squares(obj.residual, x0, jac=obj.jacobian, method="trf",
                                 bounds=bounds, xtol=tol, ftol=tol, gtol=tol,
-                                x_scale=x_scale, max_nfev=max_nfev,
-                                callback=done if early else None)
+                                x_scale=x_scale, max_nfev=max_nfev, callback=done)
             nfev_total += sol.nfev
             x, reason = sol.x, _STOP_REASONS.get(sol.status, "tolerance")
             mx = _max_node_residual(sol.fun, opts.metric)
         if best is None or mx < best[0]:
-            best = (mx, x, reason)
+            best = (mx, x, reason, costs)
         if best[0] <= stop:
             break
-    return best[0], best[1], nfev_total, best[2]
+    return _Search(best[0], best[1], nfev_total, best[2], best[3])
 
 
 # ---------------------------------------------------------------------------
@@ -560,19 +579,48 @@ def _sym_grow(y, k, grow_by, variable_t):
     return _cancel_pairs(y[:m], grow_by // 2), k + 2 * grow_by
 
 
+def _descending(costs) -> bool:
+    """Whether a solve's cost fell by at least DESCENT over the last eighth of
+    its iterations."""
+    back = len(costs) // 8
+    return back > 0 and bool(costs[-1] <= (1.0 - DESCENT) * costs[-1 - back])
+
+
 def _stage_solve(k, f, opts, inits, max_nfev):
-    """Solve one continuation stage on its own (coarser) Chebyshev grid."""
+    """Solve one continuation stage on its own (coarser) Chebyshev grid.
+
+    Each solve may spend max_nfev evaluations.  While a fixed-t stage's best
+    solve stopped at that cap with its cost still falling (_descending), the
+    stage is solved again from where it stopped, until a solve meets
+    MARGIN * target_eps, ends on a tolerance, stops improving the max node
+    residual or the stage has spent opts.max_nfev evaluations in all.
+    Variable-t stages are solved once.  Returns (max node residual, y, nfev,
+    stop reason) of the best solve, nfev counting every solve.
+    """
     sigmas, target = _grid(f, max(2 * k, 16))
-    return _solve_fixed_degree(k, sigmas, target, opts, inits, max_nfev,
-                               fold=_sym_fold(k, opts.variable_t))
+    fold = _sym_fold(k, opts.variable_t)
+    search = _solve_fixed_degree(k, sigmas, target, opts, inits, max_nfev, fold=fold)
+    mx, y, nfev, reason = search
+    while (not opts.variable_t and reason == "cap" and _descending(search.costs)
+           and nfev < opts.max_nfev):
+        search = _solve_fixed_degree(k, sigmas, target, opts, [y],
+                                     min(max_nfev, opts.max_nfev - nfev), fold=fold)
+        nfev += search[2]
+        if search[0] >= mx:
+            break
+        mx, y, _, reason = search
+    return mx, y, nfev, reason
 
 
 def _continuation(f, k, opts, rng):
     """Grow a symmetric solution from low degree up to k.
 
     Yields (degree, x, max stage residual, nfev so far) after each stage, x
-    the full parameter vector.  A fixed-t stream to k >= 4 passes through each
-    k' >= 4 below k with k' = k (mod 4), yielding what a stream to k' would.
+    the full parameter vector.  A stage's solve may spend 400 evaluations (or
+    opts.max_nfev if fewer); a fixed-t stage that spends them while still
+    descending keeps solving (see _stage_solve) before the stream grows.  A
+    fixed-t stream to k >= 4 passes through each k' >= 4 below k with
+    k' = k (mod 4), yielding what a stream to k' would.
     """
     m, mid = divmod(k, 2)
     if opts.variable_t:

@@ -45,6 +45,17 @@ def test_every_constructed_schedule_reads_back(tmp_path_factory, steps):
 
 
 @settings(max_examples=300, deadline=None, database=None)
+@given(st.floats(min_value=-np.pi, max_value=np.pi, exclude_min=True))
+@example(np.pi)
+@example(-0.0)
+def test_phase_in_the_wrap_interval_is_kept_exactly(phi):
+    schedule = compiler.schedule_from_arrays([phi])
+    assert schedule.steps[0].phi == phi
+    text = schedule.to_text()
+    assert PhaseSchedule.from_text(text).to_text() == text
+
+
+@settings(max_examples=300, deadline=None, database=None)
 @given(schedule_texts)
 def test_schedule_from_text_raises_only_parse_error(text):
     try:

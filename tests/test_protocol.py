@@ -399,10 +399,10 @@ def test_noise_sweep_table_is_pinned():
     table = protocol.noise_sweep(a, schedule, [0.0, 1e-3, 0.05], 6, seed=2**64 - 3)
     assert table == [
         {"eta": 0.0, "mean_distance": 0.0, "max_distance": 0.0, "trials": 6},
-        {"eta": 0.001, "mean_distance": 0.0013030337511098073,
-         "max_distance": 0.00183242844984203, "trials": 6},
+        {"eta": 0.001, "mean_distance": 0.0013030337511098164,
+         "max_distance": 0.0018324284498420864, "trials": 6},
         {"eta": 0.05, "mean_distance": 0.06489266913889578,
-         "max_distance": 0.09154415049265617, "trials": 6},
+         "max_distance": 0.09154415049265634, "trials": 6},
     ]
 
 
