@@ -11,10 +11,13 @@ Both are written into the full space by the simulator's one assembly
 exact backend takes no eigendecomposition.  The assembly writes a block
 column at a time, and cascades, ODE solves, applies and history states
 read only the left one, the blocks that act on (x, 0), so each call
-builds only that column, once.  The protocol backend takes its pairs from
-the routine simulate_protocol runs (protocol._protocol_pairs).  Each call
-decomposes A once: the embedding (in the protocol backend, the domain
-check) takes the SVD and carries it to the assembly.
+builds only that column, once.  One routine (_left_blocks) picks the
+backend's pairs, builds that column and strips its global factor i, for
+every application and for history_state's inverse.  The protocol backend
+takes its pairs from the routine simulate_protocol runs
+(protocol._protocol_pairs).  Each call decomposes A once: the embedding
+(in the protocol backend, the domain check) takes the SVD and carries it
+to the assembly.
 A call's fixed costs are paid once: its entry point checks each input in
 one finite pass, a domain's identity target is built once (_domain_target)
 and a compiled schedule's memo hit builds no options.  A cascade of n
@@ -25,8 +28,9 @@ place, then every register block from one more product.
 States are plain 1-D complex arrays; norms are reported, never forced.
 Register phases: each application of the block unitary multiplies both
 output blocks by the global factor i, which is deterministic bookkeeping
-on the ancilla register; the cascade strips it (multiplies by -i) so block
-k literally carries sqrt(I - Ad A) A^k psi and the last block A^n psi.
+on the ancilla register; _left_blocks strips it (multiplies by -i) so
+cascade block k literally carries sqrt(I - Ad A) A^k psi and the last
+block A^n psi.
 """
 
 from __future__ import annotations
@@ -157,38 +161,27 @@ class ApplyResult:
     amplification: int           # ceil(pi / (4 sqrt(p)))
 
 
-def _block_column(a, backend: str, eps: float, domain,
-                  opts: SolverOptions | None = None) -> np.ndarray:
-    """The left block column of the block unitary that carries A, in the
-    chosen backend.  Each backend gives one SU(2) pair per singular value
-    to the simulator's assembly (protocol._pair_unitary): exact reads the
-    closed form's pairs off the one SVD, at min(sigma, 1) since embed
-    admits round-off above 1; protocol runs the schedule compiled for the
-    identity on domain."""
+def _left_blocks(a, backend: str, eps: float, target,
+                 opts: SolverOptions | None = None):
+    """(sqrt-complement block, f(A) block) of the left block column of the
+    unitary that carries A, the blocks that act on (x, 0), with its
+    deterministic global factor i stripped.  Each backend gives one SU(2)
+    pair per singular value to the simulator's assembly
+    (protocol._pair_unitary): exact reads the closed form's pairs off the
+    one SVD, at min(sigma, 1) since embed admits round-off above 1, and
+    never reads target; protocol runs the schedule compiled for target, a
+    TargetFunction or a domain whose identity it takes."""
     if backend == "exact":
         h = embedding.embed(a)
         pairs = compiler.reduced_target(np.minimum(h.svd.singulars, 1.0))
-        return protocol._pair_unitary(h, *pairs, left_only=True)
-    if backend == "protocol":
-        return _protocol_column(a, _domain_target(*domain), eps, opts)
-    raise InvalidInputError(f"unknown backend {backend!r}")
-
-
-def _protocol_column(a, f: TargetFunction, eps: float,
-                     opts: SolverOptions | None = None) -> np.ndarray:
-    """The left block column of one run of the schedule compiled for f, on
-    A's embedding (its singular values checked against f's domain)."""
-    h = _embed_in_domain(a, f)
-    pairs = protocol._protocol_pairs(h, compiled_schedule(f, eps, opts))
-    return protocol._pair_unitary(h, *pairs, left_only=True)
-
-
-def _stripped_blocks(u: np.ndarray, n: int):
-    """(sqrt-complement block, f(A) block) of u's first n columns, the
-    blocks that act on (x, 0) for x of size n, with the block unitary's
-    deterministic global factor i stripped."""
-    column = -1j * u[:, :n]
-    return column[:n], column[n:]
+    elif backend == "protocol":
+        f = target if isinstance(target, TargetFunction) else _domain_target(*target)
+        h = _embed_in_domain(a, f)
+        pairs = protocol._protocol_pairs(h, compiled_schedule(f, eps, opts))
+    else:
+        raise InvalidInputError(f"unknown backend {backend!r}")
+    column = -1j * protocol._pair_unitary(h, *pairs, left_only=True)[:, :h.n]
+    return column[:h.n], column[h.n:]
 
 
 def apply_matrix(a, psi, backend: str = "exact", eps: float = 1e-3,
@@ -200,8 +193,7 @@ def apply_matrix(a, psi, backend: str = "exact", eps: float = 1e-3,
     if psi.size != a.shape[1]:
         raise InvalidInputError(
             f"state dimension {psi.size} does not match A columns {a.shape[1]}")
-    u = _block_column(a, backend, eps, domain)
-    lower = _stripped_blocks(u, psi.size)[1] @ psi
+    lower = _left_blocks(a, backend, eps, domain)[1] @ psi
     p = float(np.real(np.vdot(lower, lower)))
     if p < ZERO_PROB_TOL:
         raise ZeroProbabilitySignal("A annihilates the input state")
@@ -246,8 +238,7 @@ def power_cascade(a, psi, n: int, backend: str = "exact", eps: float = 1e-3,
     psi = _as_state(psi)
     if psi.size != a.shape[1]:
         raise InvalidInputError("state dimension does not match A")
-    u = _block_column(a if h is None else h, backend, eps, domain, opts)
-    upper, lower = _stripped_blocks(u, psi.size)
+    upper, lower = _left_blocks(a if h is None else h, backend, eps, domain, opts)
     # row k of blocks is filled with lower^k psi; each pass writes the next
     # rows as held rows times step = (lower^T)^(2^j), doubling the rows held
     blocks = np.empty((n + 1, psi.size), dtype=complex)
@@ -369,7 +360,7 @@ def history_state(a, psi, n: int, eps: float = 1e-3,
         f_inv = targets.scaled_power(-1.0, c, lo, hi)
         s_h = embedding.BlockHamiltonian(
             a_block=(r * s) @ r.conj().T, svd=linalg.SvdResult(s, r, r))
-        _, inv = _stripped_blocks(_protocol_column(s_h, f_inv, eps), psi.size)
+        _, inv = _left_blocks(s_h, "protocol", eps, f_inv)
 
     raw = cascade.blocks[:n] @ inv.T
     vec = np.concatenate((raw.reshape(-1), c * cascade.block(n)))

@@ -231,9 +231,7 @@ def cmd_simulate(cfg: dict):
     a = io.read_matrix(cfg["matrix"])
     schedule = io.read_schedule(cfg["schedule"])
     f = _target_from_config(cfg)
-    noise = None
-    if cfg.get("eta"):
-        noise = protocol.ControlNoiseModel(cfg["eta"], **_given(cfg, "seed"))
+    noise = protocol.ControlNoiseModel(cfg.get("eta", 0.0), **_given(cfg, "seed"))
     h = embedding.embed(a)
     target = protocol.build_target_unitary(h, f)
     result = protocol.simulate_protocol(h, schedule, noise=noise)

@@ -34,7 +34,8 @@ def _open_mode(path) -> int:
 
 
 def write_text(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    path = os.path.realpath(path)       # through a symlink, as open() writes
+    directory = os.path.dirname(path)
     mode = _open_mode(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hsvt-tmp-")
     try:

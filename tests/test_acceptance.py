@@ -7,6 +7,8 @@ documented accuracy contracts of every application entry point.
 
 import json
 import math
+import pathlib
+import re
 import time
 
 import numpy as np
@@ -254,3 +256,17 @@ def test_artifacts_reproducible(tmp_path):
         d.pop("timing")
         sim_reports.append(json.dumps(d, sort_keys=True))
     assert sim_reports[0] == sim_reports[1]
+
+
+# README's Python example runs as documented -------------------------------
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    achieved = float(capsys.readouterr().out.split()[0])
+    assert achieved <= 1e-3

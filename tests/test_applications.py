@@ -471,10 +471,10 @@ def test_exact_blocks_equal_the_closed_form(rng, name):
     make, wide = ORACLE_BLOCKS[name]
     a = make(rng)
     n = a.shape[1]
-    upper, lower = applications._stripped_blocks(
-        applications._block_column(a, "exact", 1e-3, DOMAIN), n)
-    want_upper, want_lower = applications._stripped_blocks(
-        protocol.build_target_unitary(a, targets.identity(0.1, 0.9)).matrix, n)
+    upper, lower = applications._left_blocks(a, "exact", 1e-3, DOMAIN)
+    target = protocol.build_target_unitary(a, targets.identity(0.1, 0.9))
+    want = -1j * target.matrix[:, :n]
+    want_upper, want_lower = want[:n], want[n:]
     assert np.max(np.abs(lower - want_lower)) < 1e-14
     if not wide:
         assert np.max(np.abs(upper - want_upper)) < 1e-14

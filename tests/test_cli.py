@@ -91,6 +91,7 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
     (["simulate", "--eta", "1e-3", "--seed", "-1"], "seed"),
     (["synthesize", "--seed", "-1"], "'seed'"),
     (["synthesize", "--max-nfev", "0"], "'max_nfev'"),
+    (["simulate", "--seed", "-1"], "seed"),
 ])
 def test_out_of_range_seed_and_max_nfev_exit_2(tmp_path, capsys, argv, named):
     m = tmp_path / "m.json"

@@ -63,6 +63,14 @@ def test_schedule_parse_errors():
         PhaseSchedule.from_text("# hsvt-schedule v1 k=1 convention=c\n0.1,-1\n")
 
 
+def test_schedule_text_skips_blank_and_comment_lines():
+    plain = "# hsvt-schedule v1 k=3\n0.1,1\n-0.5,2\n0.25,0.5\n"
+    annotated = ("# hsvt-schedule v1 k=3\n0.1,1\n\n# second step\n"
+                 "  -0.5,2\n   \n  # third\n0.25,0.5\n")
+    assert PhaseSchedule.from_text(annotated) == PhaseSchedule.from_text(plain)
+    assert PhaseSchedule.from_text(plain).degree == 3
+
+
 @pytest.mark.parametrize("text", [
     "# hsvt-schedule v1 k=abc\n0.1,1\n",
     "# hsvt-schedule v1 k=1\ninf,1\n",

@@ -75,6 +75,17 @@ def test_write_text_leaves_the_mode_that_open_leaves(tmp_path, umask):
     assert mode == {"by-open": 0o666 & ~umask, "by-io": 0o666 & ~umask, "replaced": 0o640}
 
 
+def test_write_text_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old")
+    target.chmod(0o640)
+    link.symlink_to(target.name)
+    io.write_text(link, "new")
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == "new"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
 def test_write_text_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
     def refuse(src, dst):
         raise OSError("rename refused")
