@@ -180,7 +180,7 @@ def _left_blocks(a, backend: str, eps: float, target,
         pairs = protocol._protocol_pairs(h, compiled_schedule(f, eps, opts))
     else:
         raise InvalidInputError(f"unknown backend {backend!r}")
-    column = -1j * protocol._pair_unitary(h, *pairs, left_only=True)[:, :h.n]
+    column = -1j * protocol._pair_unitary(h, *pairs, left_only=True)
     return column[:h.n], column[h.n:]
 
 
@@ -241,7 +241,10 @@ def power_cascade(a, psi, n: int, backend: str = "exact", eps: float = 1e-3,
     upper, lower = _left_blocks(a if h is None else h, backend, eps, domain, opts)
     # row k of blocks is filled with lower^k psi; each pass writes the next
     # rows as held rows times step = (lower^T)^(2^j), doubling the rows held
-    blocks = np.empty((n + 1, psi.size), dtype=complex)
+    try:
+        blocks = np.empty((n + 1, psi.size), dtype=complex)
+    except (ValueError, MemoryError):
+        raise InvalidInputError(f"n = {n} is too large to allocate") from None
     blocks[0] = psi
     step, held = lower.T, 1
     while held <= n:

@@ -644,13 +644,12 @@ def _continuation(f, k, opts, rng):
 
 
 def _report(x, sigmas, target, opts: SolverOptions, nfev, stop_reason,
-            f: TargetFunction | None = None):
+            f: TargetFunction):
     """(schedule, report) for a full parameter vector on the given grid of f,
     whose sigma_hi gives the report's noise_gain."""
     schedule = schedule_from_arrays(*(np.split(x, 2) if opts.variable_t else [x]))
     residuals = _residuals(schedule, sigmas, target, opts.metric)
     max_residual = float(np.max(residuals))
-    gain = None if f is None else float(f.sigma_hi * np.linalg.norm(schedule.times()))
     report = SynthesisReport(
         grid=sigmas,
         residual_per_node=residuals,
@@ -660,7 +659,7 @@ def _report(x, sigmas, target, opts: SolverOptions, nfev, stop_reason,
         converged=max_residual <= opts.target_eps,
         metric=opts.metric,
         stop_reason=stop_reason,
-        noise_gain=gain,
+        noise_gain=float(f.sigma_hi * np.linalg.norm(schedule.times())),
     )
     return schedule, report
 

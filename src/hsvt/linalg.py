@@ -96,11 +96,3 @@ def sqrt_psd(m) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
-
-def op_distance(u, v) -> float:
-    """Spectral-norm distance ||U - V||_2."""
-    a = as_complex_matrix(u, "U")
-    b = as_complex_matrix(v, "V")
-    if a.shape != b.shape:
-        raise InvalidInputError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b, 2))

@@ -25,10 +25,11 @@ build_target_unitary assembles the closed-form goal
 which is unitary and anti-Hermitian at once; the global factor i is part
 of the contract and verification uses plain operator distance, never a
 phase-invariant one.  It takes its roots from eigendecompositions and
-carries +-i on the kernels, so it stays a dense check made apart from
+carries +-i on the kernels, so it stays a dense matrix built apart from
 the assembly.  It also keeps the closed form's pairs
-(i sqrt(1 - f^2), i f) at A's singular values (TargetUnitary.pairs), from
-which a simulation with that target reads its achieved_eps.
+(i sqrt(1 - f^2), i f) at A's singular values (TargetUnitary.pairs); a run
+keeps its own (ProtocolResult.pairs), and verify and achieved_eps read the
+distance of the two from one routine (_target_distance).
 
 noise_sweep builds no full-space matrix.  On the pair (r_j, l_j) of each
 singular value sigma_j every step is the SU(2) rotation [[c, w], [-w*, c]]
@@ -92,7 +93,11 @@ def _standard_normals(seeds, count: int) -> np.ndarray:
     np.random.default_rng(seeds[i]), bit for bit.  The generators' seed
     words come from one pass over all seeds (_seed_states); numpy still
     seeds each PCG64 from them and draws the normals."""
-    z = np.empty((len(seeds), count))
+    try:
+        z = np.empty((len(seeds), count))
+    except (ValueError, MemoryError):
+        raise InvalidInputError(f"{len(seeds)} runs of {count} step-time draws "
+                                "are too large to allocate") from None
     for row, words in zip(z, _seed_states(seeds)):
         np.random.default_rng(_SeedWords(words)).standard_normal(out=row)
     return z
@@ -173,6 +178,7 @@ def _seed_states(seeds) -> np.ndarray:
 class ProtocolResult:
     unitary: np.ndarray
     embedding: BlockHamiltonian
+    pairs: tuple                # (pa, pb) per singular value, assembled into unitary
     achieved_eps: float | None = None
 
 
@@ -212,25 +218,21 @@ def _f_at(f: TargetFunction, sigmas) -> np.ndarray:
     return np.clip(fs, -1.0, 1.0)
 
 
-def _check_same_a(h: BlockHamiltonian, target: TargetUnitary) -> None:
-    """Refuse a target built on another A than the embedding h carries; the
-    same A embedded apart is accepted."""
+def _target_distance(h: BlockHamiltonian, pairs, target: TargetUnitary):
+    """(operator distance, per-pair distances) of the run I + B (P - I) B^dag
+    with pairs (pa, pb) from the target: on pair j the target is the pair
+    (i sqrt(1 - f_j^2), i f_j) that build_target_unitary kept (target.pairs),
+    so both operators differ there by a pair (da, db) of norm
+    sqrt(|da|^2 + |db|^2).  When n + m > 2r a direction outside the pairs
+    carries I against +-iI, at distance sqrt 2.  A target built on another A
+    than the embedding h carries is refused; the same A embedded apart is not."""
     if target.embedding is not h and not np.array_equal(target.embedding.a_block,
                                                         h.a_block):
         raise InvalidInputError("the target was built on a different A")
-
-
-def _target_distance(h: BlockHamiltonian, pa, pb, target: TargetUnitary) -> float:
-    """Operator distance of the simulated I + B (P - I) B^dag from the target,
-    pair by pair: on pair j the target is the pair (i sqrt(1 - f_j^2), i f_j)
-    that build_target_unitary kept (target.pairs, compiler.reduced_target of
-    the same A's singular values), so both operators differ there by a pair
-    (da, db) of norm sqrt(|da|^2 + |db|^2).  When n + m > 2r a direction
-    outside the pairs carries I against +-iI, at distance sqrt 2."""
-    _check_same_a(h, target)
-    ta, tb = target.pairs
-    dist = float(np.max(np.sqrt(np.abs(pa - ta) ** 2 + np.abs(pb - tb) ** 2)))
-    return max(dist, math.sqrt(2.0)) if h.n + h.m > 2 * len(pa) else dist
+    (pa, pb), (ta, tb) = pairs, target.pairs
+    per_pair = np.sqrt(np.abs(pa - ta) ** 2 + np.abs(pb - tb) ** 2)
+    dist = float(np.max(per_pair))
+    return (max(dist, math.sqrt(2.0)) if h.n + h.m > 2 * len(pa) else dist), per_pair
 
 
 def simulate_protocol(a, schedule: PhaseSchedule,
@@ -247,10 +249,10 @@ def simulate_protocol(a, schedule: PhaseSchedule,
     another A is refused.
     """
     h = embed(a)
-    pa, pb = _protocol_pairs(h, schedule, noise)
-    achieved = None if target is None else _target_distance(h, pa, pb, target)
-    return ProtocolResult(unitary=_pair_unitary(h, pa, pb), embedding=h,
-                          achieved_eps=achieved)
+    pairs = _protocol_pairs(h, schedule, noise)
+    achieved = None if target is None else _target_distance(h, pairs, target)[0]
+    return ProtocolResult(unitary=_pair_unitary(h, *pairs), embedding=h,
+                          pairs=pairs, achieved_eps=achieved)
 
 
 def _protocol_pairs(h: BlockHamiltonian, schedule: PhaseSchedule,
@@ -286,29 +288,20 @@ def verify(result: ProtocolResult, target: TargetUnitary, eps: float) -> dict:
     Each singular pair (sigma_j, r_j, l_j) spans a 2-D subspace preserved by
     both operators; the record lists the restricted distances, flagging
     subspaces whose sigma lies outside the target's synthesis domain.  The
-    pairs are read off the SVD that result.embedding carries; verify takes
-    no decomposition of A.  A target built on another A is refused.
+    distances are read off the run's and the target's pairs, as achieved_eps
+    is (_target_distance), with no matrix built and no decomposition taken.
+    A target built on another A is refused.
     """
     eps = linalg.as_real(eps, "eps", least=0)
     h = result.embedding
-    _check_same_a(h, target)
-    u_sim = result.unitary
-    u_tgt = target.matrix
-    distance = linalg.op_distance(u_sim, u_tgt)
-    per_subspace = []
+    distance, per_pair = _target_distance(h, result.pairs, target)
     sigmas = h.svd.singulars
-    for sigma, inside, diff in zip(sigmas, target.f.in_domain(sigmas),
-                                   h.pair_blocks(u_sim - u_tgt)):
-        per_subspace.append({
-            "sigma": float(sigma),
-            "residual": float(np.linalg.norm(diff, 2)),
-            "in_domain": bool(inside),
-        })
     return {
-        "op_distance": float(distance),
-        "eps": eps,
-        "passed": bool(distance <= eps),
-        "per_subspace": per_subspace,
+        "op_distance": distance, "eps": eps, "passed": distance <= eps,
+        "per_subspace": [{"sigma": float(sigma), "residual": float(residual),
+                          "in_domain": bool(inside)}
+                         for sigma, residual, inside in zip(
+                             sigmas, per_pair, target.f.in_domain(sigmas))],
     }
 
 

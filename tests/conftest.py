@@ -48,12 +48,49 @@ def count_calls(monkeypatch, module, names):
     return calls
 
 
+def assemble(h):
+    """The (n+m) x (n+m) Hamiltonian [[0, A^dag], [A, 0]] of an embedding."""
+    n, m = h.n, h.m
+    out = np.zeros((n + m, n + m), dtype=complex)
+    out[n:, :n] = h.a_block
+    out[:n, n:] = h.a_block.conj().T
+    return out
+
+
+def pair_basis(h):
+    """(n+m) x 2r isometry [R (+) 0, 0 (+) L] of an embedding's SVD.
+
+    Columns j and r + j span pair j, the plane on which H acts as
+    sigma_j X: (r_j (+) l_j)/sqrt(2) and (r_j (-) l_j)/sqrt(2) are
+    eigenvectors with eigenvalues +sigma_j and -sigma_j.
+    """
+    res = h.svd
+    r = res.singulars.size
+    b = np.zeros((h.n + h.m, 2 * r), dtype=complex)
+    b[:h.n, :r] = res.right_vectors
+    b[h.n:, r:] = res.left_vectors
+    return b
+
+
+def pair_blocks(h, op):
+    """Per pair j, the 2x2 restriction basis^dag op basis of an (n+m) x (n+m)
+    operator, with basis = columns j and r + j of pair_basis(h)."""
+    b, r = pair_basis(h), h.svd.singulars.size
+    return [b[:, [j, r + j]].conj().T @ op @ b[:, [j, r + j]] for j in range(r)]
+
+
+def op_distance(u, v):
+    """Spectral-norm distance ||U - V||_2: the dense oracle for the distances
+    protocol.verify and achieved_eps read off the pairs."""
+    return float(np.linalg.norm(u - v, 2))
+
+
 def full_space_unitary(a, phis, times):
     """The protocol's product prod_k exp(i phi_k Z/2) exp(-i H t_k)
     exp(-i phi_k Z/2) on the whole space, from one eigendecomposition (w, v)
     of the embedding H of A: the oracle for protocol.simulate_protocol."""
     h = embedding.embed(a)
-    w, v = linalg.hermitian_eig(h.assemble())
+    w, v = linalg.hermitian_eig(assemble(h))
     z = np.concatenate([np.ones(h.n), -np.ones(h.m)])      # diagonal of Z
     u = np.eye(h.n + h.m, dtype=complex)
     for phi, t in zip(phis, times):
@@ -68,7 +105,7 @@ def reduced_full_gap(result, schedule):
     the restriction of full_space_unitary to compiler.reduced_model: the
     full-space oracle against the 2x2 model, at round-off level always."""
     h = result.embedding
-    blocks = h.pair_blocks(full_space_unitary(h, schedule.phis(), schedule.times()))
+    blocks = pair_blocks(h, full_space_unitary(h, schedule.phis(), schedule.times()))
     return max((np.linalg.norm(got - compiler.reduced_model(schedule, sigma), 2)
                 for sigma, got in zip(h.svd.singulars, blocks)), default=0.0)
 

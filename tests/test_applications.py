@@ -610,11 +610,11 @@ def test_left_column_is_the_full_assembly_sliced(rng, name, backend):
 
 
 def sliced_full_assembly(monkeypatch):
-    """Make every assembly build the full unitary, of which the applications
-    then read the first n columns: the reference for the left column."""
+    """Make every assembly build the full unitary and hand the applications
+    its first n columns: the reference for the left column."""
     real = protocol._pair_unitary
     monkeypatch.setattr(protocol, "_pair_unitary",
-                        lambda h, pa, pb, left_only=False: real(h, pa, pb))
+                        lambda h, pa, pb, left_only=False: real(h, pa, pb)[:, :h.n])
 
 
 def column_outputs(name, a, psi, backend):

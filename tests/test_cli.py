@@ -4,12 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from hsvt import applications, cli, io, linalg
+from hsvt import applications, cli, embedding, io, linalg, protocol, targets
 from hsvt.compiler import (CONVENTION, PhaseSchedule, SolverOptions,
                            schedule_from_arrays)
 from hsvt.embedding import SIGMA_MAX_SLACK
 
-from conftest import count_calls
+from conftest import count_calls, pair_blocks, random_contraction
 
 
 def run(argv):
@@ -397,6 +397,59 @@ def test_simulate_takes_one_svd_of_a(tmp_path, monkeypatch, eta):
     assert run(["simulate", "--matrix", str(m), "--schedule", str(sched),
                 "--report-out", str(tmp_path / "rep.json")] + eta) == 0
     assert calls == {"svd": 1}
+
+
+VERIFIED_BLOCKS = {
+    "3x5": lambda rng: random_contraction(rng, 5, 3),
+    "rank-deficient 4x4": lambda rng: random_contraction(rng, 4) @ np.diag(
+        [1.0, 1.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIED_BLOCKS))
+def test_simulate_verification_equals_the_dense_oracle(tmp_path, rng, name):
+    # the report's distances come from the pairs; the dense U - T, whole and
+    # restricted to each pair, is the oracle
+    m, sched, rep = tmp_path / "m.json", tmp_path / "s.txt", tmp_path / "rep.json"
+    io.write_matrix(m, VERIFIED_BLOCKS[name](rng))
+    io.write_schedule(sched, schedule_from_arrays(rng.uniform(-np.pi, np.pi, 6),
+                                                  rng.uniform(0.3, 2.0, 6)))
+    assert run(["simulate", "--matrix", str(m), "--schedule", str(sched),
+                "--sigma-lo", "0.1", "--sigma-hi", "0.9", "--eta", "1e-3",
+                "--seed", "3", "--eps", "1.5", "--report-out", str(rep)]) == 0
+    record = json.loads(rep.read_text())["verification"]
+    a = io.read_matrix(m)
+    h = embedding.embed(a)
+    u = protocol.simulate_protocol(h, io.read_schedule(sched),
+                                   noise=protocol.ControlNoiseModel(1e-3, 3)).unitary
+    diff = u - protocol.build_target_unitary(h, targets.identity(0.1, 0.9)).matrix
+    dense = np.linalg.norm(diff, 2)
+    assert abs(record["op_distance"] - dense) <= 1e-14
+    assert record["passed"] == (dense <= 1.5)
+    residuals = [np.linalg.norm(block, 2) for block in pair_blocks(h, diff)]
+    assert len(record["per_subspace"]) == len(residuals) == min(a.shape)
+    for entry, want in zip(record["per_subspace"], residuals):
+        assert abs(entry["residual"] - want) <= 1e-14
+
+
+HUGE = "1000000000000000000"     # 1e18 rows of at least 16 bytes: numpy refuses the shape
+
+
+@pytest.mark.parametrize("command", ["ode", "history", "sweep"])
+def test_unallocatable_count_exits_2(tmp_path, capsys, command):
+    m, g = tmp_path / "m.json", tmp_path / "g.json"
+    v, sch = tmp_path / "v.json", tmp_path / "s.txt"
+    io.write_matrix(m, [[0.5]])
+    io.write_matrix(g, [[-1.0]])
+    io.write_state(v, [1.0])
+    io.write_schedule(sch, schedule_from_arrays([0.3, -0.3, 0.1]))
+    argv = {"ode": ["ode", "--generator", str(g), "--state", str(v), "--steps", HUGE],
+            "history": ["history", "--matrix", str(m), "--state", str(v), "--n", HUGE],
+            "sweep": ["sweep", "--mode", "noise", "--matrix", str(m),
+                      "--schedule", str(sch), "--etas", "1e-3", "--trials", HUGE]}
+    assert run(argv[command]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and HUGE in err and "too large to allocate" in err
 
 
 def test_synthesize_report_says_why_the_solver_stopped(tmp_path):

@@ -473,7 +473,8 @@ def test_residuals_match_the_dense_spectral_norm(rng, metric, variable_t):
                                rtol=1e-14, atol=0)
     x = np.concatenate([sch.phis(), sch.times()]) if variable_t else sch.phis()
     opts = SolverOptions(variable_t=variable_t, metric=metric)
-    _, rep = compiler._report(x, sigmas, target, opts, 0, "tolerance")
+    f = targets.scaled_power(1.0, 0.8, 0.1, 0.9)          # f(sigma) = 0.8 sigma
+    _, rep = compiler._report(x, sigmas, target, opts, 0, "tolerance", f)
     np.testing.assert_allclose(rep.residual_per_node, want, rtol=1e-14, atol=0)
     assert rep.max_residual == np.max(rep.residual_per_node)
 

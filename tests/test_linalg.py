@@ -48,13 +48,6 @@ def test_sqrt_psd_rejects_negative():
         linalg.sqrt_psd(np.diag([1.0, -1e-3]))
 
 
-def test_op_distance_basics():
-    assert linalg.op_distance(np.eye(3), np.eye(3)) == 0.0
-    assert linalg.op_distance(np.eye(2), -np.eye(2)) == pytest.approx(2.0)
-    with pytest.raises(InvalidInputError):
-        linalg.op_distance(np.eye(2), np.eye(3))
-
-
 NON_FINITE = [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0),
               complex(0, -np.inf)]
 

@@ -7,7 +7,7 @@ from hsvt.compiler import PhaseSchedule
 from hsvt.errors import CapError, InvalidInputError
 
 from conftest import (conjugated_generator, count_calls, noise_sweep_oracle,
-                      random_contraction, reduced_full_gap)
+                      op_distance, random_contraction, reduced_full_gap)
 
 
 def make_schedule(rng, k, variable_t=False):
@@ -139,8 +139,10 @@ def test_achieved_eps_per_pair_equals_the_operator_distance(rng):
                 sch = make_schedule(rng, k, variable_t=True)
                 target = protocol.build_target_unitary(a, f)
                 res = protocol.simulate_protocol(a, sch, target=target)
-                want = linalg.op_distance(res.unitary, target.matrix)
+                want = op_distance(res.unitary, target.matrix)
                 assert abs(res.achieved_eps - want) <= 1e-14
+                # verify reads the same distance, bit for bit
+                assert protocol.verify(res, target, 1e-3)["op_distance"] == res.achieved_eps
 
 
 def test_achieved_eps_refuses_a_target_of_another_a(rng):
@@ -170,7 +172,8 @@ def test_verify_refuses_a_target_of_another_a(rng):
 def test_verify_perfect_match(rng):
     a = random_contraction(rng, 2)
     t = protocol.build_target_unitary(a, targets.identity(0.1, 0.9))
-    fake = protocol.ProtocolResult(unitary=t.matrix.copy(), embedding=t.embedding)
+    fake = protocol.ProtocolResult(unitary=t.matrix.copy(), embedding=t.embedding,
+                                   pairs=t.pairs)
     rec = protocol.verify(fake, t, 1e-3)
     assert rec["passed"]
     assert rec["op_distance"] < 1e-14
@@ -181,9 +184,11 @@ def test_verify_perfect_match(rng):
 def test_verify_detects_perturbation(rng):
     a = random_contraction(rng, 2)
     t = protocol.build_target_unitary(a, targets.identity(0.1, 0.9))
-    u = t.matrix.copy()
-    u[0, 0] += 1e-2
-    fake = protocol.ProtocolResult(unitary=u, embedding=t.embedding)
+    pa, pb = t.pairs
+    pa = pa.copy()
+    pa[0] += 1e-2
+    fake = protocol.ProtocolResult(unitary=protocol._pair_unitary(t.embedding, pa, pb),
+                                   embedding=t.embedding, pairs=(pa, pb))
     rec = protocol.verify(fake, t, 1e-3)
     assert not rec["passed"]
     assert rec["op_distance"] >= 1e-2
@@ -192,7 +197,8 @@ def test_verify_detects_perturbation(rng):
 def test_verify_flags_out_of_domain_sigma():
     a = np.diag([0.5, 0.95])
     t = protocol.build_target_unitary(a, targets.identity(0.3, 0.8))
-    fake = protocol.ProtocolResult(unitary=t.matrix, embedding=t.embedding)
+    fake = protocol.ProtocolResult(unitary=t.matrix, embedding=t.embedding,
+                                   pairs=t.pairs)
     rec = protocol.verify(fake, t, 1e-3)
     flags = {round(s["sigma"], 6): s["in_domain"] for s in rec["per_subspace"]}
     assert flags[0.5] and not flags[0.95]
@@ -221,23 +227,30 @@ VERIFY_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(VERIFY_INPUTS))
 def test_verify_pairs_equal_a_per_pair_loop(rng, name):
+    # verify reads the pairs; the dense U - T, restricted pair by pair, is
+    # the oracle, and the two agree to round-off (about 1 ulp)
     a = VERIFY_INPUTS[name](rng)
     sch = make_schedule(rng, 6, variable_t=True)
-    target = protocol.build_target_unitary(a, targets.identity(0.1, 0.9))
     result = protocol.simulate_protocol(a, sch)
     res = linalg.svd(a)
     m, n = a.shape
-    want = []
-    for j, sigma in enumerate(res.singulars):
-        basis = np.zeros((n + m, 2), dtype=complex)
-        basis[:n, 0] = res.right_vectors[:, j]
-        basis[n:, 1] = res.left_vectors[:, j]
-        diff = basis.conj().T @ (result.unitary - target.matrix) @ basis
-        want.append({"sigma": float(sigma),
-                     "residual": float(np.linalg.norm(diff, 2)),
-                     "in_domain": bool(0.1 - targets.DOMAIN_SLACK <= sigma
-                                       <= 0.9 + targets.DOMAIN_SLACK)})
-    assert protocol.verify(result, target, 1e-3)["per_subspace"] == want
+    for f in (targets.identity(0.1, 0.9), targets.inverse_sqrt_complement(0.3)):
+        target = protocol.build_target_unitary(a, f)
+        record = protocol.verify(result, target, 1e-3)
+        dense = op_distance(result.unitary, target.matrix)
+        assert abs(record["op_distance"] - dense) <= 1e-14
+        assert record["passed"] == (dense <= 1e-3)
+        got = record["per_subspace"]
+        assert len(got) == len(res.singulars)
+        for j, (sigma, entry) in enumerate(zip(res.singulars, got)):
+            basis = np.zeros((n + m, 2), dtype=complex)
+            basis[:n, 0] = res.right_vectors[:, j]
+            basis[n:, 1] = res.left_vectors[:, j]
+            diff = basis.conj().T @ (result.unitary - target.matrix) @ basis
+            assert entry["sigma"] == float(sigma)
+            assert entry["in_domain"] == (f.sigma_lo - targets.DOMAIN_SLACK <= sigma
+                                          <= f.sigma_hi + targets.DOMAIN_SLACK)
+            assert abs(entry["residual"] - np.linalg.norm(diff, 2)) <= 1e-14
 
 
 def test_verify_and_gap_take_no_decomposition_of_a(rng, monkeypatch):
