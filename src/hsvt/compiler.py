@@ -304,7 +304,7 @@ def _rows(a, b, metric):
                                                axis=-1)
 
 
-def _residual_jacobian(params, sigmas, target, variable_t, metric):
+def _residual_jacobian(params, sigmas, target, variable_t, metric, degree=None):
     """Stacked real residual vector, and a callable that returns its Jacobian.
 
     The schedule's product U and the target T = i[[g, f], [f, -g]] (the pair
@@ -317,6 +317,12 @@ def _residual_jacobian(params, sigmas, target, variable_t, metric):
     Both chains run in _chain's rows: row k of y is [a | b reversed] of
     P_k, row k of z that of Q_k.  Under fixed-t every time is 1, so the
     sines and cosines are taken once, on sigmas.
+
+    With a degree (fixed-t only), params are the degree // 2 half-space
+    phases of the symmetric schedule of that degree (see "Symmetric search
+    space"), and both chains run over them alone: U = M^T C M with M = P_K,
+    the suffix chain starts at M^T C, and column j is X_j + X_j^T with
+    X_j = (M^T C Q_{j+1}) D_j P_j.
     """
     n = len(sigmas)
     if variable_t:
@@ -337,12 +343,20 @@ def _residual_jacobian(params, sigmas, target, variable_t, metric):
     y[0, :n], y[0, n:] = 1.0, 0.0
     _chain(y, c, np.concatenate([w, w[:, ::-1]], axis=1))
     pa, pb = y[:, :n], y[:, n:][:, ::-1]
+    if degree is None:
+        left, (ua, ub) = (1.0, 0.0), (pa[K], pb[K])
+    else:
+        # M^T is the pair (a, -b*); the middle step C has phase 0
+        left = pa[K], -np.conj(pb[K])
+        if degree % 2:
+            left = _pair_product(*left, ct, -1j * st)
+        ua, ub = _pair_product(*left, pa[K], pb[K])
     ta, tb = target
-    res = _rows(pa[K] - ta, pb[K] - tb, metric)
+    res = _rows(ua - ta, ub - tb, metric)
 
     def jacobian():
         z = np.empty_like(y)
-        z[K, :n], z[K, n:] = 1.0, 0.0
+        z[K, :n], z[K, n:] = left[0], np.flip(left[1])
         _chain(z[::-1], c[::-1], np.concatenate([np.conj(w), w[:, ::-1]], axis=1)[::-1],
                chain_first=True)
         qa, qb = z[1:, :n], z[1:, n:][:, ::-1]
@@ -353,6 +367,9 @@ def _residual_jacobian(params, sigmas, target, variable_t, metric):
         cols = [_pair_product(*_pair_product(qa, qb, da, db), pa[:-1], pb[:-1])
                 for da, db in derivs]
         a, b = (np.concatenate(part) for part in zip(*cols))
+        if degree is not None:
+            # X + X^T, with X^T the pair (a, -b*)
+            a, b = 2.0 * a, b - np.conj(b)
         # transposed, so Fortran-ordered: the memory order of the Jacobian
         # changes the solver's round-off, hence its steps
         return _rows(a, b, metric).T
@@ -412,13 +429,17 @@ class _CachedObjective:
     """Memoizes the residual per parameter vector, and builds its Jacobian
     only when the solver asks, at most once per vector.
 
-    With a fold S (see _sym_fold) the parameters are half-space vectors y:
-    the residual is the one at S @ y, and the Jacobian is J S.
+    With a fold S (see _sym_fold) the parameters are half-space vectors y.
+    Fixed-t evaluates y on half chains (_residual_jacobian with the degree);
+    variable-t takes the residual at S @ y and the Jacobian J S.
     """
 
     def __init__(self, sigmas, target, variable_t, metric, fold=None):
         self.args = (sigmas, target, variable_t, metric)
         self.fold = fold
+        if fold is not None and not variable_t:
+            self.args += (len(fold),)
+            self.fold = None
         self._key = None
 
     def _eval(self, params):
@@ -533,6 +554,15 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
 # phases are anti-palindromic (phi_j = -phi_{K+1-j}) with palindromic times
 # produces an exactly symmetric product.  Searching this halved space is much
 # better conditioned; the result then seeds an unrestricted final polish.
+#
+# A step mirrors as S(-phi, t) = S(phi, t)^T, so such a product is U = M^T C M:
+# M the product of the first K // 2 steps, C the middle step (phase 0) or I.
+# A fixed-t stage evaluates U from chains over those K // 2 steps alone, and
+# takes the column of half phase j as X_j + X_j^T, X_j = M^T C dM/dphi_j
+# (_residual_jacobian with a degree): half the chain work, and no fold product.
+# Variable-t stages still evaluate S @ y on the full chain and fold J S: their
+# degree turns on round-off (a 1e-12 nudge of the start moves it), so they keep
+# the full chain's floats until their solves converge.
 # ---------------------------------------------------------------------------
 
 

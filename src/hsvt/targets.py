@@ -141,10 +141,11 @@ class DegreeEstimate:
 
 def degree_for_accuracy(delta: float, eps: float) -> DegreeEstimate:
     """Smallest k with C exp(-sqrt(2 delta) k) <= eps."""
+    delta, eps = linalg.as_real(delta, "delta"), linalg.as_real(eps, "eps")
     if not (0.0 < delta < 1.0):
-        raise InvalidInputError("delta must lie in (0, 1)")
+        raise InvalidInputError(f"delta must lie in (0, 1), got {delta}")
     if not (0.0 < eps < 1.0):
-        raise InvalidInputError("eps must lie in (0, 1)")
+        raise InvalidInputError(f"eps must lie in (0, 1), got {eps}")
     rate = math.sqrt(2.0 * delta)
     k = max(1, math.ceil(math.log(ARCCOS_FAMILY_CONSTANT / eps) / rate))
     return DegreeEstimate(k=k, predicted_eps=ARCCOS_FAMILY_CONSTANT * math.exp(-rate * k),

@@ -318,7 +318,7 @@ def test_compile_repeats_across_blas_thread_counts():
 
 
 @pytest.mark.parametrize("opts, pinned", [
-    (SolverOptions(target_eps=1e-3), "efaa863aa443586e"),     # hsvt synthesize's
+    (SolverOptions(target_eps=1e-3), "2db452d7dd87f73f"),     # hsvt synthesize's
     (None, "0dfb69fda78a7a6b"),                               # compiled_schedule's
 ], ids=["fixed-t", "variable-t"])
 def test_identity_04_08_schedules_are_pinned(opts, pinned):
@@ -578,6 +578,56 @@ def test_folded_jacobian_matches_finite_difference(rng, k, variable_t):
         down = compiler._residual_jacobian(fold @ (y - dy), *args)[0]
         fd[:, i] = (up - down) / (2 * h)
     np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("metric", ["full", "corner"])
+@pytest.mark.parametrize("start", ["random", "zero-phase"])
+@pytest.mark.parametrize("k", [2, 3, 6, 7, 16, 31, 32])
+def test_half_chain_stage_objective_equals_the_folded_full_chain(rng, k, start, metric):
+    # a fixed-t stage runs on half chains (U = M^T C M, columns X + X^T); the
+    # full chain at S @ y, with its Jacobian folded to J S, is the oracle
+    fold = compiler._sym_fold(k, False)
+    y = rng.uniform(-np.pi, np.pi, k // 2) if start == "random" else np.zeros(k // 2)
+    sigmas = compiler.chebyshev_grid(0.1, 0.9, max(2 * k, 16))
+    target = compiler.reduced_target(0.8 * sigmas)
+    want_res, want_jacobian = compiler._residual_jacobian(fold @ y, sigmas, target,
+                                                          False, metric)
+    want_jac = want_jacobian() @ fold
+    obj = compiler._CachedObjective(sigmas, target, False, metric, fold)
+    res, jac = obj.residual(y), obj.jacobian(y)
+    assert jac.shape == want_jac.shape
+    assert np.max(np.abs(res - want_res)) <= 1e-14
+    assert np.max(np.abs(jac - want_jac)) <= 1e-14
+    assert jac.flags.f_contiguous
+
+
+@pytest.mark.parametrize("variable_t", [False, True])
+def test_stage_chains_run_over_half_the_steps_under_fixed_t(monkeypatch, variable_t):
+    # every fixed-t stage evaluation chains its k // 2 half-space phases
+    # alone; variable-t stages and every polish chain all k steps
+    stage, lengths = [None], []
+    real_stage, real_chain = compiler._stage_solve, compiler._chain
+
+    def stage_solve(k, *args):
+        stage[0] = k
+        try:
+            return real_stage(k, *args)
+        finally:
+            stage[0] = None
+
+    def chain(rows, *args, **kwargs):
+        lengths.append((stage[0], len(rows)))
+        return real_chain(rows, *args, **kwargs)
+
+    monkeypatch.setattr(compiler, "_stage_solve", stage_solve)
+    monkeypatch.setattr(compiler, "_chain", chain)
+    sch, _ = compiler.synthesize_to_accuracy(
+        targets.identity(0.4, 0.8), 1e-2, SolverOptions(variable_t=variable_t))
+    staged = [(k, rows) for k, rows in lengths if k is not None]
+    assert staged and len(staged) < len(lengths)
+    for k, rows in staged:
+        assert rows == (k + 1 if variable_t else k // 2 + 1)
+    assert all(rows == sch.degree + 1 for k, rows in lengths if k is None)
 
 
 @pytest.mark.parametrize("variable_t", [False, True])

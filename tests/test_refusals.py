@@ -170,6 +170,16 @@ REFUSALS = {
     "solver-options-metric": (lambda tmp: SolverOptions(metric="cubic"),
                               InvalidInputError,
                               "metric must be 'full' or 'corner', got 'cubic'"),
+    "degree-delta-string": (lambda tmp: targets.degree_for_accuracy("0.5", 0.1),
+                            InvalidInputError, "delta must be a number, got '0.5'"),
+    "degree-eps-none": (lambda tmp: targets.degree_for_accuracy(0.5, None),
+                        InvalidInputError, "eps must be a number, got None"),
+    "degree-eps-bool": (lambda tmp: targets.degree_for_accuracy(0.5, True),
+                        InvalidInputError, "eps must be a number, got True"),
+    "degree-delta-0": (lambda tmp: targets.degree_for_accuracy(0.0, 0.1),
+                       InvalidInputError, "delta must lie in (0, 1), got 0.0"),
+    "degree-eps-nan": (lambda tmp: targets.degree_for_accuracy(0.5, np.nan),
+                       InvalidInputError, "eps must be finite, got nan"),
     "unknown-kind": (lambda tmp: targets.TargetFunction("cubic"),
                      InvalidInputError, "unknown target kind 'cubic'"),
     "target-power-bool": (lambda tmp: targets.scaled_power(True, 0.5, 0.2, 0.8),
