@@ -16,6 +16,8 @@ on a Chebyshev grid of sigma nodes, by damped least squares with analytic
 Jacobians and degree continuation.  Continuation grows a solution to a
 higher degree with the same product: a fixed-t schedule appends canceling
 pairs (phi, phi + pi), a variable-t one splits its longest step in two.
+Fixed-t continuation stages are solved by a Levenberg-Marquardt on the
+normal equations (_levenberg_marquardt); every other solve uses scipy's trf.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import re
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.optimize import OptimizeResult, least_squares
 
 from . import linalg
 from .errors import CapError, InvalidInputError, ParseError
@@ -44,8 +47,11 @@ DESCENT = 0.02
 # random starts an explicit-degree compile adds to its deterministic one when
 # the warm start misses eps
 RESTARTS = 8
-# least_squares status -> stop reason; a positive status is a tolerance test
+# solver status -> stop reason; a positive status is a tolerance test
 _STOP_REASONS = {-2: "eps", 0: "cap"}
+# the Levenberg-Marquardt's first damping, times the largest diagonal entry of
+# J^T J at the start
+LM_DAMPING = 0.1
 
 
 def _wrap_phase(phi: float) -> float:
@@ -476,6 +482,72 @@ class _Search(tuple):
         return search
 
 
+def _levenberg_marquardt(obj, x0, tol, max_nfev, callback):
+    """Minimize 0.5 ||r||^2 of the _CachedObjective obj from x0, unbounded.
+
+    Each step h solves (J^T J + mu I) h = -J^T r by Cholesky, with J and r
+    at the current point; mu starts at LM_DAMPING max diag(J^T J) and follows
+    Nielsen's rule (H. B. Nielsen, IMM-REP-1999-05) on the gain ratio rho of
+    the actual to the predicted decrease: a step with rho > 0 is accepted and
+    mu scaled by max(1/3, 1 - (2 rho - 1)^3), otherwise mu is multiplied by
+    nu, which doubles with each rejection in a row.  The Jacobian is taken
+    only at accepted points, and callback(OptimizeResult(x, fun, cost)) is
+    called after each accepted step.
+
+    Returns an OptimizeResult with x, fun, cost, nfev, njev and status, read
+    as least_squares' is: -2 when callback raised StopIteration; 0 after
+    max_nfev residual evaluations, x0's included; 1, 2 or 3 when the
+    gradient's max norm, the cost's relative decrease or the step's norm
+    relative to x fell to tol.
+    """
+    x, r = x0, obj.residual(x0)
+    cost = 0.5 * (r @ r)
+    nfev, njev, status = 1, 0, 0
+    mu, nu = None, 2.0
+    fresh = True                    # J^T J and J^T r are still to be taken at x
+    while nfev < max_nfev:
+        if fresh:
+            jac = obj.jacobian(x)
+            njev += 1
+            a, g = jac.T @ jac, jac.T @ r
+            if np.max(np.abs(g)) <= tol:
+                status = 1
+                break
+            if mu is None:
+                mu = LM_DAMPING * np.max(np.diag(a))
+            fresh = False
+        # LAPACK's Cholesky factor and solve, called directly: scipy.linalg's
+        # wrappers cost more than the factorization at these sizes
+        chol, info = dpotrf(a + mu * np.eye(len(a)))
+        if info:
+            mu, nu = mu * nu, 2.0 * nu
+            continue
+        h = dpotrs(chol, -g)[0]
+        if np.linalg.norm(h) <= tol * (np.linalg.norm(x) + tol):
+            status = 3
+            break
+        x_new = x + h
+        r_new = obj.residual(x_new)
+        nfev += 1
+        cost_new = 0.5 * (r_new @ r_new)
+        drop = cost - cost_new
+        rho = drop / (0.5 * (h @ (mu * h - g)))
+        if not rho > 0:
+            mu, nu = mu * nu, 2.0 * nu
+            continue
+        x, r, cost, fresh = x_new, r_new, cost_new, True
+        mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+        try:
+            callback(OptimizeResult(x=x, fun=r, cost=cost))
+        except StopIteration:
+            status = -2
+            break
+        if drop <= tol * (cost + drop):
+            status = 2
+            break
+    return OptimizeResult(x=x, fun=r, cost=cost, nfev=nfev, njev=njev, status=status)
+
+
 def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
                         fold=None):
     """Best local minimum over the given initial points.
@@ -490,17 +562,16 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
     search, and so does each solve: a start that already meets it is not
     solved, and the solve stops at the first iterate that does.  With
     target_eps = 0 every solve runs to tolerance or max_nfev.
+
+    Fixed-t half-space solves run _levenberg_marquardt, the others scipy's
+    trf (bounded under variable-t).
     """
     # x_scale is passed explicitly, so that a change of scipy's default cannot
-    # move the schedules the solves reproduce.  Variable-t: unit scaling for
-    # the polish, Jacobian scaling for the half-space stages.  Fixed-t: the
-    # other way round.
-    if fold is None:
-        n_phi, tol = k, 3e-16
-        x_scale = 1.0 if opts.variable_t else "jac"
-    else:
-        n_phi, tol = k // 2, 1e-15
-        x_scale = "jac" if opts.variable_t else 1.0
+    # move the schedules the solves reproduce: unit scaling for the
+    # variable-t polish, Jacobian scaling for every other trf solve
+    n_phi, tol = (k, 3e-16) if fold is None else (k // 2, 1e-15)
+    x_scale = 1.0 if opts.variable_t and fold is None else "jac"
+    lm = fold is not None and not opts.variable_t
     stop = MARGIN * opts.target_eps
     if opts.variable_t:
         n_t = len(inits[0]) - n_phi
@@ -528,15 +599,18 @@ def _solve_fixed_degree(k, sigmas, target, opts: SolverOptions, inits, max_nfev,
     for x0 in inits:
         x0 = np.clip(x0, bounds[0] + 1e-12, bounds[1] - 1e-12)
         costs = []
-        # memoized: least_squares' own first evaluation of x0 reuses it
+        # memoized: the solver's own first evaluation of x0 reuses it
         mx = _max_node_residual(obj.residual(x0), opts.metric) if early else np.inf
         if mx <= stop:
             x, reason = x0, "eps"
             nfev_total += 1
         else:
-            sol = least_squares(obj.residual, x0, jac=obj.jacobian, method="trf",
-                                bounds=bounds, xtol=tol, ftol=tol, gtol=tol,
-                                x_scale=x_scale, max_nfev=max_nfev, callback=done)
+            if lm:
+                sol = _levenberg_marquardt(obj, x0, tol, max_nfev, done)
+            else:
+                sol = least_squares(obj.residual, x0, jac=obj.jacobian, method="trf",
+                                    bounds=bounds, xtol=tol, ftol=tol, gtol=tol,
+                                    x_scale=x_scale, max_nfev=max_nfev, callback=done)
             nfev_total += sol.nfev
             x, reason = sol.x, _STOP_REASONS.get(sol.status, "tolerance")
             mx = _max_node_residual(sol.fun, opts.metric)

@@ -510,7 +510,7 @@ def test_degree_sweep_prints_the_csv_it_writes(tmp_path, capsys):
     printed = capsys.readouterr().out
     header, row4, row5 = printed.splitlines()
     assert header == "k,max_residual,total_time,steps"
-    assert row4 == "4,1.056668112073e+00,4.000000000000e+00,4"
+    assert row4 == "4,1.056668111434e+00,4.000000000000e+00,4"
     assert row5.startswith("5,") and row5.endswith(",5.000000000000e+00,5")
     out = tmp_path / "t.csv"
     assert run(argv + ["--csv-out", str(out)]) == 0

@@ -296,14 +296,21 @@ def test_fixed_t_compile_repeats_across_processes(tmp_path):
     assert texts[0] == texts[1]
 
 
-def test_compile_repeats_across_blas_thread_counts():
-    # inverse_block_encode's default compile, in fresh processes at one and
-    # two OpenBLAS threads, gives the same schedule bytes
+@pytest.mark.parametrize("args, pinned", [
+    ("targets.identity(0.1, 0.9), 1e-3, compiler.SolverOptions(variable_t=True)",
+     "8fadc826e22c94ce"),                                  # inverse_block_encode's
+    ("targets.identity(0.4, 0.8), 1e-3, compiler.SolverOptions()",
+     "52f8bf5c320f93eb"),                                  # hsvt synthesize's
+], ids=["variable-t", "fixed-t"])
+def test_compile_repeats_across_blas_thread_counts(args, pinned):
+    # inverse_block_encode's default compile and the fixed-t compile of
+    # identity(0.4, 0.8), in fresh processes at one and two OpenBLAS threads,
+    # give the same schedule bytes: the fixed-t stages run J^T J and its
+    # Cholesky factor through BLAS and LAPACK
     src = os.path.dirname(os.path.dirname(hsvt.__file__))
     path = [src, os.environ.get("PYTHONPATH")]
     prog = ("from hsvt import compiler, targets\n"
-            "s, _ = compiler.synthesize_to_accuracy(targets.identity(0.1, 0.9), 1e-3,"
-            " compiler.SolverOptions(variable_t=True))\n"
+            f"s, _ = compiler.synthesize_to_accuracy({args})\n"
             "print(s.to_text(), end='')\n")
     texts = []
     for threads in ("1", "2"):
@@ -314,11 +321,11 @@ def test_compile_repeats_across_blas_thread_counts():
     assert texts[0].startswith("# hsvt-schedule v1 k=")
     assert texts[0] == texts[1]
     # the pinned bytes: a change that moves the schedules on purpose updates this
-    assert hashlib.sha256(texts[0].encode()).hexdigest().startswith("8fadc826e22c94ce")
+    assert hashlib.sha256(texts[0].encode()).hexdigest().startswith(pinned)
 
 
 @pytest.mark.parametrize("opts, pinned", [
-    (SolverOptions(target_eps=1e-3), "2db452d7dd87f73f"),     # hsvt synthesize's
+    (SolverOptions(target_eps=1e-3), "52f8bf5c320f93eb"),     # hsvt synthesize's
     (None, "0dfb69fda78a7a6b"),                               # compiled_schedule's
 ], ids=["fixed-t", "variable-t"])
 def test_identity_04_08_schedules_are_pinned(opts, pinned):
@@ -373,13 +380,13 @@ def record_solves(monkeypatch):
 
 
 def test_fixed_t_stage_keeps_solving_while_its_cost_falls(monkeypatch):
-    # k = 20 from zero phases at 20 evaluations a solve: each solve that ends
+    # k = 28 from zero phases at 20 evaluations a solve: each solve that ends
     # at the cap still descending is solved again from its end point, until
     # the stage has spent its 50 evaluations
     solves = record_solves(monkeypatch)
     opts = SolverOptions(target_eps=1e-3, max_nfev=50)
-    mx, y, nfev, reason = compiler._stage_solve(20, targets.identity(0.4, 0.8), opts,
-                                                [np.zeros(10)], 20)
+    mx, y, nfev, reason = compiler._stage_solve(28, targets.identity(0.4, 0.8), opts,
+                                                [np.zeros(14)], 20)
     assert [cap for _, cap, _ in solves] == [20, 20, 10]
     assert nfev == sum(search[2] for *_, search in solves) == opts.max_nfev
     for (*_, before), (inits, *_) in zip(solves, solves[1:]):
@@ -779,6 +786,109 @@ def test_jacobian_built_only_when_the_solver_asks(monkeypatch):
     assert len(jacobians) == sol.njev < sol.nfev
     assert len(points) == len(set(points)) == sol.nfev
     assert len(set(jacobians)) == len(jacobians)
+
+
+# -- Levenberg-Marquardt ------------------------------------------------------
+
+class RecordedObjective:
+    """A residual function and its Jacobian for compiler._levenberg_marquardt,
+    recording each point either is asked at."""
+
+    def __init__(self, fun, jac):
+        self.fun, self.jac = fun, jac
+        self.points, self.jac_points = [], []
+
+    def residual(self, x):
+        self.points.append(x.copy())
+        return self.fun(x)
+
+    def jacobian(self, x):
+        self.jac_points.append(x.copy())
+        return self.jac(x)
+
+
+def linear_objective(rng):
+    a, b = rng.standard_normal((30, 5)), rng.standard_normal(30)
+    return RecordedObjective(lambda x: a @ x - b, lambda x: a), a, b
+
+
+def test_levenberg_marquardt_solves_a_linear_problem_to_tolerance(rng):
+    obj, a, b = linear_objective(rng)
+    sol = compiler._levenberg_marquardt(obj, np.zeros(5), 1e-15, 100, lambda r: None)
+    want = np.linalg.lstsq(a, b, rcond=None)[0]
+    # the cost test stops once a step lowers the cost by round-off only
+    assert np.allclose(sol.x, want, rtol=0.0, atol=1e-8)
+    assert sol.cost == pytest.approx(0.5 * np.sum((a @ want - b) ** 2), rel=1e-14)
+    assert compiler._STOP_REASONS.get(sol.status, "tolerance") == "tolerance"
+    assert sol.nfev < 100
+    assert sol.nfev == len(obj.points) and sol.njev == len(obj.jac_points)
+    assert np.array_equal(sol.fun, a @ sol.x - b)
+
+
+def test_levenberg_marquardt_capped_at_one_evaluation_returns_the_start(rng):
+    obj, *_ = linear_objective(rng)
+    x0 = rng.standard_normal(5)
+    sol = compiler._levenberg_marquardt(obj, x0, 1e-15, 1, lambda r: None)
+    assert np.array_equal(sol.x, x0)
+    assert (sol.nfev, sol.njev, compiler._STOP_REASONS[sol.status]) == (1, 0, "cap")
+    # every solve of an explicit-degree compile, continuation stages included,
+    # stops at its first evaluation
+    f = targets.identity(0.4, 0.8)
+    schedule, rep = compiler.synthesize_schedule(f, 7, opts=SolverOptions(max_nfev=1))
+    assert schedule.degree == 7 and rep.stop_reason == "cap"
+
+
+def test_levenberg_marquardt_stops_on_eps_when_the_callback_stops_it(rng):
+    obj, *_ = linear_objective(rng)
+    seen = []
+
+    def callback(intermediate_result):
+        seen.append(intermediate_result.x)
+        if len(seen) == 2:
+            raise StopIteration
+
+    sol = compiler._levenberg_marquardt(obj, np.zeros(5), 1e-15, 100, callback)
+    assert compiler._STOP_REASONS[sol.status] == "eps"
+    assert len(seen) == 2 and np.array_equal(sol.x, seen[-1])
+
+
+def test_stage_solve_records_a_cost_per_accepted_step_and_jacobians_only_there(
+        monkeypatch):
+    # a folded fixed-t solve, replayed from its evaluations: a trial point is
+    # accepted when its cost is below the current point's
+    real_objective = compiler._residual_jacobian
+    points, residuals, jacobians = [], [], []
+
+    def counted_objective(params, *args):
+        res, jacobian = real_objective(params, *args)
+        points.append(params.tobytes())
+        residuals.append(res)
+
+        def counted_jacobian():
+            jacobians.append(params.tobytes())
+            return jacobian()
+        return res, counted_jacobian
+
+    monkeypatch.setattr(compiler, "_residual_jacobian", counted_objective)
+    k = 24
+    sigmas, target = compiler._grid(targets.identity(0.4, 0.8), 2 * k)
+    search = compiler._solve_fixed_degree(k, sigmas, target, SolverOptions(target_eps=0.0),
+                                          [np.zeros(k // 2)], 120,
+                                          fold=compiler._sym_fold(k, False))
+    assert search[2] == len(points) <= 120
+    costs = [0.5 * (r @ r) for r in residuals]
+    current, accepted, accepted_costs = costs[0], [], []
+    for point, cost in zip(points[1:], costs[1:]):
+        if cost < current:
+            current = cost
+            accepted.append(point)
+            accepted_costs.append(cost)
+    assert len(accepted) < len(points) - 1               # some steps were rejected
+    assert search.costs == accepted_costs
+    # the start, then each accepted point the solve went on from
+    assert jacobians[0] == points[0]
+    assert jacobians[1:] == accepted[:len(jacobians) - 1]
+    assert len(accepted) - (len(jacobians) - 1) in (0, 1)
 
 
 # -- noise gain and option refusals -------------------------------------------
